@@ -21,7 +21,6 @@ _EXPORTS = {
     "BoundednessReport": "symbol",
     "check_boundedness": "symbol",
     "fixed_point": "symbol",
-    "iterate_point": "symbol",
     # spectral
     "EigenvalueInfo": "spectral",
     "SpectralData": "spectral",
@@ -29,7 +28,6 @@ _EXPORTS = {
     "geometric_eigenvalue_list": "spectral",
     "LinearFormBasis": "spectral",
     "linear_form_basis": "spectral",
-    "schur_block_form": "spectral",
     # relations
     "PolarEigenvalue": "relations",
     "ExactPolarSpec": "relations",

@@ -3,9 +3,9 @@
 One command per invocation, one JSON input file per command, one report on
 stdout (or ``--output``).  Reports are JSON by default; ``--format text``
 renders the same data as indented lines.  Exit codes are stable: 0 on
-success, 1 on a usage error, 2 on invalid input, 3 on a blown resource
-budget.  Running the same command on the same input with the same seed
-produces byte-identical JSON.
+success, 1 on a usage error, 2 on invalid input or an input the numerics
+cannot handle reliably, 3 on a blown resource budget.  Running the same
+command on the same input with the same seed produces byte-identical JSON.
 
 The environment variable ``FOCK_DYNAMICS_THREADS`` caps BLAS parallelism
 (0 or unset means automatic); it is applied before numpy is imported, so
@@ -595,13 +595,22 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("fockdyn: error: a command is required", file=sys.stderr)
         return 1
-    from .errors import BudgetError, InvalidInputError
+    from .errors import (
+        BudgetError,
+        ConditioningError,
+        InvalidInputError,
+        NodeSearchError,
+        NumericalFailureError,
+    )
 
     cfg = config_from_args(ns)
     try:
         return run(cfg)
     except InvalidInputError as exc:
         print(f"fockdyn: invalid input: {exc}", file=sys.stderr)
+        return 2
+    except (NumericalFailureError, ConditioningError, NodeSearchError) as exc:
+        print(f"fockdyn: unsupported input: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"fockdyn: budget exceeded: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Invalid or refused inputs raise subclasses of InvalidInputError; blown
-resource caps raise subclasses of BudgetError.  The CLI maps the former to
-exit code 2 and the latter to exit code 3.
+resource caps raise subclasses of BudgetError.  ConditioningError,
+NumericalFailureError and NodeSearchError mark inputs the numerics cannot
+handle reliably.  The CLI maps InvalidInputError and these three to exit
+code 2, and BudgetError to exit code 3, each with a one-line message.
 """
 
 

@@ -40,34 +40,3 @@ from .projections import (
     mask_coefficients,
     project_homogeneous,
 )
-
-__all__ = [
-    "GradedBasis",
-    "graded_basis",
-    "monomial_norm",
-    "monomial_norm_sq_int",
-    "multi_indices",
-    "dickson_partition",
-    "unimodular_nodes",
-    "ApproxReport",
-    "approx_numbers",
-    "auto_oracle_degree",
-    "enumerate_lambda_desc",
-    "reduced_oracle_singular_values",
-    "singular_data",
-    "adjoint_pairing_check",
-    "chain_stability_threshold",
-    "jordan_coefficient_bound_check",
-    "kronecker_density_demo",
-    "orbit_krylov_rank",
-    "GridCompositionOperator",
-    "TruncatedOperator",
-    "assemble_truncated",
-    "top_singular_values",
-    "truncated_singular_values",
-    "truncated_spectrum",
-    "expand_in_L_basis",
-    "from_L_basis",
-    "mask_coefficients",
-    "project_homogeneous",
-]

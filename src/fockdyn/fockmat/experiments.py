@@ -4,7 +4,6 @@ bounds along Jordan chains, and a torus-density demonstration.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np

@@ -6,7 +6,10 @@ of the operator -- the only error is floating rounding of the entries.
 
 Two realizations are provided: a dense assembly for moderate basis sizes,
 and a matrix-free action on the full coefficient grid (used for singular
-value computation at degrees where the dense matrix is too large).
+value computation at degrees where the dense matrix is too large).  The
+matrix-free action runs polymap._compose_grid, the substitution kernel that
+polymap.compose_affine also uses; _assemble_matrix is the column recursion
+that builds every column at once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from ..errors import InvalidInputError, PreconditionError
+from ..polymap import _compose_grid, affine_stages, check_dense_bytes, dense_grid
 from ..symbol import AffineSymbol, check_boundedness
 from .basis import GradedBasis, graded_basis
 
@@ -50,6 +54,8 @@ def _raise_tables(basis: GradedBasis) -> list:
 def _assemble_matrix(sym: AffineSymbol, basis: GradedBasis) -> np.ndarray:
     """Exact restriction matrix, no boundedness requirement (internal)."""
     d, m = basis.d, basis.size
+    # the columns, the float norm ratios and the scaled complex result
+    check_dense_bytes(40 * m * m, f"a dense {m} x {m} truncated matrix")
     tables = _raise_tables(basis)
     cols = np.zeros((m, m), dtype=complex)
     cols[0, 0] = 1.0
@@ -101,64 +107,6 @@ def truncated_singular_values(op: TruncatedOperator, k: int) -> np.ndarray:
 # matrix-free action on the full (n+1)^d coefficient grid
 
 
-def _mul_linear(t: np.ndarray, coeffs: np.ndarray, const: complex) -> np.ndarray:
-    """Coefficient tensor of (const + sum_k coeffs[k] z_k) * t, box-truncated.
-
-    Safe whenever every nonzero entry of t has total degree < grid degree,
-    which holds throughout the substitution pipeline.
-    """
-    out = const * t
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        src = [slice(None)] * t.ndim
-        src[k] = slice(0, -1)
-        dst = [slice(None)] * t.ndim
-        dst[k] = slice(1, None)
-        out[tuple(dst)] += c * t[tuple(src)]
-    return out
-
-
-def _substitute_axis(t: np.ndarray, axis: int, coeffs: np.ndarray, const: complex) -> np.ndarray:
-    """Replace variable `axis` by the affine form sum_k coeffs[k] z_k + const.
-
-    Horner evaluation in the replaced variable; exact on the grid because an
-    affine substitution never raises total degree.
-    """
-    n = t.shape[axis] - 1
-    res = np.zeros_like(t)
-    zero_slice = [slice(None)] * t.ndim
-    zero_slice[axis] = 0
-    take = [slice(None)] * t.ndim
-    for m in range(n, -1, -1):
-        res = _mul_linear(res, coeffs, const)
-        take[axis] = m
-        res[tuple(zero_slice)] += t[tuple(take)]
-    return res
-
-
-def _compose_grid(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient tensor of f(Az + b) from the tensor of f.
-
-    Factor A = P L U; then f(Az+b) = ((f o P) o (L . + P^T b)) o (U .),
-    and each triangular stage is a chain of single-variable substitutions
-    (ascending rows for L, descending for U) that matches the simultaneous
-    substitution because already-replaced variables never reappear in a
-    later row's affine form.
-    """
-    d = a.shape[0]
-    p, low, up = scipy.linalg.lu(a)
-    perm = np.argmax(p, axis=0)  # row index of the 1 in each column
-    # g(w) = f(Pw): exponent of w_j in g comes from the slot i with P[i,j]=1
-    t = np.transpose(t, axes=tuple(perm))
-    c = p.T @ b
-    for i in range(d):
-        t = _substitute_axis(t, i, low[i], c[i])
-    for i in range(d - 1, -1, -1):
-        t = _substitute_axis(t, i, up[i], 0.0)
-    return t
-
-
 def _multiply_kernel_series(t: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Box-truncated product with exp(<z, b>/2) = prod_j exp(conj(b_j) z_j / 2)."""
     n = t.shape[0] - 1
@@ -196,13 +144,10 @@ class GridCompositionOperator:
         self.symbol = sym
         self.basis = graded_basis(sym.dimension, n)
         self.n = n
-        d = sym.dimension
-        self._shape_grid = (n + 1,) * d
-        flat = np.ravel_multi_index(
-            np.array(self.basis.indices).T, self._shape_grid
-        )
-        self._flat = flat
+        self._index = tuple(np.array(self.basis.indices).T)
         self._norms = self.basis.norms
+        self._stages = affine_stages(sym.a, sym.b)
+        self._adjoint_stages = affine_stages(sym.a.conj().T, np.zeros_like(sym.b))
 
     @property
     def shape(self):
@@ -210,23 +155,22 @@ class GridCompositionOperator:
         return (m, m)
 
     def _scatter(self, x: np.ndarray) -> np.ndarray:
-        grid = np.zeros(self._shape_grid, dtype=complex)
-        grid.ravel()[self._flat] = np.asarray(x, dtype=complex) / self._norms
+        # scipy hands matmat columns over as (m, 1) blocks
+        grid = dense_grid((self.n + 1,) * len(self._index))
+        grid[self._index] = np.asarray(x, dtype=complex).reshape(-1) / self._norms
         return grid
 
     def _gather(self, grid: np.ndarray) -> np.ndarray:
-        return grid.ravel()[self._flat] * self._norms
+        return grid[self._index] * self._norms
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         grid = self._scatter(x)
-        grid = _compose_grid(grid, self.symbol.a, self.symbol.b)
+        grid = _compose_grid(grid, self._stages, self.n)
         return self._gather(grid)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         grid = self._scatter(x)
-        grid = _compose_grid(
-            grid, self.symbol.a.conj().T, np.zeros(self.symbol.dimension)
-        )
+        grid = _compose_grid(grid, self._adjoint_stages, self.n)
         grid = _multiply_kernel_series(grid, self.symbol.b)
         return self._gather(grid)
 

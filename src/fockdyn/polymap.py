@@ -1,18 +1,41 @@
-"""Polynomial algebra on coefficient maps.
+"""Coefficient maps, and the one kernel that substitutes Az + b.
 
 A polynomial in d complex variables is stored as a dict mapping exponent
 tuples (length d, nonnegative ints) to complex coefficients.  The zero
-polynomial is the empty dict.  These maps are the common currency for the
-truncation, projection, and cyclic-vector machinery.
+polynomial is the empty dict.  These maps are what io reads and writes and
+what the projection, cyclic-vector and experiment code passes around.
+
+f o phi for phi(z) = Az + b is computed here once, by _compose_grid: an LU
+sweep of single-variable Horner substitutions on a dense coefficient box.
+compose_affine runs it on clusters of terms that share a small box;
+fockmat.operator.GridCompositionOperator runs it on the full (n+1)^d grid.
+The only other builder of f o phi is fockmat.operator._assemble_matrix,
+which makes all columns of the truncated matrix at once.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .errors import DimensionMismatchError, InvalidInputError
+import numpy as np
+import scipy.linalg
+
+from .errors import BudgetError, DimensionMismatchError, InvalidInputError
 
 CoeffMap = dict
+
+# Cap on the bytes one dense kernel holds at once, its live copies counted;
+# it leaves room on an 8 GiB host for the LAPACK call that follows.
+DENSE_BYTES_BUDGET = 2 * 2**30
+
+# complex tensors alive at the peak of _compose_grid: the caller's grid, the
+# stage input, the Horner accumulator, its next value and one shifted product
+_GRID_COPIES = 5
+
+# terms share a box of up to this many times the entries of their own boxes,
+# or of up to _SMALL_BOX entries, below which the kernel's cost is overhead
+_CLUSTER_SLACK = 2
+_SMALL_BOX = 4096
 
 
 def validate_coeffs(f: CoeffMap, d: int | None = None) -> int:
@@ -49,31 +72,13 @@ def poly_scale(f: CoeffMap, c: complex) -> CoeffMap:
 
 
 def poly_mul(f: CoeffMap, g: CoeffMap) -> CoeffMap:
+    """Product of two coefficient maps; unused here, perfbench traces it by name."""
     out: CoeffMap = {}
     for a, ca in f.items():
         for b, cb in g.items():
             key = tuple(x + y for x, y in zip(a, b))
             out[key] = out.get(key, 0j) + ca * cb
     return out
-
-
-def poly_pow(f: CoeffMap, k: int, d: int) -> CoeffMap:
-    """Binary exponentiation; k = 0 gives the constant 1."""
-    if k < 0:
-        raise InvalidInputError("negative polynomial power")
-    acc = {(0,) * d: 1.0 + 0j}
-    base = dict(f)
-    while k:
-        if k & 1:
-            acc = poly_mul(acc, base)
-        k >>= 1
-        if k:
-            base = poly_mul(base, base)
-    return acc
-
-
-def poly_truncate(f: CoeffMap, max_degree: int) -> CoeffMap:
-    return {a: c for a, c in f.items() if sum(a) <= max_degree}
 
 
 def poly_clean(f: CoeffMap, tol: float = 0.0) -> CoeffMap:
@@ -93,50 +98,149 @@ def poly_eval(f: CoeffMap, point) -> complex:
     return total
 
 
+def max_coeff_diff(f: CoeffMap, g: CoeffMap) -> float:
+    """Largest coefficient-wise difference; 0.0 between zero polynomials."""
+    return max((abs(f.get(a, 0j) - g.get(a, 0j)) for a in set(f) | set(g)), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the substitution kernel on dense coefficient boxes
+
+
+def check_dense_bytes(nbytes: int, what: str) -> None:
+    """Raise BudgetError before a dense kernel allocates over the budget."""
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise BudgetError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB, over the "
+            f"{DENSE_BYTES_BUDGET / 2**30:.0f} GiB dense budget"
+        )
+
+
+def dense_grid(shape: tuple) -> np.ndarray:
+    """A zero coefficient tensor, once the kernel's copies of it fit the budget."""
+    nbytes = 16 * _GRID_COPIES * math.prod(shape)
+    if nbytes > DENSE_BYTES_BUDGET:
+        check_dense_bytes(nbytes, f"a {'x'.join(map(str, shape))} coefficient grid")
+    return np.zeros(shape, dtype=complex)
+
+
+def affine_stages(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Split z -> Az + b into single-variable substitutions.
+
+    Factor A = P L U; then f(Az+b) = ((f o P) o (L . + P^T b)) o (U .),
+    and each triangular stage is a chain of single-variable substitutions
+    (ascending rows for L, descending for U) that matches the simultaneous
+    substitution because already-replaced variables never reappear in a
+    later row's affine form.  Returns the axis permutation for P and the
+    rows (axis, [(k, c_k) per nonzero c_k], const); rows z_i -> z_i are left
+    out.
+    """
+    d = a.shape[0]
+    if np.tril(a, -1).any():
+        p, low, up = scipy.linalg.lu(a, p_indices=True)  # A = P L U, P[r, p[r]] = 1
+    else:  # no pivoting happens: an upper-triangular A is its own U
+        p, low, up = np.arange(d), np.eye(d), a
+    # g(w) = f(Pw): exponent of w_j in g comes from the slot i with P[i,j]=1
+    perm = np.argsort(p)
+    rows = [(i, low[i], c) for i, c in enumerate(b[perm].tolist())]
+    rows += [(i, up[i], 0) for i in range(d - 1, -1, -1)]
+    stages = []
+    for i, coeffs, const in rows:
+        terms = [(k, c) for k, c in enumerate(coeffs.tolist()) if c != 0]
+        if const != 0 or terms != [(i, 1)]:
+            stages.append((i, terms, const))
+    return tuple(perm.tolist()), stages
+
+
+def _substitute_axis(t: np.ndarray, axis: int, terms: list, const, n: int) -> np.ndarray:
+    """Replace variable `axis` by the affine form sum_k c_k z_k + const.
+
+    Horner evaluation in the replaced variable.  The box grows along each
+    other axis k of the form by the degree in z_axis, capped at the total
+    degree n: an affine substitution raises neither bound, so no shift
+    pushes a nonzero coefficient off the box and the result is exact.
+    """
+    shape = list(t.shape)
+    for k, _ in terms:
+        if k != axis:
+            shape[k] = min(n + 1, shape[k] + t.shape[axis] - 1)
+    whole, up, down = (slice(None),) * t.ndim, slice(1, None), slice(0, -1)
+    shifts = [
+        (whole[:k] + (up,) + whole[k + 1 :], whole[:k] + (down,) + whole[k + 1 :], c)
+        for k, c in terms
+    ]
+    inner = tuple(slice(s) for s in t.shape)
+    lead = inner[:axis] + (0,) + inner[axis + 1 :]
+    res = dense_grid(tuple(shape))
+    res[lead] = t[whole[:axis] + (-1,)]
+    for m in range(t.shape[axis] - 2, -1, -1):
+        nxt = const * res
+        for dst, src, c in shifts:
+            nxt[dst] += c * res[src]
+        res = nxt
+        res[lead] += t[whole[:axis] + (m,)]
+    return res
+
+
+def _compose_grid(t: np.ndarray, stages: tuple, n: int) -> np.ndarray:
+    """Coefficient tensor of f(Az + b) from the tensor t of f.
+
+    stages is affine_stages(A, b); n bounds the total degree of f.
+    """
+    perm, rows = stages
+    t = np.transpose(t, axes=perm)
+    for axis, terms, const in rows:
+        t = _substitute_axis(t, axis, terms, const, n)
+    return t
+
+
+def _box_size(top) -> int:
+    return math.prod(k + 1 for k in top)
+
+
+def _clusters(keys) -> list:
+    """Group exponent tuples so that each group's joint box stays small.
+
+    The kernel's cost follows its box, so a full polynomial makes one group
+    and far-apart sparse terms such as z_1^200 + z_2^200 get one each.
+    """
+    keys = list(keys)
+    if _box_size(map(max, *keys, (0,) * len(keys[0]))) <= _SMALL_BOX:
+        return [keys]
+    groups = []  # [joint top exponents, summed own box sizes, keys]
+    for key in sorted(keys, key=_box_size, reverse=True):
+        own = _box_size(key)
+        for g in groups:
+            top = tuple(map(max, g[0], key))
+            if _box_size(top) <= max(_SMALL_BOX, _CLUSTER_SLACK * (g[1] + own)):
+                g[0], g[1] = top, g[1] + own
+                g[2].append(key)
+                break
+        else:
+            groups.append([key, own, [key]])
+    return [g[2] for g in groups]
+
+
 def compose_affine(f: CoeffMap, a, b) -> CoeffMap:
     """Coefficients of f(Az + b): substitute z_i -> sum_k A[i,k] z_k + b_i.
 
-    Exact on polynomials; the total degree never increases.
+    Exact on polynomials; the total degree never increases.  Coefficients
+    that come out exactly zero are left out.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
         raise DimensionMismatchError(f"affine data shapes {a.shape}, {b.shape}")
-    d = a.shape[0]
-    validate_coeffs(f, d) if f else None
-    images = []
-    for i in range(d):
-        img: CoeffMap = {}
-        for k in range(d):
-            if a[i, k] != 0:
-                key = tuple(1 if j == k else 0 for j in range(d))
-                img[key] = a[i, k]
-        if b[i] != 0:
-            img[(0,) * d] = img.get((0,) * d, 0j) + b[i]
-        images.append(img)
-    # cache powers of each substituted coordinate
-    max_exp = [0] * d
-    for alpha in f:
-        for i, k in enumerate(alpha):
-            max_exp[i] = max(max_exp[i], k)
-    powers = []
-    for i in range(d):
-        row = [{(0,) * d: 1.0 + 0j}]
-        for _ in range(max_exp[i]):
-            row.append(poly_mul(row[-1], images[i]))
-        powers.append(row)
-    out: CoeffMap = {}
-    for alpha, c in f.items():
-        term = {(0,) * d: complex(c)}
-        for i, k in enumerate(alpha):
-            if k:
-                term = poly_mul(term, powers[i][k])
-        for key, v in term.items():
-            out[key] = out.get(key, 0j) + v
-    return out
-
-
-def coeffs_close(f: CoeffMap, g: CoeffMap, tol: float) -> bool:
-    """Coefficient-wise comparison at absolute tolerance tol."""
-    keys = set(f) | set(g)
-    return all(abs(f.get(a, 0j) - g.get(a, 0j)) <= tol for a in keys)
+    if not f:
+        return {}
+    validate_coeffs(f, a.shape[0])
+    stages = affine_stages(a, b)
+    parts = []
+    for keys in _clusters(f):
+        exps = np.array(keys)
+        grid = dense_grid(tuple(exps.max(axis=0) + 1))
+        grid[tuple(exps.T)] = [f[k] for k in keys]
+        out = _compose_grid(grid, stages, int(exps.sum(axis=1).max()))
+        index = np.nonzero(out)
+        parts.append(dict(zip(zip(*(i.tolist() for i in index)), out[index].tolist())))
+    return parts[0] if len(parts) == 1 else poly_clean(poly_add(*parts))

@@ -24,6 +24,7 @@ from .errors import (
     BudgetError,
     DimensionMismatchError,
     InvalidInputError,
+    NumericalFailureError,
     UnsupportedInputError,
 )
 
@@ -59,14 +60,6 @@ class PolarEigenvalue:
         if self.modulus is not None and self.modulus <= 0:
             raise InvalidInputError(f"modulus must be positive, got {self.modulus}")
 
-    @property
-    def has_rational_modulus(self) -> bool:
-        return self.modulus is not None
-
-    @property
-    def has_rational_arg(self) -> bool:
-        return self.arg_pi_multiple is not None
-
     def approximate_modulus(self) -> float | None:
         """Float modulus when expressible (rational moduli only)."""
         return float(self.modulus) if self.modulus is not None else None
@@ -88,11 +81,6 @@ class ExactPolarSpec:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-def pi_rational_dependence(eig: PolarEigenvalue) -> bool:
-    """Whether the argument is a rational multiple of pi."""
-    return eig.has_rational_arg
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +242,7 @@ def modulus_kernel(spec: ExactPolarSpec) -> ValuationLattice:
             if eig.modulus is not None:
                 acc *= Fraction(eig.modulus) ** a
         if acc != 1:
-            raise AssertionError("kernel verification failed")
+            raise NumericalFailureError("modulus kernel verification failed")
     return ValuationLattice(prime_list, tags, tuple(rows), tuple(kernel))
 
 
@@ -288,6 +276,20 @@ def _phase_sum(spec: ExactPolarSpec, alpha) -> Fraction:
         if eig.arg_pi_multiple is not None:
             total += a * eig.arg_pi_multiple
     return total
+
+
+def _verify_certificate(spec: ExactPolarSpec, alpha) -> None:
+    """Exact check that lambda^alpha = 1; raises when the certificate is wrong."""
+    phase = _phase_sum(spec, alpha)
+    tags = {e.arg_tag for e in spec.eigenvalues if e.arg_tag}
+    tagged = any(sum(v for v, e in zip(alpha, spec.eigenvalues) if e.arg_tag == t) for t in tags)
+    pairs = zip(spec.eigenvalues, alpha)
+    acc = math.prod(Fraction(e.modulus) ** a for e, a in pairs if e.modulus is not None)
+    if phase.denominator != 1 or phase.numerator % 2 or tagged or acc != 1:
+        raise NumericalFailureError(
+            f"relation certificate {alpha} fails exact verification "
+            f"(modulus product {acc}, phase {phase} pi)"
+        )
 
 
 def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
@@ -343,16 +345,7 @@ def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
         k = 2 * phase.denominator // math.gcd(phase.numerator, 2 * phase.denominator)
         candidates.append(tuple(k * v for v in base))
     alpha = min(candidates, key=lambda a: (max(abs(v) for v in a), sum(map(abs, a)), a))
-    # exact verification
-    phase = _phase_sum(spec, alpha)
-    assert phase.denominator == 1 and phase.numerator % 2 == 0
-    for t in arg_tags:
-        assert sum(v for v, e in zip(alpha, spec.eigenvalues) if e.arg_tag == t) == 0
-    acc = Fraction(1)
-    for eig, a in zip(spec.eigenvalues, alpha):
-        if eig.modulus is not None:
-            acc *= Fraction(eig.modulus) ** a
-    assert acc == 1
+    _verify_certificate(spec, alpha)
     return RelationResult(
         RelationStatus.FOUND, alpha=alpha,
         certificate="exact: moduli cancel and phase is an even multiple of pi",

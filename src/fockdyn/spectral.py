@@ -1,5 +1,5 @@
-"""Eigenstructure of the linear part: clusters, Jordan profile, Schur split,
-and the degree-one polynomial basis adapted to the symbol.
+"""Eigenstructure of the linear part: clusters, Jordan profile, and the
+degree-one polynomial basis adapted to the symbol.
 
 Eigenvalues are computed numerically, clustered at a caller-chosen radius,
 and block sizes are read off rank drops of powers of (A - lambda I).
@@ -10,10 +10,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NumericalFailureError, PreconditionError
-from .symbol import AffineSymbol, check_boundedness, fixed_point
+from .errors import NumericalFailureError
+from .symbol import AffineSymbol, fixed_point
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,34 +121,6 @@ def geometric_eigenvalue_list(spec: SpectralData) -> list:
     for e in spec.eigenvalues:
         out.extend([e.value] * e.geometric_mult)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Schur block split
-
-
-@dataclasses.dataclass(frozen=True)
-class SchurBlockForm:
-    """a = p @ s @ p*, s upper triangular with the contractive diagonal
-    entries leading; for bounded symbols the trailing block is a diagonal
-    unitary and v = p* b is supported on the leading block."""
-
-    s: np.ndarray
-    p: np.ndarray
-    v: np.ndarray
-    split_index: int  # rows 0..split_index-1 carry |diag| < 1
-
-
-def schur_block_form(sym: AffineSymbol) -> SchurBlockForm:
-    rep = check_boundedness(sym)
-    if not rep.bounded:
-        raise PreconditionError("symbol does not induce a bounded operator")
-    band = 1 - 10 * sym.tol
-    t, z, sdim = scipy.linalg.schur(
-        sym.a, output="complex", sort=lambda lam: abs(lam) < band
-    )
-    v = z.conj().T @ sym.b
-    return SchurBlockForm(t, z, v, int(sdim))
 
 
 # ---------------------------------------------------------------------------

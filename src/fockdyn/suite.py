@@ -40,7 +40,7 @@ from .fockmat import (
     truncated_spectrum,
     unimodular_nodes,
 )
-from .polymap import poly_add, poly_eval
+from .polymap import max_coeff_diff, poly_add, poly_eval
 from .relations import (
     ExactPolarSpec,
     PolarEigenvalue,
@@ -89,13 +89,6 @@ def _random_poly(rng, d: int, degree: int, terms: int | None = None) -> dict:
 def _random_index(rng, d: int, max_total: int) -> tuple:
     total = int(rng.integers(0, max_total + 1))
     return tuple(int(x) for x in rng.multinomial(total, [1.0 / d] * d))
-
-
-def _max_coeff_diff(f: dict, g: dict) -> float:
-    keys = set(f) | set(g)
-    if not keys:
-        return 0.0
-    return max(abs(f.get(a, 0j) - g.get(a, 0j)) for a in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +443,18 @@ def _criterion_projections(seed: int):
         for n in range(deg + 1):
             q = project_homogeneous(f, xi, n, mode="quadrature")
             r = project_homogeneous(f, xi, n, mode="recentering")
-            worst_pair = max(worst_pair, _max_coeff_diff(q, r) / scale)
+            worst_pair = max(worst_pair, max_coeff_diff(q, r) / scale)
             parts.append(r)
         total = poly_add(*parts)
-        worst_comp = max(worst_comp, _max_coeff_diff(total, f) / scale)
+        worst_comp = max(worst_comp, max_coeff_diff(total, f) / scale)
         n = int(rng.integers(0, deg + 1))
         pn = parts[n]
         again = project_homogeneous(pn, xi, n, mode="recentering")
-        worst_idem = max(worst_idem, _max_coeff_diff(again, pn) / scale)
+        worst_idem = max(worst_idem, max_coeff_diff(again, pn) / scale)
         if deg >= 1:
             mth = (n + 1 + int(rng.integers(0, deg))) % (deg + 1)
             killed = project_homogeneous(pn, xi, mth, mode="recentering")
-            worst_ann = max(worst_ann, _max_coeff_diff(killed, {}) / scale)
+            worst_ann = max(worst_ann, max_coeff_diff(killed, {}) / scale)
     worst = max(worst_pair, worst_idem, worst_ann, worst_comp)
     detail = (
         f"100 polynomials: quadrature vs recentering {worst_pair:.3e}, "
@@ -809,17 +802,3 @@ def run_suite(only=None, seed: int = 0) -> list:
     else:
         selected = criterion_slugs()
     return [run_criterion(slug, seed) for slug in selected]
-
-
-def describe_criteria() -> list:
-    return [(slug, text) for slug, text, _ in _CRITERIA]
-
-
-def format_results(results) -> str:
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.slug} ({r.elapsed:.2f}s): {r.detail}")
-    n_pass = sum(1 for r in results if r.passed)
-    lines.append(f"{n_pass}/{len(results)} criteria passed")
-    return "\n".join(lines)

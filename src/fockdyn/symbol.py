@@ -113,32 +113,3 @@ def fixed_point(sym: AffineSymbol) -> np.ndarray:
             f"(I - A) x = b is inconsistent (residual {residual:.3e})", residual
         )
     return xi
-
-
-def iterate_point(sym: AffineSymbol, z, n: int) -> np.ndarray:
-    """n-fold forward iterate phi^n(z)."""
-    if n < 0:
-        raise InvalidInputError(f"iteration count must be >= 0, got {n}")
-    w = as_complex_vector(z, sym.dimension).copy()
-    for _ in range(n):
-        w = sym.a @ w + sym.b
-    return w
-
-
-def kernel_value(w, z) -> complex:
-    """Reproducing kernel k_w(z) = exp(<z, w> / 2)."""
-    w = as_complex_vector(w)
-    z = as_complex_vector(z, w.shape[0])
-    return complex(np.exp(np.vdot(w, z) / 2))
-
-
-def kernel_norm(w) -> float:
-    """||k_w|| = exp(|w|^2 / 4)."""
-    w = as_complex_vector(w)
-    return float(np.exp(np.linalg.norm(w) ** 2 / 4))
-
-
-def adjoint_data(sym: AffineSymbol) -> tuple[np.ndarray, np.ndarray]:
-    """Data (b, A*) of the adjoint: a weighted composition by z -> A* z
-    with multiplier k_b."""
-    return sym.b.copy(), sym.a.conj().T.copy()

@@ -1,7 +1,9 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import fockdyn.suite
@@ -164,6 +166,59 @@ def test_invalid_input_exits_two(tmp_path):
 def test_budget_exits_three(tmp_path):
     path = write_json(tmp_path / "half.json", SYMBOL_HALF)
     assert main(["spectrum", path, "--degree", "100000000"]) == 3
+
+
+def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
+    # a 39,711-row basis passes the row budget, but its dense matrix would
+    # take 23.5 GiB; the grid oracle's 10^8-entry grid in eight variables
+    # would take 1.5 GiB a copy
+    sym3 = {"dimension": 3, "A": [[0.5, 0, 0], [0, 0.4, 0], [0, 0, 0.3]], "b": [0, 0, 0]}
+    spectrum = write_json(tmp_path / "sym3.json", sym3)
+    sym8 = {"dimension": 8, "A": (0.5 * np.eye(8)).tolist(), "b": [0] * 8}
+    approx = write_json(tmp_path / "sym8.json", sym8)
+    for args in (
+        ["spectrum", spectrum, "--degree", "60"],
+        ["approx", approx, "--top", "3", "--oracle-degree", "9", "--oracle-method", "grid"],
+    ):
+        tracemalloc.start()
+        try:
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 200 * 2**20
+        assert "dense budget" in capsys.readouterr().err
+
+
+def test_sparse_degree_200_project(tmp_path):
+    # far-apart terms at the projection degree cap each get a small box of
+    # their own; around xi = (1, 0, 0, 0) only z1^200 has a degree-2 part,
+    # C(200, 2) (z1 - 1)^2
+    doc = {"dimension": 4, "A": (0.5 * np.eye(4)).tolist(), "b": [0.5, 0, 0, 0]}
+    doc["function"] = {
+        "coefficients": [
+            {"alpha": [200 * (i == j) for i in range(4)], "value": 1.0} for j in range(4)
+        ]
+    }
+    path = write_json(tmp_path / "fn4.json", doc)
+    code, rep = run_json(tmp_path, ["project", path, "--degree", "2"])
+    assert code == 0
+    coeffs = {
+        tuple(e["alpha"]): complex(e["value"]["re"], e["value"]["im"])
+        for e in rep["coefficients"]
+    }
+    assert coeffs == pytest.approx(
+        {(2, 0, 0, 0): 19900, (1, 0, 0, 0): -39800, (0, 0, 0, 0): 19900}, rel=1e-12
+    )
+
+
+def test_numerical_failure_exits_two(tmp_path, capsys):
+    # near-defective: the Jordan profile of A cannot be read off reliably
+    doc = {"dimension": 3, "A": [[0.5, 1e-9, 0], [0, 0.5, 1e-9], [0, 0, 0.5]], "b": [0, 0, 0]}
+    assert main(["analyze", write_json(tmp_path / "near.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: ") and err.count("\n") == 1
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from fockdyn.errors import PreconditionError
 from fockdyn.fockmat import (
+    GridCompositionOperator,
     approx_numbers,
     assemble_truncated,
     auto_oracle_degree,
@@ -97,6 +98,26 @@ def test_reduced_and_grid_oracles_agree():
     degree = auto_oracle_degree(sym, approx_numbers(sym, k).indices)
     grid = top_singular_values(sym, degree, k)
     assert np.allclose(reduced, grid[:k], rtol=1e-8)
+    # m = 1225 at degree 48 lies above DENSE_SVD_CUTOFF: the matrix-free path
+    grid = top_singular_values(sym, 48, 3)
+    assert np.allclose(reduced[:3], grid, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b, n",
+    [
+        ([[0.5, 0.2], [0.1, 0.4]], [0.25, -0.15j], 6),
+        ([[0.1, 0.3, 0.0], [0.4, 0.0, 0.2], [0.1, 0.1, 0.3j]], [0.2, 0.1, -0.3], 4),
+    ],
+)
+def test_grid_action_matches_dense_matrix(a, b, n):
+    sym = AffineSymbol(a, b)
+    mat = assemble_truncated(sym, n).matrix
+    gop = GridCompositionOperator(sym, n)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=mat.shape[0]) + 1j * rng.normal(size=mat.shape[0])
+    assert np.allclose(gop.matvec(x), mat @ x, rtol=0, atol=1e-13)
+    assert np.allclose(gop.rmatvec(x), mat.conj().T @ x, rtol=0, atol=1e-13)
 
 
 def test_truncated_singular_values_monotone_in_degree():

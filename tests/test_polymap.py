@@ -1,20 +1,21 @@
 """Algebra laws of the sparse coefficient-map polynomial layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from fockdyn.errors import InvalidInputError
 from fockdyn.polymap import (
-    coeffs_close,
+    _clusters,
     compose_affine,
+    max_coeff_diff,
     poly_add,
     poly_clean,
     poly_degree,
     poly_eval,
     poly_mul,
-    poly_pow,
     poly_scale,
-    poly_truncate,
     validate_coeffs,
 )
 
@@ -56,15 +57,6 @@ def test_mul_matches_pointwise_product():
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
 
-def test_pow_matches_repeated_mul():
-    rng = np.random.default_rng(5)
-    f = random_poly(rng, 2, 2, 4)
-    by_mul = {(0, 0): 1.0 + 0j}
-    for _ in range(3):
-        by_mul = poly_mul(by_mul, f)
-    assert coeffs_close(poly_pow(f, 3, 2), by_mul, 1e-9)
-
-
 def test_compose_affine_matches_eval():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -79,18 +71,53 @@ def test_compose_affine_matches_eval():
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
 
+def _compose_by_products(f, a, b):
+    out = {}
+    d = len(b)
+    for alpha, c in f.items():
+        term = {(0,) * d: c}
+        for i, k in enumerate(alpha):
+            form = {tuple(int(j == l) for l in range(d)): a[i][j] for j in range(d) if a[i][j]}
+            form[(0,) * d] = form.get((0,) * d, 0) + b[i]
+            for _ in range(k):
+                term = poly_mul(term, form)
+        out = poly_add(out, term)
+    return out
+
+
+def test_compose_affine_far_apart_terms():
+    # boxes of 65^2 entries and more keep the degree-70 terms apart
+    rng = np.random.default_rng(7)
+    cases = [
+        ({(70, 0, 0): 1.0, (0, 70, 0): 2.0j, (0, 0, 70): -1.0, (2, 1, 0): 0.5},
+         np.diag([0.9, -0.8j, 0.7]), np.array([0.1, 0.2j, -0.3])),
+        ({(70, 0): 1.0, (0, 70): -2.0, (1, 3): 0.5j},
+         rng.normal(size=(2, 2)), rng.normal(size=2)),
+    ]
+    for f, a, b in cases:
+        assert len(_clusters(f)) > 1
+        g = compose_affine(f, a, b)
+        ref = _compose_by_products(f, a, b)
+        scale = max(abs(c) for c in ref.values())
+        assert max(abs(g.get(k, 0) - ref[k]) for k in ref) < 1e-12 * scale
+        assert set(g) <= set(ref)
+
+
+def test_full_polynomial_shares_one_box():
+    full = {a: 1.0 for a in itertools.product(range(9), repeat=3) if sum(a) <= 8}
+    assert len(_clusters(full)) == 1
+
+
 def test_compose_affine_identity_map():
     f = {(3, 0): 2.0 + 0j, (1, 1): -1j}
     g = compose_affine(f, np.eye(2), np.zeros(2))
-    assert coeffs_close(f, g, 1e-12)
+    assert max_coeff_diff(f, g) <= 1e-12
 
 
-def test_truncate_and_degree():
+def test_degree():
     f = {(0, 0): 1.0, (2, 1): 1.0, (0, 4): 1.0}
     assert poly_degree(f) == 4
     assert poly_degree({}) == -1
-    t = poly_truncate(f, 3)
-    assert set(t) == {(0, 0), (2, 1)}
 
 
 def test_clean_drops_small_terms():

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fockdyn.errors import BudgetError, InvalidInputError
+from fockdyn.errors import BudgetError, InvalidInputError, NumericalFailureError
 from fockdyn.relations import (
     ExactPolarSpec,
     PolarEigenvalue,
     RelationStatus,
+    _verify_certificate,
     exact_relation_decide,
     numeric_relation_search,
 )
@@ -32,6 +33,13 @@ def test_half_quarter_relation_found():
     result = exact_relation_decide(spec)
     assert result.status is RelationStatus.FOUND
     assert result.alpha in ((-2, 1), (2, -1))
+
+
+def test_wrong_certificate_raises():
+    spec = ExactPolarSpec((rational_polar(1, 2), rational_polar(1, 4)))
+    _verify_certificate(spec, (-2, 1))
+    with pytest.raises(NumericalFailureError):
+        _verify_certificate(spec, (1, 1))
 
 
 def test_root_of_unity_is_a_relation():

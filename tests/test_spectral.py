@@ -7,7 +7,6 @@ from fockdyn.spectral import (
     eigen_decompose,
     geometric_eigenvalue_list,
     linear_form_basis,
-    schur_block_form,
 )
 from fockdyn.symbol import AffineSymbol
 
@@ -93,24 +92,3 @@ def test_linear_forms_on_jordan_chain():
         l1w = basis.rows[1] @ (w - basis.xi)
         assert abs(l0w - 0.5 * l0z) < 1e-10
         assert abs(l1w - (0.5 * l1z + l0z)) < 1e-10
-
-
-def test_schur_block_form_is_unitary_similarity():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    a *= 0.8 / np.linalg.norm(a, 2)
-    sym = AffineSymbol(a, np.zeros(3))
-    form = schur_block_form(sym)
-    assert np.allclose(form.p @ form.s @ form.p.conj().T, a, atol=1e-10)
-    assert np.allclose(form.p.conj().T @ form.p, np.eye(3), atol=1e-12)
-    assert np.allclose(np.tril(form.s, -1), 0, atol=1e-10)
-    assert form.split_index == 3
-    assert np.allclose(form.v, form.p.conj().T @ sym.b, atol=1e-12)
-
-
-def test_schur_block_form_splits_unitary_part():
-    sym = AffineSymbol(np.diag([1.0, 0.5]).astype(complex), [0.0, 0.3])
-    form = schur_block_form(sym)
-    assert form.split_index == 1
-    diag = np.abs(np.diag(form.s))
-    assert diag[0] < 1 - 1e-6 and abs(diag[1] - 1) < 1e-12
