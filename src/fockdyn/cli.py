@@ -7,67 +7,50 @@ success, 1 on a usage error, 2 on invalid input or an input the numerics
 cannot handle reliably, 3 on a blown resource budget.  Running the same
 command on the same input with the same seed produces byte-identical JSON.
 
-The environment variable ``FOCK_DYNAMICS_THREADS`` caps BLAS parallelism
-(0 or unset means automatic); it is applied before numpy is imported, so
-this module keeps every numerical import inside the command handlers.
+Handlers read the parsed argparse namespace directly.  BLAS threading
+follows the standard ``OMP_NUM_THREADS`` / ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
+import numpy as np
+
+from . import __version__, suite
+from .classify import classify_cyclicity, cyclic_vector_test
+from .errors import (
+    BudgetError,
+    ConditioningError,
+    InvalidInputError,
+    NodeSearchError,
+    NoFixedPointError,
+    NumericalFailureError,
 )
-
-
-def _configure_threads() -> None:
-    """Propagate FOCK_DYNAMICS_THREADS to the BLAS layers before they load."""
-    raw = os.environ.get("FOCK_DYNAMICS_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        print(
-            f"fockdyn: ignoring non-integer FOCK_DYNAMICS_THREADS={raw!r}",
-            file=sys.stderr,
-        )
-        return
-    if n > 0:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(n)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: the command plus every knob it honors."""
-
-    command: str
-    input_path: str | None = None
-    degree: int | None = None
-    top: int | None = None
-    height: int | None = None
-    tol: float | None = None
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
-    steps: int | None = None
-    projector_degree: int | None = None
-    mode: str | None = None
-    oracle: bool = False
-    oracle_degree: int | None = None
-    oracle_method: str = "reduced"
-    n_max: int | None = None
-    only: tuple = ()
+from .fockmat import (
+    approx_numbers,
+    assemble_truncated,
+    kronecker_density_demo,
+    multi_indices,
+    orbit_krylov_rank,
+    project_homogeneous,
+    truncated_spectrum,
+)
+from .io import (
+    dump_approx,
+    dump_boundedness,
+    dump_complex,
+    dump_function,
+    dump_verdict,
+    load_complex,
+    load_function,
+    load_symbol,
+)
+from .polymap import poly_clean
+from .spectral import eigen_decompose
+from .symbol import AffineSymbol, check_boundedness, fixed_point
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import __version__
-
     parser = _Parser(
         prog="fockdyn",
         description=(
@@ -198,26 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {}
-    for key, value in vars(ns).items():
-        if key == "input":
-            values["input_path"] = value
-        elif key == "only":
-            values["only"] = tuple(value or ())
-        elif key in fields:
-            values[key] = value
-    return RunConfig(**values)
-
-
 # ---------------------------------------------------------------------------
 # input loading
 
 
 def _read_json(path: str):
-    from .errors import InvalidInputError
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -227,27 +193,21 @@ def _read_json(path: str):
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _symbol_from_doc(doc, cfg: RunConfig):
+def _symbol_from_doc(doc, ns: argparse.Namespace):
     """Accept either a bare symbol document or a {"symbol": ...} wrapper."""
-    from .errors import InvalidInputError
-    from .io import load_symbol
-    from .symbol import AffineSymbol
-
     if not isinstance(doc, dict):
         raise InvalidInputError("input document must be a JSON object")
     sym = load_symbol(doc["symbol"] if "symbol" in doc else doc)
-    if cfg.tol is not None:
-        sym = AffineSymbol(sym.a, sym.b, exact=sym.exact, tol=cfg.tol)
+    if ns.tol is not None:
+        sym = AffineSymbol(sym.a, sym.b, exact=sym.exact, tol=ns.tol)
     return sym
 
 
-def _load_symbol_input(cfg: RunConfig):
-    return _symbol_from_doc(_read_json(cfg.input_path), cfg)
+def _load_symbol_input(ns: argparse.Namespace):
+    return _symbol_from_doc(_read_json(ns.input), ns)
 
 
 def _function_from_doc(doc, dimension: int):
-    from .io import load_function
-
     if isinstance(doc, dict) and "function" in doc:
         return load_function(doc["function"], dimension=dimension)
     return None
@@ -257,14 +217,8 @@ def _function_from_doc(doc, dimension: int):
 # command handlers (each returns payload dict + exit code)
 
 
-def _cmd_analyze(cfg: RunConfig):
-    from .classify import classify_cyclicity
-    from .errors import NoFixedPointError
-    from .io import dump_boundedness, dump_complex, dump_verdict
-    from .spectral import eigen_decompose
-    from .symbol import check_boundedness, fixed_point
-
-    sym = _load_symbol_input(cfg)
+def _cmd_analyze(ns: argparse.Namespace):
+    sym = _load_symbol_input(ns)
     rep = check_boundedness(sym)
     spec = eigen_decompose(sym.a)
     payload = {
@@ -289,21 +243,18 @@ def _cmd_analyze(cfg: RunConfig):
     except NoFixedPointError:
         payload["fixed_point"] = None
     if rep.bounded:
-        verdict = classify_cyclicity(sym, search_height=cfg.height)
+        verdict = classify_cyclicity(sym, search_height=ns.height)
         payload["cyclicity"] = dump_verdict(verdict)
     else:
         payload["cyclicity"] = None
     return payload, 0
 
 
-def _cmd_spectrum(cfg: RunConfig):
-    from .fockmat import assemble_truncated, truncated_spectrum
-    from .io import dump_complex
-
-    sym = _load_symbol_input(cfg)
-    op = assemble_truncated(sym, cfg.degree)
+def _cmd_spectrum(ns: argparse.Namespace):
+    sym = _load_symbol_input(ns)
+    op = assemble_truncated(sym, ns.degree)
     payload = {
-        "degree": cfg.degree,
+        "degree": ns.degree,
         "basis_size": int(op.matrix.shape[0]),
         "eigenvalues": [dump_complex(z) for z in truncated_spectrum(op)],
         "tolerance": sym.tol,
@@ -311,51 +262,44 @@ def _cmd_spectrum(cfg: RunConfig):
     return payload, 0
 
 
-def _cmd_approx(cfg: RunConfig):
-    from .fockmat import approx_numbers
-    from .io import dump_approx
-
-    sym = _load_symbol_input(cfg)
-    with_oracle = cfg.oracle or cfg.oracle_degree is not None
+def _cmd_approx(ns: argparse.Namespace):
+    sym = _load_symbol_input(ns)
+    with_oracle = ns.oracle or ns.oracle_degree is not None
     rep = approx_numbers(
         sym,
-        cfg.top,
+        ns.top,
         with_oracle=with_oracle,
-        oracle_degree=cfg.oracle_degree,
-        oracle_method=cfg.oracle_method,
+        oracle_degree=ns.oracle_degree,
+        oracle_method=ns.oracle_method,
     )
     payload = dump_approx(rep)
     payload["tolerance"] = sym.tol
     return payload, 0
 
 
-def _cmd_orbit_rank(cfg: RunConfig):
-    import numpy as np
-
-    from .fockmat import multi_indices, orbit_krylov_rank
-
-    doc = _read_json(cfg.input_path)
-    sym = _symbol_from_doc(doc, cfg)
+def _cmd_orbit_rank(ns: argparse.Namespace):
+    doc = _read_json(ns.input)
+    sym = _symbol_from_doc(doc, ns)
     f_coeffs = _function_from_doc(doc, sym.dimension)
     if f_coeffs is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(ns.seed)
         f_coeffs = {
             alpha: complex(rng.normal(), rng.normal())
-            for alpha in multi_indices(sym.dimension, cfg.degree)
+            for alpha in multi_indices(sym.dimension, ns.degree)
         }
         source = "random"
     else:
         source = "file"
     projector = (
-        cfg.projector_degree if cfg.projector_degree is not None else cfg.degree
+        ns.projector_degree if ns.projector_degree is not None else ns.degree
     )
     rank = orbit_krylov_rank(
-        sym, f_coeffs, degree=cfg.degree, steps=cfg.steps, projector=projector
+        sym, f_coeffs, degree=ns.degree, steps=ns.steps, projector=projector
     )
     payload = {
         "rank": int(rank),
-        "degree": cfg.degree,
-        "steps": cfg.steps,
+        "degree": ns.degree,
+        "steps": ns.steps,
         "projector_degree": projector,
         "function_source": source,
         "tolerance": sym.tol,
@@ -363,16 +307,13 @@ def _cmd_orbit_rank(cfg: RunConfig):
     return payload, 0
 
 
-def _cmd_cyclic_vector(cfg: RunConfig):
-    from .classify import cyclic_vector_test
-    from .errors import InvalidInputError
-
-    doc = _read_json(cfg.input_path)
-    sym = _symbol_from_doc(doc, cfg)
+def _cmd_cyclic_vector(ns: argparse.Namespace):
+    doc = _read_json(ns.input)
+    sym = _symbol_from_doc(doc, ns)
     f_coeffs = _function_from_doc(doc, sym.dimension)
     if f_coeffs is None:
         raise InvalidInputError('cyclic-vector requires a "function" entry')
-    rep = cyclic_vector_test(sym, f_coeffs, cfg.degree)
+    rep = cyclic_vector_test(sym, f_coeffs, ns.degree)
     payload = {
         "verdict": rep.verdict,
         "failing_indices": [list(a) for a in rep.failing_indices],
@@ -383,25 +324,19 @@ def _cmd_cyclic_vector(cfg: RunConfig):
     return payload, 0
 
 
-def _cmd_project(cfg: RunConfig):
-    from .errors import InvalidInputError
-    from .fockmat import project_homogeneous
-    from .io import dump_complex, dump_function
-    from .polymap import poly_clean
-    from .symbol import fixed_point
-
-    doc = _read_json(cfg.input_path)
-    sym = _symbol_from_doc(doc, cfg)
+def _cmd_project(ns: argparse.Namespace):
+    doc = _read_json(ns.input)
+    sym = _symbol_from_doc(doc, ns)
     f_coeffs = _function_from_doc(doc, sym.dimension)
     if f_coeffs is None:
         raise InvalidInputError('project requires a "function" entry')
     xi = fixed_point(sym)
-    component = project_homogeneous(f_coeffs, xi, cfg.degree, mode=cfg.mode)
+    component = project_homogeneous(f_coeffs, xi, ns.degree, mode=ns.mode)
     scale = max([1.0, *(abs(c) for c in f_coeffs.values())])
     component = poly_clean(component, tol=sym.tol * scale)
     payload = {
-        "component_degree": cfg.degree,
-        "mode": cfg.mode,
+        "component_degree": ns.degree,
+        "mode": ns.mode,
         "expansion_point": [dump_complex(z) for z in xi],
         "coefficients": dump_function(component)["coefficients"],
         "tolerance": sym.tol,
@@ -409,12 +344,8 @@ def _cmd_project(cfg: RunConfig):
     return payload, 0
 
 
-def _cmd_demo_kronecker(cfg: RunConfig):
-    from .errors import InvalidInputError
-    from .fockmat import kronecker_density_demo
-    from .io import load_complex
-
-    doc = _read_json(cfg.input_path)
+def _cmd_demo_kronecker(ns: argparse.Namespace):
+    doc = _read_json(ns.input)
     if not isinstance(doc, dict) or "thetas" not in doc or "target" not in doc:
         raise InvalidInputError(
             'demo-kronecker input needs "thetas" and "target" lists'
@@ -424,7 +355,7 @@ def _cmd_demo_kronecker(cfg: RunConfig):
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"thetas must be real numbers: {exc}") from exc
     target = [load_complex(t, "target entry") for t in doc["target"]]
-    n_max = cfg.n_max if cfg.n_max is not None else doc.get("n_max")
+    n_max = ns.n_max if ns.n_max is not None else doc.get("n_max")
     if n_max is None:
         raise InvalidInputError("n_max is required (flag --n-max or input field)")
     best_n, best_err = kronecker_density_demo(thetas, target, int(n_max))
@@ -437,10 +368,8 @@ def _cmd_demo_kronecker(cfg: RunConfig):
     return payload, 0
 
 
-def _cmd_suite(cfg: RunConfig):
-    from .suite import run_suite
-
-    results = run_suite(only=list(cfg.only) or None, seed=cfg.seed)
+def _cmd_suite(ns: argparse.Namespace):
+    results = suite.run_suite(only=ns.only, seed=ns.seed)
     n_pass = sum(1 for r in results if r.passed)
     payload = {
         "criteria": [
@@ -449,7 +378,7 @@ def _cmd_suite(cfg: RunConfig):
         ],
         "passed_count": n_pass,
         "total": len(results),
-        "seed": cfg.seed,
+        "seed": ns.seed,
     }
     return payload, 0 if n_pass == len(results) else 1
 
@@ -470,21 +399,19 @@ _HANDLERS = {
 # rendering
 
 
-def _provenance(cfg: RunConfig) -> dict:
-    from . import __version__
-
+def _provenance(ns: argparse.Namespace) -> dict:
     out = {
         "tool": "fockdyn",
         "version": __version__,
-        "command": cfg.command,
-        "seed": cfg.seed,
+        "command": ns.command,
+        "seed": ns.seed,
     }
     for key in ("degree", "top", "height", "steps", "mode", "n_max"):
-        value = getattr(cfg, key)
+        value = getattr(ns, key, None)
         if value is not None:
             out[key] = value
-    if cfg.command == "suite" and cfg.only:
-        out["only"] = list(cfg.only)
+    if ns.command == "suite" and ns.only:
+        out["only"] = ns.only
     return out
 
 
@@ -553,18 +480,16 @@ def _render_suite_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(payload: dict, cfg: RunConfig) -> str:
+def render_report(payload: dict, ns: argparse.Namespace) -> str:
     payload = _plain(payload)
-    if cfg.format == "json":
+    if ns.format == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if cfg.command == "suite":
+    if ns.command == "suite":
         return _render_suite_text(payload)
     return "\n".join(_text_lines(payload, "")) + "\n"
 
 
 def _write_output(rendered: str, path: str | None) -> None:
-    from .errors import InvalidInputError
-
     if path is None:
         sys.stdout.write(rendered)
         return
@@ -579,33 +504,23 @@ def _write_output(rendered: str, path: str | None) -> None:
 # entry point
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command and emit its report."""
-    payload, exit_code = _HANDLERS[cfg.command](cfg)
-    payload["provenance"] = _provenance(cfg)
-    _write_output(render_report(payload, cfg), cfg.output)
+def run(ns: argparse.Namespace) -> int:
+    """Execute one parsed command and emit its report."""
+    payload, exit_code = _HANDLERS[ns.command](ns)
+    payload["provenance"] = _provenance(ns)
+    _write_output(render_report(payload, ns), ns.output)
     return exit_code
 
 
 def main(argv=None) -> int:
-    _configure_threads()
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command is None:
         parser.print_usage(sys.stderr)
         print("fockdyn: error: a command is required", file=sys.stderr)
         return 1
-    from .errors import (
-        BudgetError,
-        ConditioningError,
-        InvalidInputError,
-        NodeSearchError,
-        NumericalFailureError,
-    )
-
-    cfg = config_from_args(ns)
     try:
-        return run(cfg)
+        return run(ns)
     except InvalidInputError as exc:
         print(f"fockdyn: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
 """Computational core: graded Fock basis, exact truncated matrices,
-projections and masks, lattice-power enumeration, closed-form approximation
+projections, lattice-power enumeration, closed-form approximation
 numbers with SVD cross-checks, orbit experiments, and combinatorial tools.
 """
 
@@ -37,6 +37,5 @@ from .operator import (
 from .projections import (
     expand_in_L_basis,
     from_L_basis,
-    mask_coefficients,
     project_homogeneous,
 )

@@ -20,6 +20,31 @@ from .operator import assemble_truncated, top_singular_values, truncated_singula
 ENUMERATION_BUDGET = 10_000_000
 
 
+def _best_first(value, lengths, k: int) -> list:
+    """The k largest value(idx) over index tuples with idx[j] < lengths[j].
+
+    value must never increase when one index moves forward, so a best-first
+    heap grown from the all-zero tuple pops the tuples in nonincreasing
+    value order.  Returns (idx, value) pairs, ties broken by graded
+    lexicographic order on idx.
+    """
+    d = len(lengths)
+    start = (0,) * d
+    heap = [(-value(start), 0, start)]
+    seen = {start}
+    out = []
+    while heap and len(out) < k:
+        negv, _, idx = heapq.heappop(heap)
+        out.append((idx, -negv))
+        for j in range(d):
+            if idx[j] + 1 < lengths[j]:
+                succ = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
+                if succ not in seen:
+                    seen.add(succ)
+                    heapq.heappush(heap, (-value(succ), sum(succ), succ))
+    return out
+
+
 def enumerate_lambda_desc(lambdas, k: int) -> list:
     """The k largest values of prod(lambda_j^{alpha_j}) over alpha in N^d.
 
@@ -35,7 +60,6 @@ def enumerate_lambda_desc(lambdas, k: int) -> list:
         raise InvalidInputError(f"k must be positive, got {k}")
     if k > ENUMERATION_BUDGET:
         raise BudgetError(f"enumeration count {k} exceeds budget {ENUMERATION_BUDGET}")
-    d = len(lam)
 
     def value(alpha):
         v = 1.0
@@ -43,51 +67,8 @@ def enumerate_lambda_desc(lambdas, k: int) -> list:
             v *= x**a
         return v
 
-    start = (0,) * d
-    heap = [(-1.0, (0, start), start)]
-    seen = {start}
-    out = []
-    while heap and len(out) < k:
-        negv, _, alpha = heapq.heappop(heap)
-        out.append((alpha, -negv))
-        for j in range(d):
-            succ = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
-            if succ not in seen:
-                seen.add(succ)
-                v = value(succ)
-                heapq.heappush(heap, (-v, (sum(succ), succ), succ))
-    return out
-
-
-def _merge_descending_products(lists, k: int) -> list:
-    """k largest products formed by picking one entry from each list.
-
-    Every list must be nonincreasing and nonnegative, so moving any index
-    forward never increases the product and a best-first heap visits the
-    products in order.
-    """
-    d = len(lists)
-
-    def value(idx):
-        v = 1.0
-        for lst, i in zip(lists, idx):
-            v *= lst[i]
-        return v
-
-    start = (0,) * d
-    heap = [(-value(start), start)]
-    seen = {start}
-    out = []
-    while heap and len(out) < k:
-        negv, idx = heapq.heappop(heap)
-        out.append(-negv)
-        for j in range(d):
-            if idx[j] + 1 < len(lists[j]):
-                succ = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
-                if succ not in seen:
-                    seen.add(succ)
-                    heapq.heappush(heap, (-value(succ), succ))
-    return out
+    # alpha_j = k has k predecessors that pop first, so no top-k index reaches k
+    return _best_first(value, (k,) * len(lam), k)
 
 
 def reduced_oracle_singular_values(
@@ -132,7 +113,15 @@ def reduced_oracle_singular_values(
         trunc = assemble_truncated(factor, n_j)
         sv = truncated_singular_values(trunc, n_j + 1)
         lists.append([float(x) for x in sv])
-    return _merge_descending_products(lists, k), used_degree
+
+    def value(idx):
+        v = 1.0
+        for lst, i in zip(lists, idx):
+            v *= lst[i]
+        return v
+
+    pairs = _best_first(value, [len(lst) for lst in lists], k)
+    return [v for _, v in pairs], used_degree
 
 
 @dataclasses.dataclass(frozen=True)

@@ -34,16 +34,15 @@ def orbit_krylov_rank(
     f_coeffs,
     degree: int,
     steps: int,
-    projector=None,
+    projector: int | None = None,
 ) -> int:
     """Numerical rank of the (projected) orbit f, Cf, C^2 f, ..., C^{J-1} f.
 
     The orbit lives in the exact degree-<=degree truncation.  Every iterate
     is renormalized before projecting, and each projected column is again
     renormalized, because |eigenvalue|^(j*degree) under/overflows long before
-    the span stabilizes; rank is scale-invariant.  projector may be an
-    integer (keep the part homogeneous of that degree) or a predicate on
-    multi-indices.
+    the span stabilizes; rank is scale-invariant.  projector, if given,
+    keeps only the part homogeneous of that degree.
     """
     if steps < 1:
         raise InvalidInputError(f"steps must be positive, got {steps}")
@@ -57,10 +56,8 @@ def orbit_krylov_rank(
     mat = _assemble_matrix(sym, basis)
     if projector is None:
         mask = np.ones(basis.size, dtype=bool)
-    elif isinstance(projector, int):
-        mask = np.array([sum(a) == projector for a in basis.indices])
     else:
-        mask = np.array([bool(projector(a)) for a in basis.indices])
+        mask = np.array([sum(a) == projector for a in basis.indices])
     cols = []
     x = _coeff_vector(f_coeffs, basis)
     for _ in range(steps):

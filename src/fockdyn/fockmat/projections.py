@@ -1,5 +1,5 @@
-"""Homogeneous projections around a center, the degree-one-basis expansion,
-and coefficient masks.
+"""Homogeneous projections around a center and the degree-one-basis
+expansion.
 
 project_homogeneous extracts the part of f homogeneous of degree n in
 (z - xi), either by re-expanding around xi (default) or by a circle average
@@ -34,12 +34,21 @@ def project_homogeneous(f_coeffs, xi, n: int, mode: str = "recentering"):
         kept = {a: c for a, c in shifted.items() if sum(a) == n}
         return poly_clean(compose_affine(kept, eye, -xi))
     if mode == "quadrature":
+        # the node average cancels the node terms' coefficients; beyond
+        # 1e8 x the input's size that cancellation has no digits left
+        limit = 1e8 * max([1.0, *(abs(c) for c in f_coeffs.values())])
         nodes = max(deg, 0) + n + 1
         acc = {}
         for j in range(nodes):
             theta = 2 * np.pi * j / nodes
             rot = np.exp(1j * theta)
             term = compose_affine(f_coeffs, rot * eye, xi - rot * xi)
+            largest = max((abs(c) for c in term.values()), default=0.0)
+            if largest > limit:
+                raise ConditioningError(
+                    f"quadrature node coefficient {largest:.3e} exceeds 1e8 times "
+                    "the input's largest; recentering mode avoids the cancellation"
+                )
             weight = np.exp(-1j * n * theta) / nodes
             acc = poly_add(acc, poly_scale(term, weight))
         return poly_clean(acc, tol=0.0)
@@ -82,8 +91,3 @@ def from_L_basis(l_coeffs, basis: LinearFormBasis):
             f"linear-form basis condition {cond:.3e} exceeds 1e8"
         )
     return poly_clean(compose_affine(l_coeffs, rows, -rows @ basis.xi))
-
-
-def mask_coefficients(f_coeffs, predicate):
-    """Keep the coefficients whose multi-index satisfies the predicate."""
-    return {a: c for a, c in f_coeffs.items() if predicate(a)}

@@ -708,81 +708,37 @@ def _criterion_combinatorics(seed: int):
 # registry
 
 
-_CRITERIA = (
-    (
-        "approx-formula",
-        "closed-form approximation numbers vs truncated-SVD oracle",
-        _criterion_approx_formula,
-    ),
-    (
-        "approx-sum",
-        "partial sums approach the closed-form total from below",
-        _criterion_approx_sum,
-    ),
-    (
-        "spectrum-oracle",
-        "truncated spectra match eigenvalue-power multisets",
-        _criterion_spectrum_oracle,
-    ),
-    (
-        "classifier-examples",
-        "cyclicity classifier on the landmark exact cases",
-        _criterion_classifier_examples,
-    ),
-    (
-        "orbit-rank",
-        "projected-orbit rank obstructions for Jordan chains",
-        _criterion_orbit_rank,
-    ),
-    (
-        "cyclic-vectors",
-        "coefficient criterion vs finite Krylov-rank oracle",
-        _criterion_cyclic_vectors,
-    ),
-    (
-        "projections",
-        "homogeneous projections: two modes and the algebra identities",
-        _criterion_projections,
-    ),
-    (
-        "adjoint-pairing",
-        "adjoint identity on monomial pairings",
-        _criterion_adjoint_pairing,
-    ),
-    (
-        "relation-engine",
-        "planted multiplicative relations found by both modes",
-        _criterion_relation_engine,
-    ),
-    (
-        "convex-obstruction",
-        "convex orbit combinations pinned at the fixed point",
-        _criterion_convex_obstruction,
-    ),
-    (
-        "combinatorics",
-        "partition/node helpers and the chain coefficient bound",
-        _criterion_combinatorics,
-    ),
-)
+_CRITERIA = {
+    "approx-formula": _criterion_approx_formula,
+    "approx-sum": _criterion_approx_sum,
+    "spectrum-oracle": _criterion_spectrum_oracle,
+    "classifier-examples": _criterion_classifier_examples,
+    "orbit-rank": _criterion_orbit_rank,
+    "cyclic-vectors": _criterion_cyclic_vectors,
+    "projections": _criterion_projections,
+    "adjoint-pairing": _criterion_adjoint_pairing,
+    "relation-engine": _criterion_relation_engine,
+    "convex-obstruction": _criterion_convex_obstruction,
+    "combinatorics": _criterion_combinatorics,
+}
 
 
 def criterion_slugs() -> list:
-    return [slug for slug, _, _ in _CRITERIA]
+    return list(_CRITERIA)
 
 
 def run_criterion(slug: str, seed: int = 0) -> CriterionResult:
-    for name, _, fn in _CRITERIA:
-        if name == slug:
-            start = time.perf_counter()
-            try:
-                passed, detail = fn(seed)
-            except Exception as exc:  # a crashed criterion is a failed criterion
-                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            return CriterionResult(slug, passed, detail, time.perf_counter() - start)
-    raise InvalidInputError(
-        f"unknown criterion {slug!r}; available: {', '.join(criterion_slugs())}"
-    )
+    fn = _CRITERIA.get(slug)
+    if fn is None:
+        raise InvalidInputError(
+            f"unknown criterion {slug!r}; available: {', '.join(criterion_slugs())}"
+        )
+    start = time.perf_counter()
+    try:
+        passed, detail = fn(seed)
+    except Exception as exc:  # a crashed criterion is a failed criterion
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CriterionResult(slug, passed, detail, time.perf_counter() - start)
 
 
 def run_suite(only=None, seed: int = 0) -> list:
@@ -792,7 +748,7 @@ def run_suite(only=None, seed: int = 0) -> list:
         selected = [
             slug
             for slug in criterion_slugs()
-            if any(slug == p or slug.startswith(p) for p in prefixes)
+            if any(slug.startswith(p) for p in prefixes)
         ]
         if not selected:
             raise InvalidInputError(

@@ -168,6 +168,16 @@ def test_budget_exits_three(tmp_path):
     assert main(["spectrum", path, "--degree", "100000000"]) == 3
 
 
+def test_relation_search_budget_exits_three(tmp_path, capsys):
+    # 501^3 - 1 candidates exceed the relation-search budget; the relation
+    # 0.5^-2 * 0.25 = 1 lies in shell 2, so a missing check ends at once
+    doc = {"dimension": 3, "A": np.diag([0.5, 0.25, 0.3]).tolist(), "b": [0, 0, 0]}
+    path = write_json(tmp_path / "diag.json", doc)
+    assert main(["analyze", path, "--height", "250"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: budget exceeded: ") and err.count("\n") == 1
+
+
 def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     # a 39,711-row basis passes the row budget, but its dense matrix would
     # take 23.5 GiB; the grid oracle's 10^8-entry grid in eight variables
@@ -191,17 +201,22 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
         assert "dense budget" in capsys.readouterr().err
 
 
-def test_sparse_degree_200_project(tmp_path):
-    # far-apart terms at the projection degree cap each get a small box of
-    # their own; around xi = (1, 0, 0, 0) only z1^200 has a degree-2 part,
-    # C(200, 2) (z1 - 1)^2
+def write_sparse_degree_200(tmp_path):
+    """z1^200 + ... + z4^200 under A = I/2, b = (1/2, 0, 0, 0): xi = (1, 0, 0, 0)."""
     doc = {"dimension": 4, "A": (0.5 * np.eye(4)).tolist(), "b": [0.5, 0, 0, 0]}
     doc["function"] = {
         "coefficients": [
             {"alpha": [200 * (i == j) for i in range(4)], "value": 1.0} for j in range(4)
         ]
     }
-    path = write_json(tmp_path / "fn4.json", doc)
+    return write_json(tmp_path / "fn4.json", doc)
+
+
+def test_sparse_degree_200_project(tmp_path):
+    # far-apart terms at the projection degree cap each get a small box of
+    # their own; around xi = (1, 0, 0, 0) only z1^200 has a degree-2 part,
+    # C(200, 2) (z1 - 1)^2
+    path = write_sparse_degree_200(tmp_path)
     code, rep = run_json(tmp_path, ["project", path, "--degree", "2"])
     assert code == 0
     coeffs = {
@@ -211,6 +226,15 @@ def test_sparse_degree_200_project(tmp_path):
     assert coeffs == pytest.approx(
         {(2, 0, 0, 0): 19900, (1, 0, 0, 0): -39800, (0, 0, 0, 0): 19900}, rel=1e-12
     )
+
+
+def test_sparse_degree_200_quadrature_refuses(tmp_path, capsys):
+    # rotating z1^200 about xi = (1, 0, 0, 0) gives node coefficients near
+    # C(200, 100) ~ 1e59, whose node average cancels to garbage
+    path = write_sparse_degree_200(tmp_path)
+    assert main(["project", path, "--degree", "2", "--mode", "quadrature"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: unsupported input: ") and err.count("\n") == 1
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

@@ -56,6 +56,9 @@ def test_enumerate_lambda_desc_orders_products():
     # each value is the product lambda^alpha of its index
     for alpha, v in pairs:
         assert v == pytest.approx(0.5 ** alpha[0] * 0.25 ** alpha[1])
+    # equal values come in graded lexicographic order: (1, 0) before (0, 2)
+    pairs = enumerate_lambda_desc([0.25, 0.5], 4)
+    assert [alpha for alpha, _ in pairs] == [(0, 0), (0, 1), (1, 0), (0, 2)]
 
 
 def test_approx_numbers_pure_dilation():
@@ -98,6 +101,11 @@ def test_reduced_and_grid_oracles_agree():
     degree = auto_oracle_degree(sym, approx_numbers(sym, k).indices)
     grid = top_singular_values(sym, degree, k)
     assert np.allclose(reduced, grid[:k], rtol=1e-8)
+    # per-axis degree 1 leaves 2 values per axis, so only 4 products exist
+    diag = AffineSymbol([[0.5, 0.0], [0.0, 0.3]], [0.0, 0.0])
+    values, used = reduced_oracle_singular_values(diag, k, axis_degree=1)
+    assert used == 1
+    assert np.allclose(values, [1.0, 0.5, 0.3, 0.15], rtol=1e-12)
     # m = 1225 at degree 48 lies above DENSE_SVD_CUTOFF: the matrix-free path
     grid = top_singular_values(sym, 48, 3)
     assert np.allclose(reduced[:3], grid, rtol=1e-12)

@@ -1,4 +1,4 @@
-"""Homogeneous projections, coefficient masks, and orbit experiments."""
+"""Homogeneous projections and orbit experiments."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from fockdyn.fockmat import (
     from_L_basis,
     jordan_coefficient_bound_check,
     kronecker_density_demo,
-    mask_coefficients,
     multi_indices,
     orbit_krylov_rank,
     project_homogeneous,
@@ -70,12 +69,6 @@ def test_L_basis_roundtrip():
     back = expand_in_L_basis(f, basis, 3)
     for a in lcoef:
         assert abs(back[a] - lcoef[a]) < 1e-9
-
-
-def test_mask_keeps_selected_indices():
-    f = {(0, 0): 1.0, (1, 0): 2.0, (0, 2): 3.0}
-    masked = mask_coefficients(f, lambda a: sum(a) > 0)
-    assert set(masked) == {(1, 0), (0, 2)}
 
 
 def test_adjoint_pairing_identity_random():

@@ -113,6 +113,15 @@ def test_numeric_search_on_complex_pair():
 def test_numeric_search_budget():
     with pytest.raises(BudgetError):
         numeric_relation_search(np.full(8, 0.5), height=40)
+    # 501^3 - 1 candidates; the relation (1, -1, 0) sits in shell 1, so
+    # without the check the call returns at once and the test fails fast
+    with pytest.raises(BudgetError):
+        numeric_relation_search([0.5, 0.5, 0.25], height=250)
+    # 57^4 - 1 = 10,556,000 candidates is over the budget, 55^4 - 1 is not
+    with pytest.raises(BudgetError):
+        numeric_relation_search([0.5, 0.25, 0.3, 0.7], height=28)
+    result = numeric_relation_search([0.5, 0.25, 0.3, 0.7], height=27)
+    assert result.status is RelationStatus.FOUND and result.height <= 2
 
 
 def test_polar_eigenvalue_validates_slots():
