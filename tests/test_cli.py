@@ -178,6 +178,17 @@ def test_relation_search_budget_exits_three(tmp_path, capsys):
     assert err.startswith("fockdyn: budget exceeded: ") and err.count("\n") == 1
 
 
+def test_large_search_height_is_undecided(tmp_path):
+    # 3001^2 - 1 candidates fit the budget; alpha . log|lambda| passes 709
+    # (0.5^-1024 overflows a float) and must count as a miss
+    doc = {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0]}
+    path = write_json(tmp_path / "diag.json", doc)
+    code, report = run_json(tmp_path, ["analyze", path, "--height", "1500"])
+    assert code == 0
+    assert report["cyclicity"]["status"] == "undecided"
+    assert report["cyclicity"]["search_height"] == 1500
+
+
 def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     # a 39,711-row basis passes the row budget, but its dense matrix would
     # take 23.5 GiB; the grid oracle's 10^8-entry grid in eight variables
