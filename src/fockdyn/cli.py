@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fockmat import (
     approx_numbers,
-    assemble_truncated,
     kronecker_density_demo,
     multi_indices,
     orbit_krylov_rank,
@@ -252,11 +251,11 @@ def _cmd_analyze(ns: argparse.Namespace):
 
 def _cmd_spectrum(ns: argparse.Namespace):
     sym = _load_symbol_input(ns)
-    op = assemble_truncated(sym, ns.degree)
+    eigenvalues = truncated_spectrum(sym, ns.degree)
     payload = {
         "degree": ns.degree,
-        "basis_size": int(op.matrix.shape[0]),
-        "eigenvalues": [dump_complex(z) for z in truncated_spectrum(op)],
+        "basis_size": int(eigenvalues.size),
+        "eigenvalues": [dump_complex(z) for z in eigenvalues],
         "tolerance": sym.tol,
     }
     return payload, 0

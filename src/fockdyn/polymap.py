@@ -9,8 +9,8 @@ f o phi for phi(z) = Az + b is computed here once, by _compose_grid: an LU
 sweep of single-variable Horner substitutions on a dense coefficient box.
 compose_affine runs it on clusters of terms that share a small box;
 fockmat.operator.GridCompositionOperator runs it on the full (n+1)^d grid.
-The only other builder of f o phi is fockmat.operator._assemble_matrix,
-which makes all columns of the truncated matrix at once.
+The only other builder of f o phi is fockmat.operator._degree_columns, which
+makes the truncated matrix, or its diagonal blocks, a degree at a time.
 """
 
 from __future__ import annotations

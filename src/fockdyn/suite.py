@@ -198,19 +198,21 @@ def _criterion_spectrum_oracle(seed: int):
     worst = 0.0
     failures = []
     for name, sym, n in checks:
-        got = truncated_spectrum(assemble_truncated(sym, n))
-        eigs = np.linalg.eigvals(sym.a)
-        expected = _expected_power_multiset(eigs, sym.dimension, n)
-        cost = np.abs(np.subtract.outer(np.array(expected), got))
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        err = float(cost[rows, cols].max())
-        worst = max(worst, err)
-        if err > 1e-8:
-            failures.append(f"{name}: matching error {err:.3e}")
+        got = truncated_spectrum(sym, n)
+        expected = _expected_power_multiset(np.linalg.eigvals(sym.a), sym.dimension, n)
+        # the whole matrix's eigenvalues, an oracle apart from the block route
+        full = np.linalg.eigvals(assemble_truncated(sym, n).matrix)
+        for route, want in (("multiset", np.array(expected)), ("full matrix", full)):
+            cost = np.abs(np.subtract.outer(want, got))
+            rows, cols = scipy.optimize.linear_sum_assignment(cost)
+            err = float(cost[rows, cols].max())
+            worst = max(worst, err)
+            if err > 1e-8:
+                failures.append(f"{name}: matching error {err:.3e} against the {route}")
     # planted coincidences: multiplicity counts must match the lattice counts
     sym = AffineSymbol(np.diag([0.5, 0.25]), [0.3, 0.1])
     n = 6
-    got = truncated_spectrum(assemble_truncated(sym, n))
+    got = truncated_spectrum(sym, n)
     expected = _expected_power_multiset(np.array([0.5, 0.25]), 2, n)
     distinct = sorted(set(expected), key=lambda z: -abs(z))
     for rho in distinct:
@@ -221,8 +223,8 @@ def _criterion_spectrum_oracle(seed: int):
                 f"coincidence multiplicity at {rho:.6g}: got {have}, want {want}"
             )
     detail = (
-        f"{len(checks)} matrices matched to the eigenvalue-power multiset "
-        f"(worst pairing error {worst:.3e}, tol 1e-08); multiplicities at "
+        f"{len(checks)} block spectra matched to the eigenvalue-power multiset and "
+        f"the full matrix (worst pairing error {worst:.3e}, tol 1e-08); multiplicities at "
         f"planted coincidences (1/2, 1/4) all correct"
     )
     if failures:

@@ -178,6 +178,17 @@ def test_relation_search_budget_exits_three(tmp_path, capsys):
     assert err.startswith("fockdyn: budget exceeded: ") and err.count("\n") == 1
 
 
+def test_orbit_budget_exits_three(tmp_path, capsys):
+    # 2e8 steps on the 3-row block of degree 2 exceed the orbit budget and
+    # are refused before the first step
+    doc = {"dimension": 2, "A": np.diag([0.5, 0.4]).tolist(), "b": [0, 0]}
+    path = write_json(tmp_path / "diag.json", doc)
+    assert main(["orbit-rank", path, "--degree", "2", "--steps", "200000000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: budget exceeded: ") and "orbit budget" in err
+    assert err.count("\n") == 1
+
+
 def test_large_search_height_is_undecided(tmp_path):
     # 3001^2 - 1 candidates fit the budget; alpha . log|lambda| passes 709
     # (0.5^-1024 overflows a float) and must count as a miss
@@ -190,16 +201,24 @@ def test_large_search_height_is_undecided(tmp_path):
 
 
 def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
-    # a 39,711-row basis passes the row budget, but its dense matrix would
-    # take 23.5 GiB; the grid oracle's 10^8-entry grid in eight variables
-    # would take 1.5 GiB a copy
+    # a 39,711-row basis passes the row budget, but the eigenvalues of its
+    # diagonal blocks would take 6.3e10 operations (its dense matrix, 23.5
+    # GiB); the grid oracle's 10^8-entry grid in eight variables would take
+    # 1.5 GiB a copy; one orbit step on the 11,628-row block of degree 14 in
+    # six variables is within the orbit budget, but its build would hold 11 GiB
     sym3 = {"dimension": 3, "A": [[0.5, 0, 0], [0, 0.4, 0], [0, 0, 0.3]], "b": [0, 0, 0]}
     spectrum = write_json(tmp_path / "sym3.json", sym3)
     sym8 = {"dimension": 8, "A": (0.5 * np.eye(8)).tolist(), "b": [0] * 8}
     approx = write_json(tmp_path / "sym8.json", sym8)
-    for args in (
-        ["spectrum", spectrum, "--degree", "60"],
-        ["approx", approx, "--top", "3", "--oracle-degree", "9", "--oracle-method", "grid"],
+    sym6 = {"dimension": 6, "A": (0.5 * np.eye(6)).tolist(), "b": [0] * 6}
+    orbit = write_json(tmp_path / "sym6.json", sym6)
+    for args, budget in (
+        (["spectrum", spectrum, "--degree", "60"], "eigensolver budget"),
+        (
+            ["approx", approx, "--top", "3", "--oracle-degree", "9", "--oracle-method", "grid"],
+            "dense budget",
+        ),
+        (["orbit-rank", orbit, "--degree", "14", "--steps", "1"], "dense budget"),
     ):
         tracemalloc.start()
         try:
@@ -209,7 +228,7 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
             tracemalloc.stop()
         assert code == 3
         assert peak < 200 * 2**20
-        assert "dense budget" in capsys.readouterr().err
+        assert budget in capsys.readouterr().err
 
 
 def write_sparse_degree_200(tmp_path):

@@ -1,11 +1,14 @@
 """Homogeneous projections and orbit experiments."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fockdyn.errors import InvalidInputError
+from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat import (
     adjoint_pairing_check,
+    assemble_truncated,
     chain_stability_threshold,
     expand_in_L_basis,
     from_L_basis,
@@ -15,6 +18,8 @@ from fockdyn.fockmat import (
     orbit_krylov_rank,
     project_homogeneous,
 )
+from fockdyn.fockmat import experiments
+from fockdyn.fockmat.experiments import RANK_REL_TOL
 from fockdyn.polymap import max_coeff_diff, poly_add
 from fockdyn.spectral import linear_form_basis
 from fockdyn.symbol import AffineSymbol
@@ -116,6 +121,110 @@ def test_orbit_rank_jordan_chain_defect():
     }
     rank = orbit_krylov_rank(sym, f, degree=4, steps=40, projector=4)
     assert rank <= 9 < 15
+
+
+def rank_and_margin(s):
+    """Numerical rank at RANK_REL_TOL, and the distance in decades from the
+    threshold to the nearest singular value."""
+    threshold = RANK_REL_TOL * s[0]
+    margin = np.min(np.abs(np.log10(np.maximum(s, 1e-300) / threshold)))
+    return int(np.count_nonzero(s > threshold)), float(margin)
+
+
+def full_matrix_orbit_rank(sym, f, degree, steps, projector):
+    """Reference: the orbit iterated on the whole degree-<=N matrix, then masked."""
+    op = assemble_truncated(sym, degree)
+    basis = op.basis
+    mask = np.array([projector is None or sum(a) == projector for a in basis.indices])
+    x = np.zeros(basis.size, dtype=complex)
+    for alpha, c in f.items():
+        x[basis.index_of[alpha]] = c * basis.norms[basis.index_of[alpha]]
+    cols = []
+    for _ in range(steps):
+        x = x / np.linalg.norm(x)
+        proj = x * mask
+        cols.append(proj / np.linalg.norm(proj))
+        x = op.matrix @ x
+    return rank_and_margin(np.linalg.svd(np.array(cols).T, compute_uv=False))
+
+
+def test_trailing_block_orbit_matches_full_matrix_iteration():
+    checked = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        d, degree = (2, 5) if seed % 2 else (3, 4)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        b = rng.normal(size=d) + 1j * rng.normal(size=d)
+        sym = AffineSymbol(0.8 * a / np.linalg.norm(a, 2), 0.5 * b / np.linalg.norm(b))
+        f = {alpha: complex(rng.normal(), rng.normal()) for alpha in multi_indices(d, degree)}
+        for projector in (None, 2, degree):
+            want, margin = full_matrix_orbit_rank(sym, f, degree, 25, projector)
+            if margin < 0.1:
+                continue
+            got = orbit_krylov_rank(sym, f, degree=degree, steps=25, projector=projector)
+            assert got == want, (seed, projector)
+            checked.append(projector if projector in (None, 2) else "N")
+    assert {None, 2, "N"} <= set(checked) and len(checked) >= 12
+
+
+def unit_column_rank(mu, f, degree, steps):
+    """Rank and margin of the unit columns c_alpha ||z^alpha|| mu^(j alpha),
+    |alpha| = degree, j < steps: the projected orbit of a diagonal symbol,
+    formed in log space so that no entry underflows."""
+    top = [(alpha, c) for alpha, c in f.items() if sum(alpha) == degree]
+    alphas = np.array([alpha for alpha, _ in top], dtype=float)
+    coef = np.array([c for _, c in top])
+    log_norm = np.array(
+        [(degree * math.log(2) + sum(math.lgamma(k + 1) for k in alpha)) / 2 for alpha, _ in top]
+    )
+    j = np.arange(steps)[None, :]
+    log_node, arg_node = alphas @ np.log(np.abs(mu)), alphas @ np.angle(mu)
+    log_mod = (np.log(np.abs(coef)) + log_norm)[:, None] + log_node[:, None] * j
+    phase = np.angle(coef)[:, None] + arg_node[:, None] * j
+    cols = np.exp(log_mod - log_mod.max(axis=0) + 1j * phase)
+    cols /= np.linalg.norm(cols, axis=0)
+    return rank_and_margin(np.linalg.svd(cols, compute_uv=False))
+
+
+@pytest.mark.parametrize(
+    "seed, d, low, high, degree, steps, rank",
+    [
+        (5, 3, 0.5, 0.62, 14, 60, 60),
+        (13, 3, 0.5, 0.62, 14, 60, 60),
+        (2, 2, 1e-12, 4e-12, 14, 12, 12),
+    ],
+)
+def test_orbit_rank_survives_underflow(seed, d, low, high, degree, steps, rank):
+    # projected columns of size 0.6^(14 j) underflowed inside np.linalg.norm
+    # and counted as zero (rank 55 and 56 for the first two); with
+    # |mu| ~ 1e-12 the iterate itself, of size 1e-168 a step, does
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(low, high, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+    f = {alpha: complex(rng.normal(), rng.normal()) for alpha in multi_indices(d, degree)}
+    want, margin = unit_column_rank(mu, f, degree, steps)
+    assert want == rank and margin >= 0.5
+    sym = AffineSymbol(np.diag(mu), np.zeros(d))
+    assert orbit_krylov_rank(sym, f, degree=degree, steps=steps, projector=degree) == rank
+
+
+def test_orbit_rank_budget_and_empty_projector(monkeypatch):
+    sym = AffineSymbol(np.diag([0.5, 0.4, 0.3]), np.zeros(3))
+    f = {(14, 0, 0): 1.0 + 0j, (0, 7, 7): 1.0 + 0j}
+    # a projector outside 0..degree keeps nothing
+    assert orbit_krylov_rank(sym, f, degree=14, steps=5, projector=15) == 0
+    assert orbit_krylov_rank(sym, f, degree=14, steps=5, projector=-1) == 0
+    # the work budget, checked before iterating: 2,000 steps on the 120-row
+    # block of degree 14 run; 17,183 there and 714 on all 680 rows do not
+    assert orbit_krylov_rank(sym, f, degree=14, steps=2000, projector=14) == 2
+    for steps, projector in ((17_183, 14), (714, None)):
+        with pytest.raises(BudgetError, match="orbit budget"):
+            orbit_krylov_rank(sym, f, degree=14, steps=steps, projector=projector)
+    # the work is counted exactly: on a budget of 100 steps of that block, 100 run
+    work = 100 * (120**2 + experiments.STEP_OPERATIONS + 5 * 120 * 100)
+    monkeypatch.setattr(experiments, "ORBIT_OPERATIONS_BUDGET", work)
+    assert orbit_krylov_rank(sym, f, degree=14, steps=100, projector=14) == 2
+    with pytest.raises(BudgetError, match="orbit budget"):
+        orbit_krylov_rank(sym, f, degree=14, steps=101, projector=14)
 
 
 def test_chain_stability_threshold_and_bound():
