@@ -12,7 +12,7 @@ import numpy as np
 from .classify import CyclicityVerdict
 from .errors import InvalidInputError
 from .fockmat import ApproxReport
-from .relations import ExactPolarSpec, PolarEigenvalue
+from .relations import FRACTION_BITS, ExactPolarSpec, PolarEigenvalue
 from .symbol import AffineSymbol, BoundednessReport
 
 
@@ -48,6 +48,8 @@ def _load_fraction(x, what: str) -> Fraction:
         raise InvalidInputError(f"{what} numerator/denominator must be integers")
     if den == 0:
         raise InvalidInputError(f"{what} has zero denominator")
+    if max(abs(num), abs(den)).bit_length() > FRACTION_BITS:
+        raise InvalidInputError(f"{what} numerator/denominator exceed {FRACTION_BITS} bits")
     return Fraction(num, den)
 
 

@@ -28,7 +28,9 @@ from .errors import (
     UnsupportedInputError,
 )
 
-_INT64_MAX = 2**63 - 1
+# bits of the integers factorize accepts; io caps exact numerators and
+# denominators at it, the size the certificate arithmetic is tested at
+FRACTION_BITS = 63
 _EPS = float(np.finfo(float).eps)
 # candidates the numeric scan may test.  A scan of the whole budget takes
 # 0.03-0.09 s at d = 1..6 when |lambda_j| != 1 prunes by modulus, and
@@ -41,6 +43,10 @@ _SCAN_CHUNK = 2**19
 _SCAN_FIRST = 2**12
 # coefficient rows per numpy step of the exact certificate search
 _CERT_CHUNK = 2**16
+# coefficient rows (2b+1)^m the certificate search may test: 5-30 ns a row on
+# int64 arrays, 70-260 ns on Python ints (63-bit denominators), on one 2.1 GHz
+# Xeon core; the largest box admitted, 3^14 rows, took 0.84 s on Python ints
+CERTIFICATE_ROW_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +149,7 @@ def factorize(n: int) -> dict:
     """Prime factorization of a positive integer up to 64 bits."""
     if n <= 0:
         raise InvalidInputError(f"cannot factor nonpositive {n}")
-    if n > _INT64_MAX:
+    if n.bit_length() > FRACTION_BITS:
         raise UnsupportedInputError(f"{n} exceeds the 64-bit factorization budget")
     out: dict = {}
     for p in (2, 3, 5, 7, 11, 13):
@@ -249,13 +255,15 @@ def modulus_kernel(spec: ExactPolarSpec) -> ValuationLattice:
     kernel = integer_kernel([list(r) for r in rows], d)
     # exact self-check: every basis vector leaves the rational moduli balanced
     for vec in kernel:
-        acc = Fraction(1)
-        for eig, a in zip(spec.eigenvalues, vec):
-            if eig.modulus is not None:
-                acc *= Fraction(eig.modulus) ** a
-        if acc != 1:
+        if any(_row_sums(rows, vec)):
             raise NumericalFailureError("modulus kernel verification failed")
     return ValuationLattice(prime_list, tags, tuple(rows), tuple(kernel))
+
+
+def _row_sums(rows, alpha) -> list:
+    """Sum_j alpha_j row_j per valuation or tag row: every sum vanishes iff
+    |lambda^alpha| = 1, with no power of a modulus ever formed."""
+    return [sum(r * a for r, a in zip(row, alpha)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +298,17 @@ def _phase_sum(spec: ExactPolarSpec, alpha) -> Fraction:
     return total
 
 
-def _verify_certificate(spec: ExactPolarSpec, alpha) -> None:
-    """Exact check that lambda^alpha = 1; raises when the certificate is wrong."""
+def _verify_certificate(spec: ExactPolarSpec, lattice: ValuationLattice, alpha) -> None:
+    """Exact check that lambda^alpha = 1; raises when the certificate is wrong.
+    The moduli balance when alpha cancels every row of lattice.matrix."""
     phase = _phase_sum(spec, alpha)
     tags = {e.arg_tag for e in spec.eigenvalues if e.arg_tag}
     tagged = any(sum(v for v, e in zip(alpha, spec.eigenvalues) if e.arg_tag == t) for t in tags)
-    pairs = zip(spec.eigenvalues, alpha)
-    acc = math.prod(Fraction(e.modulus) ** a for e, a in pairs if e.modulus is not None)
-    if phase.denominator != 1 or phase.numerator % 2 or tagged or acc != 1:
+    sums = _row_sums(lattice.matrix, alpha)
+    if phase.denominator != 1 or phase.numerator % 2 or tagged or any(sums):
         raise NumericalFailureError(
             f"relation certificate {alpha} fails exact verification "
-            f"(modulus product {acc}, phase {phase} pi)"
+            f"(modulus valuation sums {sums}, phase {phase} pi)"
         )
 
 
@@ -388,6 +396,9 @@ def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
     # keep the certificate search around 10^6 candidates
     bound = max(1, int(round(10 ** (6 / len(free)) - 1)) // 2)
     bound = min(bound, 6)
+    rows = (2 * bound + 1) ** len(free)
+    if rows > CERTIFICATE_ROW_BUDGET:
+        raise BudgetError(f"certificate search over {rows} rows exceeds {CERTIFICATE_ROW_BUDGET}")
     alpha = _smallest_certificate(spec, free, bound)
     if alpha is None:
         base = free[0]
@@ -395,7 +406,7 @@ def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
         # smallest k with k * phase an even integer
         k = 2 * phase.denominator // math.gcd(phase.numerator, 2 * phase.denominator)
         alpha = tuple(k * v for v in base)
-    _verify_certificate(spec, alpha)
+    _verify_certificate(spec, lattice, alpha)
     return RelationResult(
         RelationStatus.FOUND, alpha=alpha,
         certificate="exact: moduli cancel and phase is an even multiple of pi",

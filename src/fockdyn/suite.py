@@ -463,7 +463,7 @@ def _criterion_projections(seed: int):
         f"idempotence {worst_idem:.3e}, annihilation {worst_ann:.3e}, "
         f"completeness {worst_comp:.3e} (tol 1e-12)"
     )
-    return worst <= 1e-12, detail
+    return bool(worst <= 1e-12), detail
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +631,7 @@ def _criterion_convex_obstruction(seed: int):
         target = poly_eval(f, fixed_point(sym))
         worst = max(worst, abs(val - target) / max(1.0, abs(target)))
     detail = f"100 convex combinations; worst deviation {worst:.3e} (tol 1e-10)"
-    return worst <= 1e-10, detail
+    return bool(worst <= 1e-10), detail
 
 
 # ---------------------------------------------------------------------------

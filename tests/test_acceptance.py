@@ -12,6 +12,7 @@ def check(slug, max_seconds=None):
     result = run_criterion(slug, seed=0)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {slug} ({result.elapsed:.2f}s): {result.detail}")
+    assert type(result.passed) is bool, f"{slug}: passed is {type(result.passed)}"
     assert result.passed, f"{slug}: {result.detail}"
     if max_seconds is not None:
         assert result.elapsed <= max_seconds, (

@@ -1,13 +1,15 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import argparse
 import json
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import fockdyn.suite
-from fockdyn.cli import main
+from fockdyn.cli import main, render_report
 from fockdyn.suite import CriterionResult
 
 
@@ -231,6 +233,83 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
         assert budget in capsys.readouterr().err
 
 
+def test_approx_report_budget_exits_three_before_enumerating(tmp_path, capsys):
+    # 10^6 terms of three exponents each are the budget's 4e6 numbers; one
+    # term more, or 444,445 terms of eight exponents, is refused before the
+    # enumeration allocates anything
+    sym3 = {"dimension": 3, "A": np.diag([0.9, 0.8, 0.7]).tolist(), "b": [0, 0, 0]}
+    sym8 = {"dimension": 8, "A": (0.9 * np.eye(8)).tolist(), "b": [0] * 8}
+    for doc, top in ((sym3, "1000001"), (sym8, "444445")):
+        path = write_json(tmp_path / "sym.json", doc)
+        tracemalloc.start()
+        try:
+            code = main(["approx", path, "--top", top])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 20 * 2**20
+        err = capsys.readouterr().err
+        assert "enumeration budget" in err and err.count("\n") == 1
+
+
+def test_approx_near_one_singular_values_stay_small(tmp_path, capsys):
+    # w = -log(1 - 1e-13) is far below any fixed rounding margin; the
+    # threshold enumeration must not expand its lattice by margin / w shells
+    doc = {"dimension": 3, "A": ((1 - 1e-13) * np.eye(3)).tolist(), "b": [0, 0, 0]}
+    path = write_json(tmp_path / "sym.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["approx", path, "--top", "1", "--tol", "1e-15"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 20 * 2**20
+    report = json.loads(capsys.readouterr().out)
+    assert report["terms"] == [{"alpha": [0, 0, 0], "value": 1.0}]
+
+
+def unimodular_exact_symbol(denominators):
+    """diag(exp(i pi / q)) with its exact polar data: moduli 1, arguments pi / q."""
+    values = [np.exp(1j * np.pi / q) for q in denominators]
+    return {
+        "dimension": len(values),
+        "A": [
+            [{"re": z.real, "im": z.imag} if i == j else 0 for j, z in enumerate(values)]
+            for i in range(len(values))
+        ],
+        "b": [0] * len(values),
+        "exact": {
+            "eigenvalues": [
+                {"modulus": {"num": 1, "den": 1}, "arg": {"pi_rational": {"num": 1, "den": q}}}
+                for q in denominators
+            ]
+        },
+    }
+
+
+def test_certificate_box_budget_exits_three_at_once(tmp_path, capsys):
+    # 20 unimodular eigenvalues leave a rank-20 relation lattice; its box of
+    # coefficients in {-1, 0, 1} has 3^20 = 3.5e9 rows
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
+    path = write_json(tmp_path / "unimodular.json", unimodular_exact_symbol(primes))
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: budget exceeded: certificate search over 3486784401 rows")
+    assert err.count("\n") == 1
+
+
+def test_exact_input_bit_cap_exits_two(tmp_path, capsys):
+    doc = unimodular_exact_symbol([3, 5])
+    doc["exact"]["eigenvalues"][1]["arg"]["pi_rational"] = {"num": 1, "den": 2**63 + 1}
+    assert main(["analyze", write_json(tmp_path / "wide.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "exceed 63 bits" in err and err.count("\n") == 1
+
+
 def write_sparse_degree_200(tmp_path):
     """z1^200 + ... + z4^200 under A = I/2, b = (1/2, 0, 0, 0): xi = (1, 0, 0, 0)."""
     doc = {"dimension": 4, "A": (0.5 * np.eye(4)).tolist(), "b": [0.5, 0, 0, 0]}
@@ -326,3 +405,78 @@ def test_suite_failure_gives_nonzero_exit(tmp_path, monkeypatch):
     assert code == 1
     doc = json.loads(out.read_text())
     assert doc["criteria"][0]["passed"] is False
+
+
+def random_json(rng, depth):
+    """A random nested payload of every type reports may hold."""
+    alphabet = list("az09 _-") + ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "π", "\u2028", "𝄞"]
+
+    def text():
+        return "".join(rng.choice(alphabet, size=int(rng.integers(0, 6))))
+
+    kind = int(rng.integers(0, 10 if depth < 4 else 6))
+    if kind == 0:
+        return text()
+    if kind == 1:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 2**70]))
+    if kind == 2:
+        return float(rng.choice([rng.normal(), rng.normal() * 1e300, rng.normal() * 1e-300]))
+    if kind == 3:
+        return [True, False, None][int(rng.integers(0, 3))]
+    if kind == 4:
+        return float(rng.choice([0.0, -0.0, 1e16, 1e-7, 5e-324, np.nan, np.inf, -np.inf]))
+    if kind == 5:
+        return int(rng.integers(-3, 300))
+    size = int(rng.integers(0, 5))
+    if kind == 6:
+        return {text(): random_json(rng, depth + 1) for _ in range(size)}
+    items = [random_json(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if kind == 7 else items
+
+
+def test_json_writer_matches_json_dumps():
+    ns = argparse.Namespace(format="json", command="approx")
+    fixed = {
+        "empty": [{}, [], (), {"": {}}, [[], [{}]]],
+        "strings": ["", 'quote " back \\ slash', "\n\r\t\b\f\x00", "é ∑ 𝄞 \u2028"],
+        "floats": [-0.0, 0.0, 1e16, 1.5e-320, 2.0**-1074, 0.1, np.nan, np.inf, -np.inf],
+        "ints": [0, -1, 2**64, -(2**100), 10**30],
+        "constants": (True, False, None),
+    }
+    rng = np.random.default_rng(3)
+    payloads = [fixed] + [{"report": random_json(rng, 0)} for _ in range(300)]
+    for payload in payloads:
+        assert render_report(payload, ns) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_reports_refuse_numpy_scalars(fmt):
+    ns = argparse.Namespace(format=fmt, command="approx")
+    for value in (np.float64(0.5), np.int64(3), np.bool_(True)):
+        with pytest.raises(TypeError):
+            render_report({"terms": [{"value": value}]}, ns)
+
+
+def test_main_is_reentrant(tmp_path, capsys):
+    # one parser serves every call: flags, defaults and errors of one call
+    # must not reach the next
+    path = write_json(tmp_path / "half.json", SYMBOL_HALF)
+    code, doc = run_json(tmp_path, ["approx", path, "--top", "3", "--seed", "5"])
+    assert code == 0 and len(doc["terms"]) == 3 and doc["provenance"]["seed"] == 5
+    code, doc = run_json(tmp_path, ["approx", path])
+    assert code == 0 and len(doc["terms"]) == 10 and doc["provenance"]["seed"] == 0
+    assert main(["spectrum", path, "--degree", "4", "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("basis_size: 5\n")
+    code, doc = run_json(tmp_path, ["spectrum", path, "--degree", "2"])
+    assert code == 0 and doc["degree"] == 2 and doc["provenance"]["command"] == "spectrum"
+    assert "top" not in doc["provenance"]
+    for _ in range(2):
+        code, doc = run_json(tmp_path, ["suite", "--only", "adjoint"])
+        assert code == 0 and doc["provenance"]["only"] == ["adjoint"]
+    with pytest.raises(SystemExit) as err:
+        main(["spectrum", path])  # --degree is missing
+    assert err.value.code == 1
+    assert main([]) == 1
+    code, doc = run_json(tmp_path, ["spectrum", path, "--degree", "1"])
+    assert code == 0 and doc["basis_size"] == 2
+    capsys.readouterr()

@@ -84,6 +84,19 @@ def test_exact_spec_rejects_zero_denominator():
         load_exact_spec(doc)
 
 
+def test_exact_spec_caps_bit_length():
+    def doc(num, den):
+        return {"eigenvalues": [
+            {"modulus": {"num": 1, "den": 2}, "arg": {"pi_rational": {"num": num, "den": den}}}
+        ]}
+
+    spec = load_exact_spec(doc(1, 2**63 - 1))
+    assert spec.eigenvalues[0].arg_pi_multiple == Fraction(1, 2**63 - 1)
+    for num, den in ((1, 2**63), (-(2**63), 1), (2**200, 2**200)):
+        with pytest.raises(InvalidInputError, match="exceed 63 bits"):
+            load_exact_spec(doc(num, den))
+
+
 def test_function_roundtrip_and_ordering():
     f = {(2, 0): 1.5 + 0j, (0, 0): -2.0 + 1j, (0, 1): 0.5j}
     doc = dump_function(f)

@@ -1,5 +1,7 @@
 """Truncated operator matrices, spectra, and approximation numbers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -18,6 +20,7 @@ from fockdyn.fockmat import (
     truncated_singular_values,
     truncated_spectrum,
 )
+from fockdyn.fockmat.enumeration import _best_first
 from fockdyn.fockmat.operator import _assemble_matrix, _degree_columns
 from fockdyn.symbol import AffineSymbol
 
@@ -173,6 +176,64 @@ def test_enumerate_lambda_desc_orders_products():
     # equal values come in graded lexicographic order: (1, 0) before (0, 2)
     pairs = enumerate_lambda_desc([0.25, 0.5], 4)
     assert [alpha for alpha, _ in pairs] == [(0, 0), (0, 1), (1, 0), (0, 2)]
+
+
+def heap_lambda_desc(lambdas, k):
+    """Reference: the best-first heap grown from alpha = 0."""
+
+    def value(alpha):
+        v = 1.0
+        for x, a in zip(lambdas, alpha):
+            v *= x**a
+        return v
+
+    return _best_first(value, (k,) * len(lambdas), k)
+
+
+def random_lambda_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for d in range(1, 6):
+        for k in (1, 2, 37, 1000, 5000):
+            cases.append((list(rng.uniform(0.05, 0.95, d)), k))
+    return cases
+
+
+@pytest.mark.parametrize("lambdas, k", [
+    *random_lambda_cases(),
+    ([0.5, 0.5, 0.5], 5000),  # equal lambdas: whole shells tie
+    ([0.7] * 5, 3000),
+    ([0.6 * 0.6, 0.6], 2000),  # lambda_1 = lambda_2^2: ties across axes
+    ([0.25, 0.5, 0.8], 5000),
+    ([0.9**3, 0.9, 0.9**2, 0.3], 4000),
+    ([1e-12, 0.5], 3000),  # lambda near 0
+    ([1e-150, 1e-100, 0.9], 2000),
+    ([1e-200, 0.5], 3000),  # values underflow to 0 within the top k
+    ([1 - 1e-9], 5000),  # lambda near 1
+    ([1 - 1e-12, 0.999, 0.5], 4000),
+])
+def test_threshold_enumeration_matches_heap(lambdas, k):
+    pairs = enumerate_lambda_desc(lambdas, k)
+    assert pairs == heap_lambda_desc([float(x) for x in lambdas], k)
+    assert all(type(a) is int for alpha, _ in pairs for a in alpha)
+    assert all(type(v) is float for _, v in pairs)
+
+
+@pytest.mark.parametrize("lambdas, k", [
+    ([1 - 1.01e-10] * 20, 1),
+    ([1 - 1e-15] * 20, 1),  # the lattice under any threshold is too large: heap
+    ([1 - 1e-13] * 3, 1),
+    ([1 - 1e-15] * 3, 50),
+])
+def test_lambdas_near_one_enumerate_in_small_memory(lambdas, k):
+    tracemalloc.start()
+    try:
+        pairs = enumerate_lambda_desc(lambdas, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert pairs == heap_lambda_desc(lambdas, k)
 
 
 def test_approx_numbers_pure_dilation():

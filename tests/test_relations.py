@@ -17,6 +17,7 @@ from fockdyn.relations import (
     RELATION_CANDIDATE_BUDGET,
     _verify_certificate,
     exact_relation_decide,
+    modulus_kernel,
     numeric_relation_search,
 )
 
@@ -42,9 +43,10 @@ def test_half_quarter_relation_found():
 
 def test_wrong_certificate_raises():
     spec = ExactPolarSpec((rational_polar(1, 2), rational_polar(1, 4)))
-    _verify_certificate(spec, (-2, 1))
+    lattice = modulus_kernel(spec)
+    _verify_certificate(spec, lattice, (-2, 1))
     with pytest.raises(NumericalFailureError):
-        _verify_certificate(spec, (1, 1))
+        _verify_certificate(spec, lattice, (1, 1))
 
 
 def test_root_of_unity_is_a_relation():
@@ -327,6 +329,23 @@ def test_certificate_search_orders_by_height_then_weight():
         PolarEigenvalue(Fraction(1, 2), None, Fraction(0), None),
     ))
     assert exact_relation_decide(spec).alpha == (-1, 0, 2)
+
+
+def test_certificate_verification_forms_no_large_power():
+    # no coefficient in the box closes the phase, so the fallback scales the
+    # kernel vector (1, -40, 0) by 2 (2^61 - 1); the product of the moduli
+    # raised to those exponents ran past 4 GiB, their valuations cancel in
+    # one integer dot product per prime
+    p = 2**61 - 1
+    spec = ExactPolarSpec((
+        PolarEigenvalue(Fraction(1, 2**40), None, Fraction(3, p), None),
+        PolarEigenvalue(Fraction(1, 2), None, Fraction(-1, p), None),
+        PolarEigenvalue(Fraction(1, 3), None, Fraction(1, 5), None),
+    ))
+    start = time.perf_counter()
+    result = exact_relation_decide(spec)
+    assert time.perf_counter() - start < 1.0
+    assert result.status is RelationStatus.FOUND and result.alpha == (2 * p, -80 * p, 0)
 
 
 def test_certificate_search_beyond_int64():
