@@ -341,18 +341,15 @@ def cyclic_vector_test(
     has_chain = any(basis.chain_flags)
     g = expand_in_L_basis(f_coeffs, basis)
     tol = sym.tol
+    mags = {alpha: abs(g.get(alpha, 0.0)) for alpha in multi_indices(d, degree)}
     level_max = {}
-    global_max = 0.0
-    for alpha in multi_indices(d, degree):
-        level = sum(alpha)
-        mag = abs(g.get(alpha, 0.0))
-        level_max[level] = max(level_max.get(level, 0.0), mag)
-        global_max = max(global_max, mag)
+    for alpha, mag in mags.items():
+        level_max[sum(alpha)] = max(level_max.get(sum(alpha), 0.0), mag)
+    global_max = max(mags.values())
     failing = []
-    for alpha in multi_indices(d, degree):
+    for alpha, mag in mags.items():
         if has_chain and alpha[d - 2] != 0:
             continue  # criterion exempts indices touching the chain eigenvector
-        mag = abs(g.get(alpha, 0.0))
         # a level that is numerically zero relative to the whole expansion
         # cannot serve as its own reference scale
         scale = level_max[sum(alpha)]

@@ -10,8 +10,8 @@ Two realizations are provided: a dense assembly for moderate basis sizes,
 and a matrix-free action on the full coefficient grid (used for singular
 value computation at degrees where the dense matrix is too large).  The
 matrix-free action runs polymap._compose_grid, the substitution kernel that
-polymap.compose_affine also uses; _degree_columns builds the dense matrix,
-or its diagonal blocks, a degree of columns at a time.
+polymap.compose_affine also uses, on a batch of one; _degree_columns builds
+the dense matrix, or its diagonal blocks, a degree of columns at a time.
 """
 
 from __future__ import annotations
@@ -169,13 +169,13 @@ class GridCompositionOperator:
         return (m, m)
 
     def _scatter(self, x: np.ndarray) -> np.ndarray:
-        # scipy hands matmat columns over as (m, 1) blocks
-        grid = dense_grid((self.n + 1,) * len(self._index))
-        grid[self._index] = np.asarray(x, dtype=complex).reshape(-1) / self._norms
+        # a batch of one; scipy hands matmat columns over as (m, 1) blocks
+        grid = dense_grid((self.n + 1,) * len(self._index) + (1,))
+        grid[self._index + (0,)] = np.asarray(x, dtype=complex).reshape(-1) / self._norms
         return grid
 
     def _gather(self, grid: np.ndarray) -> np.ndarray:
-        return grid[self._index] * self._norms
+        return grid[self._index + (0,)] * self._norms
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         grid = self._scatter(x)

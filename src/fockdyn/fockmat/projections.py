@@ -3,7 +3,7 @@ expansion.
 
 project_homogeneous extracts the part of f homogeneous of degree n in
 (z - xi), either by re-expanding around xi (default) or by a circle average
-with the smallest exact trapezoidal node count.
+with the smallest exact trapezoidal node count, all node maps in one batch.
 """
 
 from __future__ import annotations
@@ -11,10 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConditioningError, DegreeOverflowError, InvalidInputError
-from ..polymap import compose_affine, poly_add, poly_clean, poly_degree, poly_scale
+from ..polymap import compose_affine, compose_batches, poly_add, poly_clean, poly_degree
+from ..polymap import validate_coeffs
 from ..spectral import LinearFormBasis
 
 PROJECTION_DEGREE_CAP = 200
+
+
+def _node_stages(xi: np.ndarray, rot: np.ndarray) -> tuple:
+    """Stages of z -> rot_j z + (1 - rot_j) xi over the batch, as affine_stages
+    orders a diagonal map: z_i + b_i by ascending i, then rot z_i descending."""
+    rows = [(i, [(i, 1)], x - rot * x) for i, x in enumerate(xi) if x != 0]
+    return tuple(range(len(xi))), rows + [(i, [(i, rot)], 0) for i in reversed(range(len(xi)))]
 
 
 def project_homogeneous(f_coeffs, xi, n: int, mode: str = "recentering"):
@@ -34,32 +42,33 @@ def project_homogeneous(f_coeffs, xi, n: int, mode: str = "recentering"):
         kept = {a: c for a, c in shifted.items() if sum(a) == n}
         return poly_clean(compose_affine(kept, eye, -xi))
     if mode == "quadrature":
+        validate_coeffs(f_coeffs, d)
         # the node average cancels the node terms' coefficients; beyond
         # 1e8 x the input's size that cancellation has no digits left
         limit = 1e8 * max([1.0, *(abs(c) for c in f_coeffs.values())])
         nodes = max(deg, 0) + n + 1
+        theta = 2 * np.pi * np.arange(nodes) / nodes
+        rot, weight = np.exp(1j * theta), np.exp(-1j * n * theta) / nodes
         acc = {}
-        for j in range(nodes):
-            theta = 2 * np.pi * j / nodes
-            rot = np.exp(1j * theta)
-            term = compose_affine(f_coeffs, rot * eye, xi - rot * xi)
-            largest = max((abs(c) for c in term.values()), default=0.0)
-            if largest > limit:
+        for js, keys, vals in compose_batches(f_coeffs, lambda s: _node_stages(xi, rot[s]), nodes):
+            largest = np.abs(vals).max(axis=0, initial=0.0)
+            if (largest > limit).any():
+                j = int(np.argmax(largest > limit))
                 raise ConditioningError(
-                    f"quadrature node coefficient {largest:.3e} exceeds 1e8 times "
-                    "the input's largest; recentering mode avoids the cancellation"
+                    f"quadrature node {js.start + j} of {nodes} has a coefficient "
+                    f"{largest[j]:.3e}, over 1e8 times the input's largest; "
+                    "recentering mode avoids the cancellation"
                 )
-            weight = np.exp(-1j * n * theta) / nodes
-            acc = poly_add(acc, poly_scale(term, weight))
+            acc = poly_add(acc, dict(zip(keys, (vals @ weight[js]).tolist())))
         return poly_clean(acc, tol=0.0)
     raise InvalidInputError(f"unknown projection mode {mode!r}")
 
 
-def _basis_condition(rows: np.ndarray) -> float:
+def _check_basis(rows: np.ndarray) -> None:
     s = np.linalg.svd(rows, compute_uv=False)
-    if s[-1] == 0:
-        return np.inf
-    return float(s[0] / s[-1])
+    cond = np.inf if s[-1] == 0 else float(s[0] / s[-1])
+    if cond > 1e8:
+        raise ConditioningError(f"linear-form basis condition {cond:.3e} exceeds 1e8")
 
 
 def expand_in_L_basis(f_coeffs, basis: LinearFormBasis, degree: int | None = None):
@@ -73,11 +82,7 @@ def expand_in_L_basis(f_coeffs, basis: LinearFormBasis, degree: int | None = Non
         raise InvalidInputError(
             f"polynomial degree {poly_degree(f_coeffs)} exceeds stated degree {degree}"
         )
-    cond = _basis_condition(rows)
-    if cond > 1e8:
-        raise ConditioningError(
-            f"linear-form basis condition {cond:.3e} exceeds 1e8"
-        )
+    _check_basis(rows)
     rinv = np.linalg.inv(rows)
     return poly_clean(compose_affine(f_coeffs, rinv, basis.xi))
 
@@ -85,9 +90,5 @@ def expand_in_L_basis(f_coeffs, basis: LinearFormBasis, degree: int | None = Non
 def from_L_basis(l_coeffs, basis: LinearFormBasis):
     """Inverse of expand_in_L_basis: recover monomial coefficients of f."""
     rows = basis.rows
-    cond = _basis_condition(rows)
-    if cond > 1e8:
-        raise ConditioningError(
-            f"linear-form basis condition {cond:.3e} exceeds 1e8"
-        )
+    _check_basis(rows)
     return poly_clean(compose_affine(l_coeffs, rows, -rows @ basis.xi))

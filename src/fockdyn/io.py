@@ -44,7 +44,7 @@ def _load_fraction(x, what: str) -> Fraction:
     if not isinstance(x, dict) or set(x) - {"num", "den"}:
         raise InvalidInputError(f"{what} must be {{'num': p, 'den': q}}")
     num, den = x.get("num"), x.get("den", 1)
-    if not isinstance(num, int) or not isinstance(den, int) or isinstance(num, bool):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)):
         raise InvalidInputError(f"{what} numerator/denominator must be integers")
     if den == 0:
         raise InvalidInputError(f"{what} has zero denominator")

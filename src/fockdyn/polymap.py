@@ -6,11 +6,13 @@ polynomial is the empty dict.  These maps are what io reads and writes and
 what the projection, cyclic-vector and experiment code passes around.
 
 f o phi for phi(z) = Az + b is computed here once, by _compose_grid: an LU
-sweep of single-variable Horner substitutions on a dense coefficient box.
-compose_affine runs it on clusters of terms that share a small box;
-fockmat.operator.GridCompositionOperator runs it on the full (n+1)^d grid.
-The only other builder of f o phi is fockmat.operator._degree_columns, which
-makes the truncated matrix, or its diagonal blocks, a degree at a time.
+sweep of single-variable Horner substitutions on a dense coefficient box,
+with a trailing axis over a batch of maps.  compose_batches runs it on
+clusters of terms that share a small box, for compose_affine (one map) and
+the quadrature projection (one map per node); GridCompositionOperator runs
+it on the full (n+1)^d grid.  The only other builder of f o phi is
+fockmat.operator._degree_columns, which makes the truncated matrix, or its
+diagonal blocks, a degree at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ DENSE_BYTES_BUDGET = 2 * 2**30
 # complex tensors alive at the peak of _compose_grid: the caller's grid, the
 # stage input, the Horner accumulator, its next value and one shifted product
 _GRID_COPIES = 5
+
+# live bytes of a chunk of the batch: wider ones save no call overhead, leave the cache
+_BATCH_BYTES = 2**20
 
 # terms share a box of up to this many times the entries of their own boxes,
 # or of up to _SMALL_BOX entries, below which the kernel's cost is overhead
@@ -65,10 +70,6 @@ def poly_add(*fs: CoeffMap) -> CoeffMap:
         for a, c in f.items():
             out[a] = out.get(a, 0j) + c
     return out
-
-
-def poly_scale(f: CoeffMap, c: complex) -> CoeffMap:
-    return {a: c * v for a, v in f.items()}
 
 
 def poly_mul(f: CoeffMap, g: CoeffMap) -> CoeffMap:
@@ -155,10 +156,10 @@ def affine_stages(a: np.ndarray, b: np.ndarray) -> tuple:
 def _substitute_axis(t: np.ndarray, axis: int, terms: list, const, n: int) -> np.ndarray:
     """Replace variable `axis` by the affine form sum_k c_k z_k + const.
 
-    Horner evaluation in the replaced variable.  The box grows along each
-    other axis k of the form by the degree in z_axis, capped at the total
-    degree n: an affine substitution raises neither bound, so no shift
-    pushes a nonzero coefficient off the box and the result is exact.
+    Horner evaluation in the replaced variable; each c_k and const is a scalar
+    or an array over t's trailing batch axis.  The box grows along each other
+    axis k of the form by the degree in z_axis, capped at the total degree n:
+    no shift pushes a nonzero coefficient off the box, so the result is exact.
     """
     shape = list(t.shape)
     for k, _ in terms:
@@ -185,10 +186,10 @@ def _substitute_axis(t: np.ndarray, axis: int, terms: list, const, n: int) -> np
 def _compose_grid(t: np.ndarray, stages: tuple, n: int) -> np.ndarray:
     """Coefficient tensor of f(Az + b) from the tensor t of f.
 
-    stages is affine_stages(A, b); n bounds the total degree of f.
+    stages is affine_stages(A, b) or its batch form; n bounds f's degree.
     """
     perm, rows = stages
-    t = np.transpose(t, axes=perm)
+    t = np.transpose(t, axes=(*perm, len(perm)))
     for axis, terms, const in rows:
         t = _substitute_axis(t, axis, terms, const, n)
     return t
@@ -221,6 +222,39 @@ def _clusters(keys) -> list:
     return [g[2] for g in groups]
 
 
+def compose_batches(f: CoeffMap, stages, batch: int):
+    """Yield (chunk, exponents, coefficients) for slices of a batch of maps:
+    column j holds f o phi_(chunk.start + j), clusters summed and zeros kept,
+    from the stages of those maps that stages(chunk) gives.  The kernel's copies
+    of a chunk's boxes, which maps with a diagonal A keep, fit both byte caps."""
+    if not f:
+        return
+    clusters = []
+    for keys in _clusters(f):
+        exps = np.array(keys)
+        grid = dense_grid(tuple(exps.max(axis=0) + 1) + (1,))
+        grid[tuple(exps.T) + (0,)] = [f[k] for k in keys]
+        clusters.append((grid, int(exps.sum(axis=1).max())))
+    node_bytes = 16 * _GRID_COPIES * sum(grid.size for grid, _ in clusters)
+    width = max(1, min(batch, min(DENSE_BYTES_BUDGET, _BATCH_BYTES) // node_bytes))
+    for lo in range(0, batch, width):
+        chunk = slice(lo, min(batch, lo + width))
+        rows, keys, vals = stages(chunk), [], []
+        for grid, degree in clusters:
+            grid = np.broadcast_to(grid, grid.shape[:-1] + (chunk.stop - lo,))
+            out = _compose_grid(grid, rows, degree)
+            index = np.nonzero(out.any(axis=-1))
+            keys += zip(*(i.tolist() for i in index))
+            vals.append(out[index])
+        vals = np.concatenate(vals)
+        if len(clusters) > 1:  # low-degree terms that several clusters reach
+            slots = {}
+            at = [slots.setdefault(k, len(slots)) for k in keys]
+            keys, parts, vals = list(slots), vals, np.zeros((len(slots), vals.shape[1]), complex)
+            np.add.at(vals, at, parts)  # in cluster order, as poly_add sums
+        yield chunk, keys, vals
+
+
 def compose_affine(f: CoeffMap, a, b) -> CoeffMap:
     """Coefficients of f(Az + b): substitute z_i -> sum_k A[i,k] z_k + b_i.
 
@@ -235,12 +269,5 @@ def compose_affine(f: CoeffMap, a, b) -> CoeffMap:
         return {}
     validate_coeffs(f, a.shape[0])
     stages = affine_stages(a, b)
-    parts = []
-    for keys in _clusters(f):
-        exps = np.array(keys)
-        grid = dense_grid(tuple(exps.max(axis=0) + 1))
-        grid[tuple(exps.T)] = [f[k] for k in keys]
-        out = _compose_grid(grid, stages, int(exps.sum(axis=1).max()))
-        index = np.nonzero(out)
-        parts.append(dict(zip(zip(*(i.tolist() for i in index)), out[index].tolist())))
-    return parts[0] if len(parts) == 1 else poly_clean(poly_add(*parts))
+    ((_, keys, vals),) = compose_batches(f, lambda chunk: stages, 1)
+    return {k: v for k, v in zip(keys, vals[:, 0].tolist()) if v != 0}

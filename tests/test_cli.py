@@ -310,6 +310,17 @@ def test_exact_input_bit_cap_exits_two(tmp_path, capsys):
     assert "exceed 63 bits" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["modulus", "pi_rational"])
+def test_boolean_denominator_exits_two(tmp_path, capsys, field):
+    # a JSON true is a Python int; as a denominator it once loaded as 1
+    doc = unimodular_exact_symbol([1, 3])
+    eig = doc["exact"]["eigenvalues"][0]
+    (eig if field == "modulus" else eig["arg"])[field] = {"num": 1, "den": True}
+    assert main(["analyze", write_json(tmp_path / "bool.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "must be integers" in err and err.count("\n") == 1
+
+
 def write_sparse_degree_200(tmp_path):
     """z1^200 + ... + z4^200 under A = I/2, b = (1/2, 0, 0, 0): xi = (1, 0, 0, 0)."""
     doc = {"dimension": 4, "A": (0.5 * np.eye(4)).tolist(), "b": [0.5, 0, 0, 0]}

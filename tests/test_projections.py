@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fockdyn.errors import BudgetError, InvalidInputError
+from fockdyn import polymap
+from fockdyn.errors import BudgetError, ConditioningError, InvalidInputError
 from fockdyn.fockmat import (
     adjoint_pairing_check,
     assemble_truncated,
@@ -18,9 +19,16 @@ from fockdyn.fockmat import (
     orbit_krylov_rank,
     project_homogeneous,
 )
-from fockdyn.fockmat import experiments
+from fockdyn.fockmat import experiments, projections
 from fockdyn.fockmat.experiments import RANK_REL_TOL
-from fockdyn.polymap import max_coeff_diff, poly_add
+from fockdyn.polymap import (
+    _clusters,
+    compose_affine,
+    max_coeff_diff,
+    poly_add,
+    poly_clean,
+    poly_degree,
+)
 from fockdyn.spectral import linear_form_basis
 from fockdyn.symbol import AffineSymbol
 
@@ -46,6 +54,100 @@ def test_projection_modes_agree():
         p1 = project_homogeneous(f, xi, n, mode="recentering")
         p2 = project_homogeneous(f, xi, n, mode="quadrature")
         assert max_coeff_diff(p1, p2) <= 1e-11
+
+
+def node_loop_quadrature(f, xi, n):
+    """Reference: one compose_affine per node map z -> rot z + (1 - rot) xi,
+    weighted and summed in node order.  Returns the index of the first node
+    whose map has a coefficient over 1e8 max(1, max|f|) instead, if any."""
+    xi = np.asarray(xi, dtype=complex)
+    eye = np.eye(len(xi))
+    limit = 1e8 * max([1.0, *(abs(c) for c in f.values())])
+    nodes = max(poly_degree(f), 0) + n + 1
+    acc = {}
+    for j in range(nodes):
+        theta = 2 * np.pi * j / nodes
+        rot = np.exp(1j * theta)
+        term = compose_affine(f, rot * eye, xi - rot * xi)
+        if max((abs(c) for c in term.values()), default=0.0) > limit:
+            return j
+        weight = np.exp(-1j * n * theta) / nodes
+        acc = poly_add(acc, {a: weight * c for a, c in term.items()})
+    return poly_clean(acc)
+
+
+def quadrature_cases():
+    """Seeded (f, xi, n) at d = 1..4: xi with zero entries, n above the degree,
+    constants, and far-apart sparse terms that make several clusters."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for d in range(1, 5):
+        for _ in range(6):
+            f = random_poly(rng, d, 6, 10)
+            xi = 0.4 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+            xi[rng.uniform(size=d) < 0.4] = 0
+            cases.append((f, xi, int(rng.integers(0, 9))))
+        cases.append(({(0,) * d: complex(rng.normal(), rng.normal())}, rng.normal(size=d), 0))
+        cases.append(({(0,) * d: 2.5 + 0j}, rng.normal(size=d), 2))
+        if d > 1:
+            top = 70 if d == 2 else 20  # joint boxes over _SMALL_BOX entries
+            f = {tuple(top * (i == j) for i in range(d)): complex(rng.normal()) for j in range(d)}
+            f.update(random_poly(rng, d, 2, 3))
+            assert len(_clusters(f)) > 1
+            cases.append((f, 0.02 * rng.normal(size=d), int(rng.integers(0, 4))))
+    return cases
+
+
+def test_quadrature_matches_node_loop():
+    for f, xi, n in quadrature_cases():
+        want = node_loop_quadrature(f, xi, n)
+        got = project_homogeneous(f, xi, n, mode="quadrature")
+        scale = max(1.0, max(abs(c) for c in f.values()))
+        assert max_coeff_diff(got, want) <= 1e-13 * scale, (f, xi, n)
+
+
+def sparse_degree_200():
+    """z1^200 + ... + z4^200 around xi = (1, 0, 0, 0): node coefficients near
+    C(200, 100) make the node average meaningless."""
+    return {tuple(200 * (i == j) for i in range(4)): 1.0 + 0j for j in range(4)}, [1, 0, 0, 0]
+
+
+def test_quadrature_refusal_names_first_node():
+    f, xi = sparse_degree_200()
+    first = node_loop_quadrature(f, xi, 2)
+    assert 0 < first < 203
+    with pytest.raises(ConditioningError, match=f"quadrature node {first} of 203 has"):
+        project_homogeneous(f, xi, 2, mode="quadrature")
+
+
+def test_quadrature_chunks_stay_within_the_byte_budget(monkeypatch):
+    rng = np.random.default_rng(22)
+    f = {a: complex(rng.normal(), rng.normal()) for a in multi_indices(3, 4)}
+    xi = np.array([0.3, 0, -0.2j])
+    sparse, sparse_xi = sparse_degree_200()
+    whole = project_homogeneous(f, xi, 2, mode="quadrature")
+    with pytest.raises(ConditioningError) as refusal:
+        project_homogeneous(sparse, sparse_xi, 2, mode="quadrature")
+    starts = []
+
+    def counted(*args):
+        for js, keys, vals in polymap.compose_batches(*args):
+            starts.append(js.start)
+            yield js, keys, vals
+
+    monkeypatch.setattr(projections, "compose_batches", counted)
+    # two nodes of the 5^3 box, with the kernel's copies, per chunk
+    monkeypatch.setattr(polymap, "DENSE_BYTES_BUDGET", 2 * 16 * polymap._GRID_COPIES * 5**3)
+    chunked = project_homogeneous(f, xi, 2, mode="quadrature")
+    assert starts == [0, 2, 4, 6]  # 4 + 2 + 1 nodes
+    assert max_coeff_diff(chunked, whole) <= 1e-13 * max(1.0, *(abs(c) for c in f.values()))
+    # two nodes of the four 201-entry boxes: node 4 refuses, in the third chunk
+    starts.clear()
+    monkeypatch.setattr(polymap, "DENSE_BYTES_BUDGET", 2 * 16 * polymap._GRID_COPIES * 4 * 201)
+    with pytest.raises(ConditioningError) as chunked_refusal:
+        project_homogeneous(sparse, sparse_xi, 2, mode="quadrature")
+    assert str(chunked_refusal.value) == str(refusal.value)
+    assert starts == [0, 2, 4]
 
 
 def test_projections_are_complete_and_idempotent():
