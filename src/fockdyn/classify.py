@@ -19,7 +19,8 @@ import numpy as np
 import scipy.optimize
 
 from .errors import InvalidInputError, PreconditionError
-from .fockmat import expand_in_L_basis, multi_indices
+from .fockmat.basis import multi_indices
+from .fockmat.projections import expand_in_L_basis
 from .polymap import compose_affine, poly_degree, poly_eval, validate_coeffs
 from .relations import (
     ExactPolarSpec,
@@ -67,6 +68,20 @@ class CyclicityVerdict:
                 raise InvalidInputError(
                     "a negative verdict carries exactly one blocking reason"
                 )
+
+
+def _not_cyclic(code: str, text: str, alpha=None, search_height=None) -> CyclicityVerdict:
+    """A negative verdict with its one blocking reason."""
+    return CyclicityVerdict(
+        CyclicityStatus.NOT_CYCLIC, (Reason(code, text, alpha),), search_height
+    )
+
+
+def _pair_alpha(d: int, i: int, j: int) -> tuple:
+    """e_i - e_j, the relation lambda_i / lambda_j = 1 of an equal pair."""
+    alpha = [0] * d
+    alpha[i], alpha[j] = 1, -1
+    return tuple(alpha)
 
 
 def _jordan_acceptable(spec: SpectralData) -> bool:
@@ -138,9 +153,7 @@ def _exact_duplicate_pair(exact) -> tuple | None:
 
 
 def classify_cyclicity(
-    sym: AffineSymbol,
-    search_height: int = DEFAULT_SEARCH_HEIGHT,
-    cluster_radius: float = 1e-7,
+    sym: AffineSymbol, search_height: int = DEFAULT_SEARCH_HEIGHT
 ) -> CyclicityVerdict:
     """Full cyclicity decision for the composition operator of the symbol."""
     rep = check_boundedness(sym)
@@ -148,25 +161,19 @@ def classify_cyclicity(
         raise PreconditionError("cyclicity is only defined for bounded operators here")
     s = np.linalg.svd(sym.a, compute_uv=False)
     if float(s[-1]) <= sym.tol:
-        return CyclicityVerdict(
-            CyclicityStatus.NOT_CYCLIC,
-            (Reason(
-                "NOT_INVERTIBLE",
-                f"linear part is singular (smallest singular value {float(s[-1]):.3e})",
-            ),),
+        return _not_cyclic(
+            "NOT_INVERTIBLE",
+            f"linear part is singular (smallest singular value {float(s[-1]):.3e})",
         )
-    spec = eigen_decompose(sym.a, cluster_radius=cluster_radius)
+    spec = eigen_decompose(sym.a)
     if not _jordan_acceptable(spec):
         profile = [
             (np.round(info.value, 6), info.block_sizes) for info in spec.eigenvalues
         ]
-        return CyclicityVerdict(
-            CyclicityStatus.NOT_CYCLIC,
-            (Reason(
-                "BAD_JORDAN",
-                f"Jordan profile {profile} has a block of size >= 3 "
-                "or more than one block of size 2",
-            ),),
+        return _not_cyclic(
+            "BAD_JORDAN",
+            f"Jordan profile {profile} has a block of size >= 3 "
+            "or more than one block of size 2",
         )
 
     if sym.exact is not None:
@@ -191,27 +198,18 @@ def _classify_exact(sym: AffineSymbol, spec: SpectralData) -> CyclicityVerdict:
         del exact[pair[1]]  # collapse the algebraic pair to one entry
     dup = _exact_duplicate_pair(exact)
     if dup is not None:
-        alpha = [0] * len(exact)
-        alpha[dup[0]], alpha[dup[1]] = 1, -1
-        return CyclicityVerdict(
-            CyclicityStatus.NOT_CYCLIC,
-            (Reason(
-                "RELATION_FOUND",
-                "two equal eigenvalues give the power relation "
-                "lambda_i / lambda_j = 1",
-                tuple(alpha),
-            ),),
+        return _not_cyclic(
+            "RELATION_FOUND",
+            "two equal eigenvalues give the power relation lambda_i / lambda_j = 1",
+            _pair_alpha(len(exact), *dup),
         )
     result = exact_relation_decide(ExactPolarSpec(tuple(exact)))
     if result.status is RelationStatus.FOUND:
-        return CyclicityVerdict(
-            CyclicityStatus.NOT_CYCLIC,
-            (Reason(
-                "RELATION_FOUND",
-                f"power relation lambda^alpha = 1 with alpha = {result.alpha} "
-                f"({result.certificate})",
-                result.alpha,
-            ),),
+        return _not_cyclic(
+            "RELATION_FOUND",
+            f"power relation lambda^alpha = 1 with alpha = {result.alpha} "
+            f"({result.certificate})",
+            result.alpha,
         )
     return CyclicityVerdict(
         CyclicityStatus.CYCLIC,
@@ -231,28 +229,20 @@ def _classify_numeric(
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
             if abs(lam[i] - lam[j]) <= 2 * spec.cluster_radius:
-                alpha = [0] * len(lam)
-                alpha[i], alpha[j] = 1, -1
-                return CyclicityVerdict(
-                    CyclicityStatus.NOT_CYCLIC,
-                    (Reason(
-                        "RELATION_FOUND",
-                        "two numerically equal eigenvalues give the power "
-                        "relation lambda_i / lambda_j = 1",
-                        tuple(alpha),
-                    ),),
+                return _not_cyclic(
+                    "RELATION_FOUND",
+                    "two numerically equal eigenvalues give the power "
+                    "relation lambda_i / lambda_j = 1",
+                    _pair_alpha(len(lam), i, j),
                 )
     result = numeric_relation_search(lam, search_height)
     if result.status is RelationStatus.FOUND:
-        return CyclicityVerdict(
-            CyclicityStatus.NOT_CYCLIC,
-            (Reason(
-                "RELATION_FOUND",
-                f"power relation lambda^alpha = 1 with alpha = {result.alpha} "
-                f"({result.certificate})",
-                result.alpha,
-            ),),
-            search_height=result.height,
+        return _not_cyclic(
+            "RELATION_FOUND",
+            f"power relation lambda^alpha = 1 with alpha = {result.alpha} "
+            f"({result.certificate})",
+            result.alpha,
+            result.height,
         )
     return CyclicityVerdict(
         CyclicityStatus.UNDECIDED,

@@ -31,14 +31,11 @@ from .errors import (
     NoFixedPointError,
     NumericalFailureError,
 )
-from .fockmat import (
-    approx_numbers,
-    kronecker_density_demo,
-    multi_indices,
-    orbit_krylov_rank,
-    project_homogeneous,
-    truncated_spectrum,
-)
+from .fockmat.basis import multi_indices
+from .fockmat.enumeration import approx_numbers
+from .fockmat.experiments import kronecker_density_demo, orbit_krylov_rank
+from .fockmat.operator import truncated_spectrum
+from .fockmat.projections import project_homogeneous
 from .io import (
     dump_approx,
     dump_boundedness,
@@ -212,7 +209,7 @@ def _load_symbol_input(ns: argparse.Namespace):
 
 def _function_from_doc(doc, dimension: int):
     if isinstance(doc, dict) and "function" in doc:
-        return load_function(doc["function"], dimension=dimension)
+        return load_function(doc["function"], dimension)
     return None
 
 
@@ -267,14 +264,8 @@ def _cmd_spectrum(ns: argparse.Namespace):
 
 def _cmd_approx(ns: argparse.Namespace):
     sym = _load_symbol_input(ns)
-    with_oracle = ns.oracle or ns.oracle_degree is not None
-    rep = approx_numbers(
-        sym,
-        ns.top,
-        with_oracle=with_oracle,
-        oracle_degree=ns.oracle_degree,
-        oracle_method=ns.oracle_method,
-    )
+    oracle = ns.oracle_method if ns.oracle or ns.oracle_degree is not None else None
+    rep = approx_numbers(sym, ns.top, oracle=oracle, oracle_degree=ns.oracle_degree)
     payload = dump_approx(rep)
     payload["tolerance"] = sym.tol
     return payload, 0

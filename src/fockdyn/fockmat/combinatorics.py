@@ -36,11 +36,15 @@ def dickson_partition(index_set) -> list:
     return parts
 
 
-def unimodular_nodes(alphas, seed: int = 0, attempts: int = 100):
+NODE_ATTEMPTS = 100
+
+
+def unimodular_nodes(alphas, seed: int = 0):
     """Torus points w(1..n) making the power matrix (w(i)^{alpha(j)}) invertible.
 
-    Draws nodes uniformly until |det| clears 1e-6 of the Hadamard scale
-    n^{n/2} (entries are unimodular).  Returns (nodes, |det|).
+    Draws nodes uniformly, up to NODE_ATTEMPTS times, until |det| clears 1e-6
+    of the Hadamard scale n^{n/2} (entries are unimodular).  Returns
+    (nodes, |det|).
     """
     alphas = [tuple(int(x) for x in a) for a in alphas]
     n = len(alphas)
@@ -54,7 +58,7 @@ def unimodular_nodes(alphas, seed: int = 0, attempts: int = 100):
     exp_mat = np.array(alphas, dtype=float)  # n x d
     rng = np.random.default_rng(seed)
     scale = n ** (n / 2.0)
-    for _ in range(attempts):
+    for _ in range(NODE_ATTEMPTS):
         angles = rng.uniform(0.0, 2 * np.pi, size=(n, d))
         # power matrix entry (i, j) = exp(i <angles_i, alpha_j>)
         mat = np.exp(1j * angles @ exp_mat.T)
@@ -63,5 +67,5 @@ def unimodular_nodes(alphas, seed: int = 0, attempts: int = 100):
             nodes = np.exp(1j * angles)
             return nodes, float(abs(det))
     raise NodeSearchError(
-        f"no invertible node system in {attempts} attempts for {n} exponents"
+        f"no invertible node system in {NODE_ATTEMPTS} attempts for {n} exponents"
     )

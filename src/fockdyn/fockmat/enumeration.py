@@ -155,8 +155,7 @@ def reduced_oracle_singular_values(
             np.array([c_j], dtype=complex),
             tol=sym.tol,
         )
-        trunc = assemble_truncated(factor, n_j)
-        sv = truncated_singular_values(trunc, n_j + 1)
+        sv = truncated_singular_values(assemble_truncated(factor, n_j), n_j + 1)
         lists.append([float(x) for x in sv])
 
     def value(idx):
@@ -209,18 +208,17 @@ def singular_data(sym: AffineSymbol):
 def approx_numbers(
     sym: AffineSymbol,
     k: int,
-    with_oracle: bool = False,
+    oracle: str | None = None,
     oracle_degree: int | None = None,
-    oracle_method: str = "grid",
 ) -> ApproxReport:
     """Closed-form approximation numbers a_1..a_k of the compact operator.
 
     Singular values of A equal to zero drop their lattice direction (the
-    corresponding power never contributes a nonzero term).  With an oracle,
-    "grid" cross-checks against the matrix-free truncation of the operator
-    itself and "reduced" against dense one-variable truncations of the
-    unitarily reduced symbol; oracle_degree overrides the auto-selected
-    truncation order (per axis for the reduced method).
+    corresponding power never contributes a nonzero term).  oracle names
+    the cross-check, none by default: "grid" against the matrix-free
+    truncation of the operator itself, "reduced" against dense one-variable
+    truncations of the unitarily reduced symbol; oracle_degree overrides its
+    auto-selected truncation order (per axis for the reduced method).
     """
     _check_budget(k, sym.dimension)
     rep = check_boundedness(sym)
@@ -238,23 +236,21 @@ def approx_numbers(
     indices = tuple(zip(*columns))
     values = tuple(prefactor * v for _, v in pairs)
     total = prefactor * float(np.prod(1.0 / (1.0 - lam)))
-    oracle_vals = None
-    used_degree = None
-    if with_oracle:
-        if oracle_method == "grid":
-            used_degree = (
-                oracle_degree
-                if oracle_degree is not None
-                else auto_oracle_degree(sym, indices)
-            )
-            sv = top_singular_values(sym, used_degree, len(values))
-        elif oracle_method == "reduced":
-            sv, used_degree = reduced_oracle_singular_values(
-                sym, len(values), axis_degree=oracle_degree
-            )
-        else:
-            raise InvalidInputError(f"unknown oracle method {oracle_method!r}")
-        oracle_vals = tuple(float(s) for s in sv)
+    oracle_vals = used_degree = None
+    if oracle == "grid":
+        used_degree = (
+            oracle_degree
+            if oracle_degree is not None
+            else auto_oracle_degree(sym, indices)
+        )
+        oracle_vals = tuple(map(float, top_singular_values(sym, used_degree, len(values))))
+    elif oracle == "reduced":
+        sv, used_degree = reduced_oracle_singular_values(
+            sym, len(values), axis_degree=oracle_degree
+        )
+        oracle_vals = tuple(sv)
+    elif oracle is not None:
+        raise InvalidInputError(f"unknown oracle method {oracle!r}")
     return ApproxReport(
         prefactor, indices, values, total, oracle_vals, used_degree
     )

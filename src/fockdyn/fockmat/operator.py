@@ -6,17 +6,17 @@ of the operator -- the only error is floating rounding of the entries.  In
 graded order it is block upper triangular: diagonal block k is A acting on
 the forms of degree k, and b only fills blocks above it.
 
-Two realizations are provided: a dense assembly for moderate basis sizes,
-and a matrix-free action on the full coefficient grid (used for singular
-value computation at degrees where the dense matrix is too large).  The
-matrix-free action runs polymap._compose_grid, the substitution kernel that
-polymap.compose_affine also uses, on a batch of one; _degree_columns builds
-the dense matrix, or its diagonal blocks, a degree of columns at a time.
+Two realizations are provided: a dense assembly for moderate basis sizes
+(assemble_truncated returns the plain ndarray), and a matrix-free action on
+the full coefficient grid (used for singular value computation at degrees
+where the dense matrix is too large).  The matrix-free action runs
+polymap._compose_grid, the substitution kernel that polymap.compose_affine
+also uses, on a batch of one; _degree_columns builds the dense matrix, or
+its diagonal blocks, a degree of columns at a time.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -33,13 +33,6 @@ DENSE_SVD_CUTOFF = 1200
 # Cap on sum n_k^3 over the n_k x n_k diagonal blocks of a spectrum; its edges
 # d=3, N=34 and d=4, N=15 take 3.3 s and 1.6 s on a 2-vCPU Xeon.
 EIGVALS_OPERATIONS_BUDGET = 1_500_000_000
-
-
-@dataclasses.dataclass(frozen=True)
-class TruncatedOperator:
-    basis: GradedBasis
-    matrix: np.ndarray  # action on the orthonormalized monomials z^alpha/||z^alpha||
-    symbol: AffineSymbol
 
 
 def _require_bounded(sym: AffineSymbol) -> None:
@@ -88,14 +81,14 @@ def _assemble_matrix(sym: AffineSymbol, basis: GradedBasis) -> np.ndarray:
     return np.concatenate(list(_degree_columns(sym, basis, shift=True)), axis=1)
 
 
-def assemble_truncated(sym: AffineSymbol, n: int) -> TruncatedOperator:
-    """Matrix of the composition operator on the degree-<=n subspace.
+def assemble_truncated(sym: AffineSymbol, n: int) -> np.ndarray:
+    """Matrix of the composition operator on the degree-<=n subspace, acting
+    on the orthonormalized monomials z^alpha/||z^alpha|| in graded order.
 
     Requires a bounded symbol; the basis-size budget of graded_basis applies.
     """
     _require_bounded(sym)
-    basis = graded_basis(sym.dimension, n)
-    return TruncatedOperator(basis, _assemble_matrix(sym, basis), sym)
+    return _assemble_matrix(sym, graded_basis(sym.dimension, n))
 
 
 def truncated_spectrum(sym: AffineSymbol, n: int) -> np.ndarray:
@@ -111,11 +104,11 @@ def truncated_spectrum(sym: AffineSymbol, n: int) -> np.ndarray:
     return vals[np.lexsort((np.angle(vals) % (2 * np.pi), -np.abs(vals)))]
 
 
-def truncated_singular_values(op: TruncatedOperator, k: int) -> np.ndarray:
-    """Top-k singular values of the restriction, descending."""
+def truncated_singular_values(matrix: np.ndarray, k: int) -> np.ndarray:
+    """Top-k singular values of a truncated matrix, descending."""
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
-    s = scipy.linalg.svdvals(op.matrix)
+    s = scipy.linalg.svdvals(matrix)
     return s[: min(k, s.size)]
 
 
@@ -203,8 +196,7 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
         raise InvalidInputError(f"k must be positive, got {k}")
     m = math.comb(n + sym.dimension, sym.dimension)
     if m <= DENSE_SVD_CUTOFF or k >= m - 1:
-        op = assemble_truncated(sym, n)
-        return truncated_singular_values(op, k)
+        return truncated_singular_values(assemble_truncated(sym, n), k)
     gop = GridCompositionOperator(sym, n)
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
     s = scipy.sparse.linalg.svds(

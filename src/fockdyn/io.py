@@ -11,7 +11,7 @@ import numpy as np
 
 from .classify import CyclicityVerdict
 from .errors import InvalidInputError
-from .fockmat import ApproxReport
+from .fockmat.enumeration import ApproxReport
 from .relations import FRACTION_BITS, ExactPolarSpec, PolarEigenvalue
 from .symbol import AffineSymbol, BoundednessReport
 
@@ -85,24 +85,6 @@ def load_exact_spec(doc) -> ExactPolarSpec:
     return ExactPolarSpec(tuple(eigs))
 
 
-def dump_exact_spec(spec: ExactPolarSpec) -> dict:
-    out = []
-    for e in spec.eigenvalues:
-        if e.modulus is not None:
-            mod = {"num": e.modulus.numerator, "den": e.modulus.denominator}
-        else:
-            mod = {"log_generic": e.modulus_log_tag}
-        if e.arg_pi_multiple is not None:
-            arg = {"pi_rational": {
-                "num": e.arg_pi_multiple.numerator,
-                "den": e.arg_pi_multiple.denominator,
-            }}
-        else:
-            arg = {"generic": e.arg_tag}
-        out.append({"modulus": mod, "arg": arg})
-    return {"eigenvalues": out}
-
-
 def _load_matrix(doc, d: int, what: str) -> np.ndarray:
     if (
         not isinstance(doc, list)
@@ -151,19 +133,7 @@ def load_symbol(doc) -> AffineSymbol:
     return AffineSymbol(a, b, exact=exact, **kwargs)
 
 
-def dump_symbol(sym: AffineSymbol) -> dict:
-    out = {
-        "dimension": sym.dimension,
-        "A": [[dump_complex(z) for z in row] for row in sym.a],
-        "b": [dump_complex(z) for z in sym.b],
-        "tol": sym.tol,
-    }
-    if sym.exact is not None:
-        out["exact"] = dump_exact_spec(sym.exact)
-    return out
-
-
-def load_function(doc, dimension: int | None = None) -> dict:
+def load_function(doc, dimension: int) -> dict:
     """Parse {"coefficients": [{"alpha": [...], "value": ...}, ...]}."""
     if not isinstance(doc, dict) or "coefficients" not in doc:
         raise InvalidInputError('function document must be {"coefficients": [...]}')
@@ -178,7 +148,7 @@ def load_function(doc, dimension: int | None = None) -> dict:
             or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in alpha)
         ):
             raise InvalidInputError(f"{what}.alpha must be nonnegative integers")
-        if dimension is not None and len(alpha) != dimension:
+        if len(alpha) != dimension:
             raise InvalidInputError(
                 f"{what}.alpha has length {len(alpha)}, expected {dimension}"
             )

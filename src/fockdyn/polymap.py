@@ -43,20 +43,14 @@ _CLUSTER_SLACK = 2
 _SMALL_BOX = 4096
 
 
-def validate_coeffs(f: CoeffMap, d: int | None = None) -> int:
-    """Check key shapes and return the number of variables."""
+def validate_coeffs(f: CoeffMap, d: int) -> None:
+    """Check that every key is d nonnegative integer exponents."""
     dims = {len(a) for a in f}
-    if d is None:
-        if not dims:
-            raise InvalidInputError("cannot infer variable count from the zero polynomial")
-        d = dims.pop()
-        dims.add(d)
     if dims - {d}:
         raise DimensionMismatchError(f"mixed exponent lengths {sorted(dims)}; expected {d}")
     for a in f:
         if any((not isinstance(k, (int, np.integer))) or k < 0 for k in a):
             raise InvalidInputError(f"exponents must be nonnegative integers, got {a}")
-    return d
 
 
 def poly_degree(f: CoeffMap) -> int:

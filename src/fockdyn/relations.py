@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import math
 from fractions import Fraction
 
@@ -36,6 +35,8 @@ _EPS = float(np.finfo(float).eps)
 # 0.03-0.09 s at d = 1..6 when |lambda_j| != 1 prunes by modulus, and
 # 0.12-0.23 s on unimodular lambda, on one 2.1 GHz Xeon core
 RELATION_CANDIDATE_BUDGET = 10**7
+# a numeric relation is |lambda^alpha - 1| <= RELATION_TOL
+RELATION_TOL = 1e-9
 # points per candidate array of the numeric scan (4 MiB of float64 each, a
 # few of them live at once); its first step takes _SCAN_FIRST candidates,
 # and each later step twice as many as the one before, up to _SCAN_CHUNK
@@ -318,9 +319,10 @@ def _smallest_certificate(spec: ExactPolarSpec, free: list, bound: int) -> tuple
     integer; None when there is none.
 
     Phases are integers in units of pi / D for the common denominator D of
-    the rational arguments, taken modulo 2 D.  The coefficient box runs as
-    numpy integer arrays, _CERT_CHUNK rows at a time; they are int64 when a
-    bound on every sum rules out overflow, and Python ints otherwise.
+    the rational arguments, taken modulo 2 D.  The coefficient box is cut
+    by _grid_pieces, as the numeric scan's annuli are, into product grids of
+    at most _CERT_CHUNK rows; its integers are int64 when a bound on every
+    sum rules out overflow, and Python ints otherwise.
     """
     args = [e.arg_pi_multiple for e in spec.eigenvalues]
     den = math.lcm(*(q.denominator for q in args if q is not None))
@@ -331,21 +333,13 @@ def _smallest_certificate(spec: ExactPolarSpec, free: list, bound: int) -> tuple
     dtype = np.int64 if largest < 2**62 else object
     coef = np.array(free, dtype=dtype)
     phase = np.array(phases, dtype=dtype)
-    # rows of the last axes form one array; the leading axes are looped over
-    width, lead = 2 * bound + 1, 0
-    while width ** (len(free) - lead) > _CERT_CHUNK:
-        lead += 1
-    tail = np.indices((width,) * (len(free) - lead)).reshape(len(free) - lead, -1).T
-    tail = (tail - bound).astype(dtype)
-    tail_phase = tail @ phase[lead:]
-    tail_alpha = tail @ coef[lead:]
+    box = [np.arange(-bound, bound + 1).astype(dtype)] * len(free)
     best = None
-    for head in itertools.product(range(-bound, bound + 1), repeat=lead):
-        head = np.array(head, dtype=dtype)
-        keep = (tail_phase + head @ phase[:lead]) % modulus == 0
+    for axes in _grid_pieces(box, _CERT_CHUNK):
+        keep = _grid_dot(axes, phase) % modulus == 0
         if not keep.any():
             continue
-        alphas = tail_alpha[keep] + head @ coef[:lead]
+        alphas = np.stack([a[i] for a, i in zip(axes, np.nonzero(keep))], axis=1) @ coef
         # only c = 0 gives alpha = 0, as the free vectors are independent
         height = np.abs(alphas).max(axis=1)
         alphas, height = alphas[height > 0], height[height > 0]
@@ -464,15 +458,17 @@ def _scalar_relation(alpha: tuple, log_mod, phase, tol: float) -> float | None:
     return abs(val - 1) if abs(val - 1) <= tol else None
 
 
-def numeric_relation_search(lambdas, height: int, tol: float = 1e-9) -> RelationResult:
-    """Exhaustive scan for |lambda^alpha - 1| <= tol over 0 < |alpha|_inf <= height.
+def numeric_relation_search(lambdas, height: int) -> RelationResult:
+    """Exhaustive scan for |lambda^alpha - 1| <= RELATION_TOL over
+    0 < |alpha|_inf <= height.
 
     Returns the first hit in the smallest shell max|alpha| = h, in
     lexicographic order within it.  Candidates are numpy grids of at most
     _SCAN_CHUNK points, several shells at a time while shells are small, so
     the work is proportional to the (2 height + 1)^d - 1 candidates the
     budget counts.  A grid point survives when alpha . log|lambda| and
-    alpha . arg(lambda) / 2 pi lie within tol plus a rounding bound of the
+    alpha . arg(lambda) / 2 pi lie within tol = RELATION_TOL plus a rounding
+    bound of the
     window a hit must lie in; the survivors, a superset of the hits, go
     through the scalar test in (shell, lexicographic) order, so the result
     is that of a scalar loop over the shells.  Survivors have
@@ -487,8 +483,6 @@ def numeric_relation_search(lambdas, height: int, tol: float = 1e-9) -> Relation
         raise InvalidInputError("eigenvalues must be finite")
     if height < 1:
         raise InvalidInputError(f"height must be >= 1, got {height}")
-    if not 0 <= tol < 1:
-        raise InvalidInputError(f"tol must lie in [0, 1), got {tol}")
     d = lam.size
     candidates = (2 * height + 1) ** d - 1
     if candidates > RELATION_CANDIDATE_BUDGET:
@@ -496,6 +490,7 @@ def numeric_relation_search(lambdas, height: int, tol: float = 1e-9) -> Relation
             f"search space (2*{height}+1)^{d} - 1 = {candidates} candidates exceeds "
             f"the budget {RELATION_CANDIDATE_BUDGET}"
         )
+    tol = RELATION_TOL
     log_mod = np.log(np.abs(lam))
     phase = np.angle(lam)
     turns = phase / (2 * math.pi)

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import NumericalFailureError
 from .symbol import AffineSymbol, fixed_point
 
+# relative rank threshold of the Jordan profile and of the chain nullspaces
+RANK_TOL = 1e-10
+
 
 @dataclasses.dataclass(frozen=True)
 class EigenvalueInfo:
@@ -62,10 +65,10 @@ def _numerical_rank(mat: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(s > threshold))
 
 
-def eigen_decompose(a, cluster_radius: float = 1e-7, rank_tol: float = 1e-10) -> SpectralData:
+def eigen_decompose(a, cluster_radius: float = 1e-7) -> SpectralData:
     """Cluster the spectrum of a and resolve each cluster's Jordan profile.
 
-    Rank decisions use threshold rank_tol * ||a||, widened by the cluster
+    Rank decisions use threshold RANK_TOL * ||a||, widened by the cluster
     spread (so a merged pair of nearby simple eigenvalues reads as two
     one-blocks rather than a defective pair).
     """
@@ -90,7 +93,7 @@ def eigen_decompose(a, cluster_radius: float = 1e-7, rank_tol: float = 1e-10) ->
         pk = np.eye(d)
         for k in range(1, alg + 1):
             pk = pk @ p
-            threshold = rank_tol * norm_a + (2 * spread) ** k
+            threshold = RANK_TOL * norm_a + (2 * spread) ** k
             r_k = _numerical_rank(pk, threshold)
             blocks_geq.append(r_prev - r_k)
             r_prev = r_k
@@ -199,9 +202,7 @@ def _chain_tops(p: np.ndarray, sizes: list, threshold: float) -> list:
     return out
 
 
-def linear_form_basis(
-    sym: AffineSymbol, spec: SpectralData | None = None, rank_tol: float = 1e-10
-) -> LinearFormBasis:
+def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
     """Degree-one polynomials L_j = <row_j, z - xi> with row_j running through
     Jordan chains of A^T, so that composing with the symbol multiplies each
     L_j by its eigenvalue, plus L_{j-1} on chain continuation rows.
@@ -209,8 +210,7 @@ def linear_form_basis(
     Chain residuals above sqrt(tol) raise, carrying the residual.
     """
     xi = fixed_point(sym)
-    if spec is None:
-        spec = eigen_decompose(sym.a)
+    spec = eigen_decompose(sym.a)
     m = sym.a.T.copy()
     norm_m = max(float(np.linalg.norm(m, 2)), 1e-300)
     rows: list = []
@@ -218,7 +218,7 @@ def linear_form_basis(
     eigs: list = []
     for info in spec.eigenvalues:
         p = m - info.value * np.eye(sym.dimension)
-        threshold = rank_tol * norm_m + 2 * info.spread
+        threshold = RANK_TOL * norm_m + 2 * info.spread
         for chain in _chain_tops(p, list(info.block_sizes), threshold):
             for pos, vec in enumerate(chain):
                 rows.append(vec)

@@ -24,22 +24,17 @@ from .classify import (
     cyclic_vector_test,
 )
 from .errors import InvalidInputError
-from .fockmat import (
+from .fockmat.basis import multi_indices
+from .fockmat.combinatorics import dickson_partition, unimodular_nodes
+from .fockmat.enumeration import approx_numbers, enumerate_lambda_desc, singular_data
+from .fockmat.experiments import (
     adjoint_pairing_check,
-    approx_numbers,
-    assemble_truncated,
     chain_stability_threshold,
-    dickson_partition,
-    enumerate_lambda_desc,
-    from_L_basis,
     jordan_coefficient_bound_check,
-    multi_indices,
     orbit_krylov_rank,
-    project_homogeneous,
-    singular_data,
-    truncated_spectrum,
-    unimodular_nodes,
 )
+from .fockmat.operator import assemble_truncated, truncated_spectrum
+from .fockmat.projections import from_L_basis, project_homogeneous
 from .polymap import max_coeff_diff, poly_add, poly_eval
 from .relations import (
     ExactPolarSpec,
@@ -111,7 +106,7 @@ def _criterion_approx_formula(seed: int):
     worst = {"diag": 0.0, "general": 0.0}
     failures = []
     for i, (sym, tol, kind) in enumerate(cases):
-        rep = approx_numbers(sym, 10, with_oracle=True, oracle_method="reduced")
+        rep = approx_numbers(sym, 10, oracle="reduced")
         delta = rep.max_rel_delta
         worst[kind] = max(worst[kind], delta)
         if delta > tol:
@@ -201,7 +196,7 @@ def _criterion_spectrum_oracle(seed: int):
         got = truncated_spectrum(sym, n)
         expected = _expected_power_multiset(np.linalg.eigvals(sym.a), sym.dimension, n)
         # the whole matrix's eigenvalues, an oracle apart from the block route
-        full = np.linalg.eigvals(assemble_truncated(sym, n).matrix)
+        full = np.linalg.eigvals(assemble_truncated(sym, n))
         for route, want in (("multiset", np.array(expected)), ("full matrix", full)):
             cost = np.abs(np.subtract.outer(want, got))
             rows, cols = scipy.optimize.linear_sum_assignment(cost)
@@ -666,9 +661,7 @@ def _criterion_combinatorics(seed: int):
             alphas.add(tuple(int(x) for x in rng.integers(0, 6, size=d)))
         alphas = sorted(alphas)
         try:
-            nodes, detval = unimodular_nodes(
-                alphas, seed=int(rng.integers(0, 2**31)), attempts=100
-            )
+            nodes, detval = unimodular_nodes(alphas, seed=int(rng.integers(0, 2**31)))
         except Exception as exc:
             failures.append(f"nodes {t}: {type(exc).__name__}: {exc}")
             continue

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from fockdyn.errors import BudgetError, InvalidInputError
-from fockdyn.fockmat import (
-    dickson_partition,
+from fockdyn.fockmat.basis import (
     graded_basis,
     monomial_norm,
     monomial_norm_sq_int,
     multi_indices,
-    unimodular_nodes,
 )
+from fockdyn.fockmat.combinatorics import dickson_partition, unimodular_nodes
 
 
 def test_multi_indices_graded_order():

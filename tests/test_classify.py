@@ -12,7 +12,8 @@ from fockdyn.classify import (
     cyclic_vector_test,
 )
 from fockdyn.errors import InvalidInputError, PreconditionError
-from fockdyn.fockmat import from_L_basis, multi_indices
+from fockdyn.fockmat.basis import multi_indices
+from fockdyn.fockmat.projections import from_L_basis
 from fockdyn.polymap import poly_eval
 from fockdyn.relations import ExactPolarSpec, PolarEigenvalue
 from fockdyn.spectral import linear_form_basis

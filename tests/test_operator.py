@@ -7,21 +7,23 @@ import pytest
 import scipy.optimize
 
 from fockdyn.errors import BudgetError, PreconditionError
-from fockdyn.fockmat import (
-    GridCompositionOperator,
+from fockdyn.fockmat.basis import graded_basis, multi_indices
+from fockdyn.fockmat.enumeration import (
+    _best_first,
     approx_numbers,
-    assemble_truncated,
     auto_oracle_degree,
     enumerate_lambda_desc,
-    graded_basis,
-    multi_indices,
     reduced_oracle_singular_values,
+)
+from fockdyn.fockmat.operator import (
+    GridCompositionOperator,
+    _assemble_matrix,
+    _degree_columns,
+    assemble_truncated,
     top_singular_values,
     truncated_singular_values,
     truncated_spectrum,
 )
-from fockdyn.fockmat.enumeration import _best_first
-from fockdyn.fockmat.operator import _assemble_matrix, _degree_columns
 from fockdyn.symbol import AffineSymbol
 
 
@@ -78,8 +80,7 @@ def dense_contraction(seed, d, norm=0.8, radius=0.5):
 
 def test_one_variable_matrix_is_triangular_with_power_diagonal():
     sym = AffineSymbol([[0.5]], [0.3])
-    op = assemble_truncated(sym, 6)
-    mat = op.matrix
+    mat = assemble_truncated(sym, 6)
     diag = np.diag(mat)
     assert np.allclose(diag, 0.5 ** np.arange(7), atol=1e-12)
     # composing z^n with an affine map only produces degrees <= n
@@ -88,8 +89,8 @@ def test_one_variable_matrix_is_triangular_with_power_diagonal():
 
 def test_pure_dilation_matrix_is_diagonal():
     sym = AffineSymbol(np.diag([0.5, 0.25]).astype(complex), np.zeros(2))
-    op = assemble_truncated(sym, 3)
-    offdiag = op.matrix - np.diag(np.diag(op.matrix))
+    mat = assemble_truncated(sym, 3)
+    offdiag = mat - np.diag(np.diag(mat))
     assert np.allclose(offdiag, 0.0, atol=1e-14)
 
 
@@ -140,7 +141,7 @@ def test_degree_recursion_matches_column_loop(d, n):
 def test_block_spectrum_matches_full_eigenvalues(a, b, n):
     sym = AffineSymbol(a, b)
     got = truncated_spectrum(sym, n)
-    full = np.linalg.eigvals(assemble_truncated(sym, n).matrix)
+    full = np.linalg.eigvals(assemble_truncated(sym, n))
     assert got.size == full.size == len(multi_indices(len(b), n))
     assert matching_error(full, got) <= 1e-12
     assert matching_error(power_multiset(a, n), got) <= 1e-12
@@ -155,7 +156,7 @@ def test_non_normal_spectrum_on_both_routes():
     sym = dense_contraction(61, 3)
     want = power_multiset(sym.a, 8)
     assert matching_error(want, truncated_spectrum(sym, 8)) <= 1e-10
-    assert matching_error(want, np.linalg.eigvals(assemble_truncated(sym, 8).matrix)) <= 1e-10
+    assert matching_error(want, np.linalg.eigvals(assemble_truncated(sym, 8))) <= 1e-10
 
 
 def test_eigensolver_budget():
@@ -262,8 +263,8 @@ def test_approx_numbers_frozen_oracle_values():
 
 def test_approx_numbers_match_both_oracles():
     sym = AffineSymbol([[0.35, 0.05], [0.1, 0.45]], [0.3, -0.2])
-    rep_grid = approx_numbers(sym, 5, with_oracle=True, oracle_method="grid")
-    rep_red = approx_numbers(sym, 5, with_oracle=True, oracle_method="reduced")
+    rep_grid = approx_numbers(sym, 5, oracle="grid")
+    rep_red = approx_numbers(sym, 5, oracle="reduced")
     assert rep_grid.max_rel_delta < 1e-6
     assert rep_red.max_rel_delta < 1e-8
     assert np.allclose(rep_grid.values, rep_red.values, rtol=1e-12)
@@ -295,7 +296,7 @@ def test_reduced_and_grid_oracles_agree():
 )
 def test_grid_action_matches_dense_matrix(a, b, n):
     sym = AffineSymbol(a, b)
-    mat = assemble_truncated(sym, n).matrix
+    mat = assemble_truncated(sym, n)
     gop = GridCompositionOperator(sym, n)
     rng = np.random.default_rng(7)
     x = rng.normal(size=mat.shape[0]) + 1j * rng.normal(size=mat.shape[0])
@@ -320,6 +321,6 @@ def test_approx_numbers_requires_compact():
 def test_approx_numbers_rank_deficient_linear_part():
     # a zero singular value removes its axis from the index lattice
     sym = AffineSymbol([[0.5, 0.0], [0.0, 0.0]], [0.1, 0.1])
-    rep = approx_numbers(sym, 4, with_oracle=True, oracle_method="reduced")
+    rep = approx_numbers(sym, 4, oracle="reduced")
     assert all(a[1] == 0 for a in rep.indices)
     assert rep.max_rel_delta < 1e-8

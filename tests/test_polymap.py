@@ -127,7 +127,9 @@ def test_clean_drops_small_terms():
 
 def test_validate_rejects_bad_indices():
     with pytest.raises(InvalidInputError):
-        validate_coeffs({(1, -1): 1.0})
+        validate_coeffs({(1, -1): 1.0}, 2)
     with pytest.raises(InvalidInputError):
-        validate_coeffs({(1,): 1.0, (1, 0): 1.0})
-    assert validate_coeffs({(1, 0): 1.0}) == 2
+        validate_coeffs({(1,): 1.0, (1, 0): 1.0}, 2)
+    with pytest.raises(InvalidInputError):
+        validate_coeffs({(1, 0): 1.0}, 3)
+    validate_coeffs({(1, 0): 1.0}, 2)

@@ -7,20 +7,18 @@ import pytest
 
 from fockdyn import polymap
 from fockdyn.errors import BudgetError, ConditioningError, InvalidInputError
-from fockdyn.fockmat import (
+from fockdyn.fockmat import experiments, projections
+from fockdyn.fockmat.basis import graded_basis, multi_indices
+from fockdyn.fockmat.experiments import (
+    RANK_REL_TOL,
     adjoint_pairing_check,
-    assemble_truncated,
     chain_stability_threshold,
-    expand_in_L_basis,
-    from_L_basis,
     jordan_coefficient_bound_check,
     kronecker_density_demo,
-    multi_indices,
     orbit_krylov_rank,
-    project_homogeneous,
 )
-from fockdyn.fockmat import experiments, projections
-from fockdyn.fockmat.experiments import RANK_REL_TOL
+from fockdyn.fockmat.operator import assemble_truncated
+from fockdyn.fockmat.projections import expand_in_L_basis, from_L_basis, project_homogeneous
 from fockdyn.polymap import (
     _clusters,
     compose_affine,
@@ -235,8 +233,8 @@ def rank_and_margin(s):
 
 def full_matrix_orbit_rank(sym, f, degree, steps, projector):
     """Reference: the orbit iterated on the whole degree-<=N matrix, then masked."""
-    op = assemble_truncated(sym, degree)
-    basis = op.basis
+    mat = assemble_truncated(sym, degree)
+    basis = graded_basis(sym.dimension, degree)
     mask = np.array([projector is None or sum(a) == projector for a in basis.indices])
     x = np.zeros(basis.size, dtype=complex)
     for alpha, c in f.items():
@@ -246,7 +244,7 @@ def full_matrix_orbit_rank(sym, f, degree, steps, projector):
         x = x / np.linalg.norm(x)
         proj = x * mask
         cols.append(proj / np.linalg.norm(proj))
-        x = op.matrix @ x
+        x = mat @ x
     return rank_and_margin(np.linalg.svd(np.array(cols).T, compute_uv=False))
 
 
