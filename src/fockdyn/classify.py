@@ -18,7 +18,7 @@ import enum
 import numpy as np
 import scipy.optimize
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError
 from .fockmat.basis import multi_indices
 from .fockmat.projections import expand_in_L_basis
 from .polymap import compose_affine, poly_degree, poly_eval, validate_coeffs
@@ -158,7 +158,7 @@ def classify_cyclicity(
     """Full cyclicity decision for the composition operator of the symbol."""
     rep = check_boundedness(sym)
     if not rep.bounded:
-        raise PreconditionError("cyclicity is only defined for bounded operators here")
+        raise InvalidInputError("cyclicity is only defined for bounded operators here")
     s = np.linalg.svd(sym.a, compute_uv=False)
     if float(s[-1]) <= sym.tol:
         return _not_cyclic(
@@ -274,13 +274,12 @@ class CyclicVectorReport:
 def _reorder_chain_last(basis: LinearFormBasis) -> tuple:
     """Permute rows so a Jordan chain pair lands in the last two positions.
 
-    Returns (reordered basis, permutation, note).  Identity when the basis
-    has no chain row.
+    Returns (reordered basis, note).  Identity when the basis has no chain row.
     """
     d = basis.rows.shape[0]
     flagged = [i for i, fl in enumerate(basis.chain_flags) if fl]
     if not flagged:
-        return basis, tuple(range(d)), "diagonalizable: natural eigenvalue order"
+        return basis, "diagonalizable: natural eigenvalue order"
     p = flagged[0]
     others = [i for i in range(d) if i not in (p - 1, p)]
     perm = tuple(others + [p - 1, p])
@@ -294,7 +293,7 @@ def _reorder_chain_last(basis: LinearFormBasis) -> tuple:
         f"chain pair moved to the last two positions; row order {perm} "
         "of the natural eigenvalue order"
     )
-    return newbasis, perm, note
+    return newbasis, note
 
 
 def cyclic_vector_test(
@@ -311,10 +310,10 @@ def cyclic_vector_test(
     """
     rep = check_boundedness(sym)
     if not rep.compact:
-        raise PreconditionError("cyclic vector testing covers compact operators only")
+        raise InvalidInputError("cyclic vector testing covers compact operators only")
     verdict = classify_cyclicity(sym)
     if verdict.status is not CyclicityStatus.CYCLIC:
-        raise PreconditionError(
+        raise InvalidInputError(
             f"operator is not provably cyclic (status {verdict.status.value}); "
             "cyclic vectors exist only for cyclic operators"
         )
@@ -327,7 +326,7 @@ def cyclic_vector_test(
             f"function degree {poly_degree(f_coeffs)} exceeds stated degree {degree}"
         )
     basis = linear_form_basis(sym)
-    basis, _, note = _reorder_chain_last(basis)
+    basis, note = _reorder_chain_last(basis)
     has_chain = any(basis.chain_flags)
     g = expand_in_L_basis(f_coeffs, basis)
     tol = sym.tol

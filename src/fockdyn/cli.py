@@ -23,14 +23,7 @@ import numpy as np
 
 from . import __version__, suite
 from .classify import classify_cyclicity, cyclic_vector_test
-from .errors import (
-    BudgetError,
-    ConditioningError,
-    InvalidInputError,
-    NodeSearchError,
-    NoFixedPointError,
-    NumericalFailureError,
-)
+from .errors import BudgetError, InvalidInputError, NoFixedPointError, NumericalFailureError
 from .fockmat.basis import multi_indices
 from .fockmat.enumeration import approx_numbers
 from .fockmat.experiments import kronecker_density_demo, orbit_krylov_rank
@@ -461,63 +454,42 @@ def _json_text(value, depth: int) -> str:
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def _scalar_text(value) -> str:
+_TEXT_LEAVES = _JSON_LEAVES | {str: str, int: int.__repr__, float: float.__repr__}
+
+
+def _text(value, pad: str) -> str:
+    """The text report of a dict or list value, each line indented by pad:
+    "key: leaf" per dict item in key order, "- leaf" per list item, and a
+    container item's key or dash on a line of its own above the container,
+    two spaces deeper.  {"re", "im"} items print as complex numbers.  Leaves
+    are encoded in the loop, as in _json_text; other types raise TypeError."""
     kind = type(value)
-    if kind is str or kind is int or kind is float:
-        return str(value)
-    if kind is bool or value is None:
-        return _JSON_LEAVES[kind](value)
-    raise TypeError(f"cannot render {kind.__name__}")
-
-
-def _is_complex_doc(value) -> bool:
-    return isinstance(value, dict) and set(value) == {"re", "im"}
-
-
-def _text_lines(value, indent: str) -> list:
-    if _is_complex_doc(value):
-        return [f"{indent}{complex(value['re'], value['im'])}"]
-    if isinstance(value, dict):
-        lines = []
-        for key in sorted(value):
-            v = value[key]
-            if _is_complex_doc(v):
-                lines.append(f"{indent}{key}: {complex(v['re'], v['im'])}")
-            elif isinstance(v, (dict, list, tuple)):
-                lines.append(f"{indent}{key}:")
-                lines.extend(_text_lines(v, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {_scalar_text(v)}")
-        return lines
-    if isinstance(value, (list, tuple)):
-        lines = []
-        for v in value:
-            if _is_complex_doc(v):
-                lines.append(f"{indent}- {complex(v['re'], v['im'])}")
-            elif isinstance(v, (dict, list, tuple)):
-                lines.append(f"{indent}-")
-                lines.extend(_text_lines(v, indent + "  "))
-            else:
-                lines.append(f"{indent}- {_scalar_text(v)}")
-        return lines
-    return [f"{indent}{_scalar_text(value)}"]
-
-
-def _render_suite_text(payload: dict) -> str:
+    if kind is dict:
+        heads = ((pad + key + ":", value[key]) for key in sorted(value))
+    elif kind is list or kind is tuple:
+        dash = pad + "-"
+        heads = ((dash, v) for v in value)
+    else:
+        raise TypeError(f"cannot render {kind.__name__}")
     lines = []
-    for entry in payload["criteria"]:
-        status = "PASS" if entry["passed"] else "FAIL"
-        lines.append(f"{status} {entry['slug']}: {entry['detail']}")
-    lines.append(f"{payload['passed_count']}/{payload['total']} criteria passed")
-    return "\n".join(lines) + "\n"
+    for head, v in heads:
+        leaf = _TEXT_LEAVES.get(type(v))
+        if leaf is not None:
+            lines.append(head + " " + leaf(v))
+        elif type(v) is dict and v.keys() == {"re", "im"}:
+            lines.append(head + " " + str(complex(v["re"], v["im"])))
+        else:
+            lines.append(head)
+            body = _text(v, pad + "  ")
+            if body:
+                lines.append(body)
+    return "\n".join(lines)
 
 
 def render_report(payload: dict, ns: argparse.Namespace) -> str:
     if ns.format == "json":
         return _json_text(payload, 0) + "\n"
-    if ns.command == "suite":
-        return _render_suite_text(payload)
-    return "\n".join(_text_lines(payload, "")) + "\n"
+    return _text(payload, "") + "\n"
 
 
 def _write_output(rendered: str, path: str | None) -> None:
@@ -555,7 +527,7 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"fockdyn: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailureError, ConditioningError, NodeSearchError) as exc:
+    except NumericalFailureError as exc:
         print(f"fockdyn: unsupported input: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -1,56 +1,24 @@
-"""Exception hierarchy shared across the package.
+"""Exceptions shared across the package, one class per exit status of the CLI.
 
-Invalid or refused inputs raise subclasses of InvalidInputError; blown
-resource caps raise subclasses of BudgetError.  ConditioningError,
-NumericalFailureError and NodeSearchError mark inputs the numerics cannot
-handle reliably.  The CLI maps InvalidInputError and these three to exit
-code 2, and BudgetError to exit code 3, each with a one-line message.
+fockdyn.cli.main prints each as one line on stderr and exits with its code:
+InvalidInputError "invalid input" and NumericalFailureError "unsupported
+input" with 2, BudgetError "budget exceeded" with 3.
 """
 
 
 class InvalidInputError(ValueError):
-    """Input fails validation (shape, finiteness, schema, value range)."""
-
-
-class DimensionMismatchError(InvalidInputError):
-    """Operands live in different dimensions."""
-
-
-class PreconditionError(InvalidInputError):
-    """Operation refused because a stated precondition does not hold."""
+    """Input fails validation (shape, dimension, schema, value range), a stated
+    precondition does not hold, or it is outside the supported scope."""
 
 
 class NoFixedPointError(InvalidInputError):
-    """(I - A) x = b has no solution within tolerance; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
-class UnsupportedInputError(InvalidInputError):
-    """Input is valid but outside the supported scope (e.g. factorization budget)."""
-
-
-class BudgetError(RuntimeError):
-    """A resource cap (basis size, enumeration count, search space) was exceeded."""
-
-
-class DegreeOverflowError(BudgetError):
-    """Monomial norm exceeds floating-point range at the requested degree."""
-
-
-class ConditioningError(RuntimeError):
-    """A linear system involved is too ill-conditioned to trust."""
+    """(I - A) x = b has no solution within tolerance."""
 
 
 class NumericalFailureError(RuntimeError):
-    """A numerical decomposition failed its residual check; carries the residual."""
-
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
+    """The numerics cannot handle the input reliably: a failed residual check,
+    an ill-conditioned system, or a node search that found no usable nodes."""
 
 
-class NodeSearchError(RuntimeError):
-    """Random node sampling failed to reach a nondegenerate configuration."""
+class BudgetError(RuntimeError):
+    """A resource cap (basis size, operations, bytes, float range) was exceeded."""

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..errors import BudgetError, DegreeOverflowError, InvalidInputError
+from ..errors import BudgetError, InvalidInputError
 
 BASIS_SIZE_BUDGET = 50_000
 
@@ -52,9 +52,7 @@ def monomial_norm(alpha) -> float:
     """sqrt(2^{|alpha|} * prod(alpha_j!)), exact integer under the root."""
     sq = monomial_norm_sq_int(alpha)
     if sq.bit_length() > 1022:
-        raise DegreeOverflowError(
-            f"monomial norm for |alpha|={sum(alpha)} exceeds float range"
-        )
+        raise BudgetError(f"monomial norm for |alpha|={sum(alpha)} exceeds float range")
     return math.sqrt(sq)
 
 

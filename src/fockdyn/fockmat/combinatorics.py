@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInputError, NodeSearchError
+from ..errors import InvalidInputError, NumericalFailureError
 
 
 def dickson_partition(index_set) -> list:
@@ -66,6 +66,6 @@ def unimodular_nodes(alphas, seed: int = 0):
         if abs(det) > 1e-6 * scale:
             nodes = np.exp(1j * angles)
             return nodes, float(abs(det))
-    raise NodeSearchError(
+    raise NumericalFailureError(
         f"no invertible node system in {NODE_ATTEMPTS} attempts for {n} exponents"
     )

@@ -14,13 +14,13 @@ import math
 
 import numpy as np
 
-from ..errors import BudgetError, InvalidInputError, PreconditionError
+from ..errors import BudgetError, InvalidInputError
 from ..symbol import AffineSymbol, check_boundedness
 from .operator import assemble_truncated, top_singular_values, truncated_singular_values
 
 # numbers an enumeration may return, k values and k d exponents: `approx
-# --top 1000000` at d = 3 took 7.8 s to a JSON report (peak RSS 770 MiB) and
-# 9.5 s to a text one (932 MiB), on one 2.1 GHz Xeon core
+# --top 1000000` at d = 3 took 7.1 s to a JSON report (peak RSS 770 MiB) and
+# 7.8 s to a text one (628 MiB), on one core of a 2-vCPU Xeon
 ENUMERATION_BUDGET = 4_000_000
 
 
@@ -135,7 +135,7 @@ def reduced_oracle_singular_values(
     """
     rep = check_boundedness(sym)
     if not rep.compact:
-        raise PreconditionError("singular-value oracle requires a compact operator")
+        raise InvalidInputError("singular-value oracle requires a compact operator")
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
     u, s, _ = np.linalg.svd(sym.a)
@@ -147,8 +147,7 @@ def reduced_oracle_singular_values(
             n_j = axis_degree
         else:
             w_j = c_j / ((1.0 - lam_j) * (1.0 + lam_j))
-            rate = abs(w_j) ** 2 / 2.0
-            n_j = (k - 1) + 12 + int(np.ceil(rate + 6.0 * np.sqrt(rate)))
+            n_j = (k - 1) + _oracle_pad(abs(w_j) ** 2 / 2.0)
         used_degree = max(used_degree, n_j)
         factor = AffineSymbol(
             np.array([[lam_j]], dtype=complex),
@@ -188,6 +187,7 @@ class ApproxReport:
 
 
 ZERO_SINGULAR_TOL = 1e-13
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def singular_data(sym: AffineSymbol):
@@ -201,7 +201,13 @@ def singular_data(sym: AffineSymbol):
     lam = np.sort(np.sqrt(evals))[::-1]
     v = np.linalg.solve(np.eye(d) + bmat, b)
     w = np.linalg.solve(np.eye(d) - bmat, v)
-    prefactor = float(np.exp(np.real(np.vdot(v, w)) / 2.0 - np.vdot(v, v).real / 4.0))
+    exponent = np.real(np.vdot(v, w)) / 2.0 - np.vdot(v, v).real / 4.0
+    # the closed-form sum prefactor / prod(1 - lambda_j) bounds every number
+    # of a report; it is refused before exp or the sum can overflow
+    log_sum = exponent - np.log1p(-lam).sum()
+    if not log_sum <= LOG_FLOAT_MAX:
+        raise BudgetError(f"closed-form sum exp({log_sum:.6g}) exceeds float range")
+    prefactor = float(np.exp(exponent))
     return lam, bmat, v, prefactor
 
 
@@ -223,10 +229,10 @@ def approx_numbers(
     _check_budget(k, sym.dimension)
     rep = check_boundedness(sym)
     if not rep.compact:
-        raise PreconditionError("approximation numbers require a compact operator")
+        raise InvalidInputError("approximation numbers require a compact operator")
     lam, _, _, prefactor = singular_data(sym)
     if lam[0] <= ZERO_SINGULAR_TOL:
-        raise PreconditionError("linear part is zero; enumeration is degenerate")
+        raise InvalidInputError("linear part is zero; enumeration is degenerate")
     keep = [j for j in range(lam.size) if lam[j] > ZERO_SINGULAR_TOL]
     pairs = enumerate_lambda_desc([lam[j] for j in keep], k)
     # one column per axis, zeros on the axes of zero singular values
@@ -267,7 +273,11 @@ def auto_oracle_degree(sym: AffineSymbol, indices) -> int:
     lam, bmat, v, _ = singular_data(sym)
     d = sym.dimension
     w = np.linalg.solve(np.eye(d) - bmat, v)
-    rate = float(np.vdot(w, w).real) / 2.0
     top_deg = max((sum(a) for a in indices), default=0)
-    pad = 12 + int(np.ceil(rate + 6.0 * np.sqrt(rate)))
-    return top_deg + pad
+    return top_deg + _oracle_pad(float(np.vdot(w, w).real) / 2.0)
+
+
+def _oracle_pad(rate: float) -> int:
+    """Degrees past the top index that an oracle truncation adds: a safety
+    band over the Poisson tail of rate |w|^2 / 2."""
+    return 12 + int(np.ceil(rate + 6.0 * np.sqrt(rate)))

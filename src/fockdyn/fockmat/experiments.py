@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ..errors import BudgetError, InvalidInputError, PreconditionError
+from ..errors import BudgetError, InvalidInputError
 from ..polymap import check_dense_bytes, compose_affine, poly_clean, poly_degree
 from ..spectral import LinearFormBasis
 from ..symbol import AffineSymbol, check_boundedness
@@ -104,7 +104,7 @@ def adjoint_pairing_check(sym: AffineSymbol, alpha, beta):
     """
     rep = check_boundedness(sym)
     if not rep.bounded:
-        raise PreconditionError("adjoint pairing requires a bounded operator")
+        raise InvalidInputError("adjoint pairing requires a bounded operator")
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
     d = sym.dimension
@@ -168,7 +168,7 @@ def jordan_coefficient_bound_check(
     """
     rep = check_boundedness(sym)
     if not rep.compact:
-        raise PreconditionError("coefficient bound check requires a compact operator")
+        raise InvalidInputError("coefficient bound check requires a compact operator")
     if j < 0:
         raise InvalidInputError(f"iterate must be nonnegative, got {j}")
     d = sym.dimension
@@ -176,7 +176,7 @@ def jordan_coefficient_bound_check(
     # reject chains longer than 2: a flagged row must follow an unflagged one
     for pos in range(d):
         if flags[pos] and pos + 1 < d and flags[pos + 1]:
-            raise PreconditionError("chains longer than two are not supported here")
+            raise InvalidInputError("chains longer than two are not supported here")
     subset = [tuple(int(x) for x in a) for a in d_subset]
     if any(len(a) != d or sum(a) != n for a in subset):
         raise InvalidInputError(f"subset entries must be degree-{n} multi-indices")

@@ -8,11 +8,12 @@ the forms of degree k, and b only fills blocks above it.
 
 Two realizations are provided: a dense assembly for moderate basis sizes
 (assemble_truncated returns the plain ndarray), and a matrix-free action on
-the full coefficient grid (used for singular value computation at degrees
-where the dense matrix is too large).  The matrix-free action runs
-polymap._compose_grid, the substitution kernel that polymap.compose_affine
-also uses, on a batch of one; _degree_columns builds the dense matrix, or
-its diagonal blocks, a degree of columns at a time.
+the full coefficient grid (grid_operator, a scipy LinearOperator, used for
+singular value computation at degrees where the dense matrix is too large).
+The matrix-free action runs polymap._compose_grid, the substitution kernel
+that polymap.compose_affine also uses, on a batch of one; _degree_columns
+builds the dense matrix, or its diagonal blocks, a degree of columns at a
+time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from ..errors import BudgetError, InvalidInputError, PreconditionError
+from ..errors import BudgetError, InvalidInputError
 from ..polymap import _compose_grid, affine_stages, check_dense_bytes, dense_grid
 from ..symbol import AffineSymbol, check_boundedness
 from .basis import GradedBasis, graded_basis
@@ -37,7 +38,7 @@ EIGVALS_OPERATIONS_BUDGET = 1_500_000_000
 
 def _require_bounded(sym: AffineSymbol) -> None:
     if not check_boundedness(sym).bounded:
-        raise PreconditionError("symbol does not induce a bounded operator")
+        raise InvalidInputError("symbol does not induce a bounded operator")
 
 
 def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
@@ -138,53 +139,35 @@ def _multiply_kernel_series(t: np.ndarray, b: np.ndarray) -> np.ndarray:
     return t
 
 
-class GridCompositionOperator:
-    """Matrix-free truncated composition operator in orthonormal coordinates.
+def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperator:
+    """Matrix-free degree-<=n truncation in orthonormal coordinates.
 
     matvec applies the composition, rmatvec its Fock-space adjoint (weighted
     composition with the conjugate-transposed linear part and the kernel
     multiplier of the shift); both agree with the dense assembly columns.
     """
+    _require_bounded(sym)
+    basis = graded_basis(sym.dimension, n)
+    index = tuple(np.array(basis.indices).T) + (0,)
+    stages = affine_stages(sym.a, sym.b)
+    adjoint_stages = affine_stages(sym.a.conj().T, np.zeros_like(sym.b))
 
-    def __init__(self, sym: AffineSymbol, n: int):
-        _require_bounded(sym)
-        self.symbol = sym
-        self.basis = graded_basis(sym.dimension, n)
-        self.n = n
-        self._index = tuple(np.array(self.basis.indices).T)
-        self._norms = self.basis.norms
-        self._stages = affine_stages(sym.a, sym.b)
-        self._adjoint_stages = affine_stages(sym.a.conj().T, np.zeros_like(sym.b))
-
-    @property
-    def shape(self):
-        m = self.basis.size
-        return (m, m)
-
-    def _scatter(self, x: np.ndarray) -> np.ndarray:
+    def scatter(x):
         # a batch of one; scipy hands matmat columns over as (m, 1) blocks
-        grid = dense_grid((self.n + 1,) * len(self._index) + (1,))
-        grid[self._index + (0,)] = np.asarray(x, dtype=complex).reshape(-1) / self._norms
+        grid = dense_grid((n + 1,) * sym.dimension + (1,))
+        grid[index] = np.asarray(x, dtype=complex).reshape(-1) / basis.norms
         return grid
 
-    def _gather(self, grid: np.ndarray) -> np.ndarray:
-        return grid[self._index + (0,)] * self._norms
+    def matvec(x):
+        return _compose_grid(scatter(x), stages, n)[index] * basis.norms
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        grid = self._scatter(x)
-        grid = _compose_grid(grid, self._stages, self.n)
-        return self._gather(grid)
+    def rmatvec(x):
+        grid = _compose_grid(scatter(x), adjoint_stages, n)
+        return _multiply_kernel_series(grid, sym.b)[index] * basis.norms
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        grid = self._scatter(x)
-        grid = _compose_grid(grid, self._adjoint_stages, self.n)
-        grid = _multiply_kernel_series(grid, self.symbol.b)
-        return self._gather(grid)
-
-    def as_linear_operator(self) -> scipy.sparse.linalg.LinearOperator:
-        return scipy.sparse.linalg.LinearOperator(
-            self.shape, matvec=self.matvec, rmatvec=self.rmatvec, dtype=complex
-        )
+    return scipy.sparse.linalg.LinearOperator(
+        (basis.size, basis.size), matvec=matvec, rmatvec=rmatvec, dtype=complex
+    )
 
 
 def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
@@ -197,10 +180,9 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     m = math.comb(n + sym.dimension, sym.dimension)
     if m <= DENSE_SVD_CUTOFF or k >= m - 1:
         return truncated_singular_values(assemble_truncated(sym, n), k)
-    gop = GridCompositionOperator(sym, n)
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
     s = scipy.sparse.linalg.svds(
-        gop.as_linear_operator(),
+        grid_operator(sym, n),
         k=k,
         v0=v0,
         return_singular_vectors=False,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConditioningError, DegreeOverflowError, InvalidInputError
+from ..errors import BudgetError, InvalidInputError, NumericalFailureError
 from ..polymap import compose_affine, compose_batches, poly_add, poly_clean, poly_degree
 from ..polymap import validate_coeffs
 from ..spectral import LinearFormBasis
@@ -33,9 +33,7 @@ def project_homogeneous(f_coeffs, xi, n: int, mode: str = "recentering"):
     d = xi.shape[0]
     deg = poly_degree(f_coeffs)
     if deg > PROJECTION_DEGREE_CAP:
-        raise DegreeOverflowError(
-            f"polynomial degree {deg} exceeds projection cap {PROJECTION_DEGREE_CAP}"
-        )
+        raise BudgetError(f"polynomial degree {deg} exceeds projection cap {PROJECTION_DEGREE_CAP}")
     eye = np.eye(d)
     if mode == "recentering":
         shifted = compose_affine(f_coeffs, eye, xi)  # f(w + xi), w = z - xi
@@ -54,7 +52,7 @@ def project_homogeneous(f_coeffs, xi, n: int, mode: str = "recentering"):
             largest = np.abs(vals).max(axis=0, initial=0.0)
             if (largest > limit).any():
                 j = int(np.argmax(largest > limit))
-                raise ConditioningError(
+                raise NumericalFailureError(
                     f"quadrature node {js.start + j} of {nodes} has a coefficient "
                     f"{largest[j]:.3e}, over 1e8 times the input's largest; "
                     "recentering mode avoids the cancellation"
@@ -68,20 +66,16 @@ def _check_basis(rows: np.ndarray) -> None:
     s = np.linalg.svd(rows, compute_uv=False)
     cond = np.inf if s[-1] == 0 else float(s[0] / s[-1])
     if cond > 1e8:
-        raise ConditioningError(f"linear-form basis condition {cond:.3e} exceeds 1e8")
+        raise NumericalFailureError(f"linear-form basis condition {cond:.3e} exceeds 1e8")
 
 
-def expand_in_L_basis(f_coeffs, basis: LinearFormBasis, degree: int | None = None):
+def expand_in_L_basis(f_coeffs, basis: LinearFormBasis):
     """Coefficients of f over monomials in the degree-one forms L_j.
 
     Substitutes z = xi + R^{-1} u (R the row matrix of the basis), so the
     returned map g satisfies f(z) = g(L_1(z), ..., L_d(z)).
     """
     rows = basis.rows
-    if degree is not None and poly_degree(f_coeffs) > degree:
-        raise InvalidInputError(
-            f"polynomial degree {poly_degree(f_coeffs)} exceeds stated degree {degree}"
-        )
     _check_basis(rows)
     rinv = np.linalg.inv(rows)
     return poly_clean(compose_affine(f_coeffs, rinv, basis.xi))

@@ -9,8 +9,8 @@ f o phi for phi(z) = Az + b is computed here once, by _compose_grid: an LU
 sweep of single-variable Horner substitutions on a dense coefficient box,
 with a trailing axis over a batch of maps.  compose_batches runs it on
 clusters of terms that share a small box, for compose_affine (one map) and
-the quadrature projection (one map per node); GridCompositionOperator runs
-it on the full (n+1)^d grid.  The only other builder of f o phi is
+the quadrature projection (one map per node); fockmat.operator.grid_operator
+runs it on the full (n+1)^d grid.  The only other builder of f o phi is
 fockmat.operator._degree_columns, which makes the truncated matrix, or its
 diagonal blocks, a degree at a time.
 """
@@ -22,7 +22,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import BudgetError, DimensionMismatchError, InvalidInputError
+from .errors import BudgetError, InvalidInputError
 
 CoeffMap = dict
 
@@ -47,7 +47,7 @@ def validate_coeffs(f: CoeffMap, d: int) -> None:
     """Check that every key is d nonnegative integer exponents."""
     dims = {len(a) for a in f}
     if dims - {d}:
-        raise DimensionMismatchError(f"mixed exponent lengths {sorted(dims)}; expected {d}")
+        raise InvalidInputError(f"mixed exponent lengths {sorted(dims)}; expected {d}")
     for a in f:
         if any((not isinstance(k, (int, np.integer))) or k < 0 for k in a):
             raise InvalidInputError(f"exponents must be nonnegative integers, got {a}")
@@ -258,7 +258,7 @@ def compose_affine(f: CoeffMap, a, b) -> CoeffMap:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
-        raise DimensionMismatchError(f"affine data shapes {a.shape}, {b.shape}")
+        raise InvalidInputError(f"affine data shapes {a.shape}, {b.shape}")
     if not f:
         return {}
     validate_coeffs(f, a.shape[0])

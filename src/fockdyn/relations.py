@@ -19,13 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BudgetError,
-    DimensionMismatchError,
-    InvalidInputError,
-    NumericalFailureError,
-    UnsupportedInputError,
-)
+from .errors import BudgetError, InvalidInputError, NumericalFailureError
 
 # bits of the integers factorize accepts; io caps exact numerators and
 # denominators at it, the size the certificate arithmetic is tested at
@@ -143,7 +137,7 @@ def _pollard_rho(n: int) -> int:
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise UnsupportedInputError(f"factorization budget exhausted for {n}")
+    raise InvalidInputError(f"factorization budget exhausted for {n}")
 
 
 def factorize(n: int) -> dict:
@@ -151,7 +145,7 @@ def factorize(n: int) -> dict:
     if n <= 0:
         raise InvalidInputError(f"cannot factor nonpositive {n}")
     if n.bit_length() > FRACTION_BITS:
-        raise UnsupportedInputError(f"{n} exceeds the 64-bit factorization budget")
+        raise InvalidInputError(f"{n} exceeds the 64-bit factorization budget")
     out: dict = {}
     for p in (2, 3, 5, 7, 11, 13):
         while n % p == 0:
@@ -476,7 +470,7 @@ def numeric_relation_search(lambdas, height: int) -> RelationResult:
     """
     lam = np.asarray(lambdas, dtype=complex)
     if lam.ndim != 1 or lam.size == 0:
-        raise DimensionMismatchError("lambdas must be a nonempty vector")
+        raise InvalidInputError("lambdas must be a nonempty vector")
     if np.any(lam == 0):
         raise InvalidInputError("zero eigenvalues admit no relation; handle upstream")
     if not np.all(np.isfinite(lam)):

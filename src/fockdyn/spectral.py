@@ -34,10 +34,6 @@ class SpectralData:
     cluster_radius: float
     clustering_warning: bool
 
-    @property
-    def dimension(self) -> int:
-        return sum(e.algebraic_mult for e in self.eigenvalues)
-
 
 def _cluster(values: np.ndarray, radius: float) -> list:
     """Single-linkage clusters of complex values at the given radius."""
@@ -107,8 +103,7 @@ def eigen_decompose(a, cluster_radius: float = 1e-7) -> SpectralData:
         if sum(sizes) != alg or not sizes:
             raise NumericalFailureError(
                 f"Jordan profile inconsistent for eigenvalue {rep:.6g}: "
-                f"block sizes {sizes} vs algebraic multiplicity {alg}",
-                residual=spread,
+                f"block sizes {sizes} vs algebraic multiplicity {alg}"
             )
         infos.append(
             EigenvalueInfo(rep, alg, len(sizes), tuple(sizes), float(spread))
@@ -178,10 +173,7 @@ def _chain_tops(p: np.ndarray, sizes: list, threshold: float) -> list:
             c = b - q @ (q.conj().T @ b)
             _, s_c, vh_c = np.linalg.svd(c, full_matrices=False)
             if s_c.size < need or s_c[need - 1] < 1e-8:
-                raise NumericalFailureError(
-                    "could not separate Jordan chain tops",
-                    residual=float(s_c[need - 1]) if s_c.size >= need else 0.0,
-                )
+                raise NumericalFailureError("could not separate Jordan chain tops")
             for i in range(need):
                 top = b @ vh_c[i].conj()
                 chains.append((k, top))
@@ -197,7 +189,7 @@ def _chain_tops(p: np.ndarray, sizes: list, threshold: float) -> list:
         chain.reverse()  # eigenvector first
         scale = np.linalg.norm(chain[0])
         if scale < 1e-300:
-            raise NumericalFailureError("degenerate Jordan chain", residual=float(scale))
+            raise NumericalFailureError("degenerate Jordan chain")
         out.append([v / scale for v in chain])
     return out
 
@@ -207,7 +199,7 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
     Jordan chains of A^T, so that composing with the symbol multiplies each
     L_j by its eigenvalue, plus L_{j-1} on chain continuation rows.
 
-    Chain residuals above sqrt(tol) raise, carrying the residual.
+    Chain residuals above sqrt(tol) raise, naming the residual.
     """
     xi = fixed_point(sym)
     spec = eigen_decompose(sym.a)
@@ -232,12 +224,8 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
             expect = expect - rows[j - 1]
         residual = float(np.linalg.norm(expect))
         if residual > tol_res * (1 + norm_m) * float(np.linalg.norm(vec)):
-            raise NumericalFailureError(
-                f"Jordan chain residual {residual:.3e} on row {j}", residual=residual
-            )
+            raise NumericalFailureError(f"Jordan chain residual {residual:.3e} on row {j}")
     s = np.linalg.svd(r, compute_uv=False)
     if s[-1] < 1e-12 * s[0]:
-        raise NumericalFailureError(
-            "linear form rows are numerically dependent", residual=float(s[-1])
-        )
+        raise NumericalFailureError("linear form rows are numerically dependent")
     return LinearFormBasis(r, tuple(flags), xi, tuple(eigs))

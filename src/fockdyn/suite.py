@@ -718,15 +718,11 @@ _CRITERIA = {
 }
 
 
-def criterion_slugs() -> list:
-    return list(_CRITERIA)
-
-
 def run_criterion(slug: str, seed: int = 0) -> CriterionResult:
     fn = _CRITERIA.get(slug)
     if fn is None:
         raise InvalidInputError(
-            f"unknown criterion {slug!r}; available: {', '.join(criterion_slugs())}"
+            f"unknown criterion {slug!r}; available: {', '.join(_CRITERIA)}"
         )
     start = time.perf_counter()
     try:
@@ -742,14 +738,14 @@ def run_suite(only=None, seed: int = 0) -> list:
         prefixes = list(only)
         selected = [
             slug
-            for slug in criterion_slugs()
+            for slug in _CRITERIA
             if any(slug.startswith(p) for p in prefixes)
         ]
         if not selected:
             raise InvalidInputError(
                 f"no criterion matches {prefixes}; available: "
-                f"{', '.join(criterion_slugs())}"
+                f"{', '.join(_CRITERIA)}"
             )
     else:
-        selected = criterion_slugs()
+        selected = list(_CRITERIA)
     return [run_criterion(slug, seed) for slug in selected]

@@ -12,27 +12,25 @@ import dataclasses
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError, NoFixedPointError
+from .errors import InvalidInputError, NoFixedPointError
 from .relations import ExactPolarSpec
 
 
-def as_complex_matrix(a, dim: int | None = None) -> np.ndarray:
+def as_complex_matrix(a) -> np.ndarray:
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise DimensionMismatchError(f"matrix is {a.shape[0]}x{a.shape[0]}, expected {dim}")
+        raise InvalidInputError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise InvalidInputError("matrix entries must be finite")
     return a
 
 
-def as_complex_vector(b, dim: int | None = None) -> np.ndarray:
+def as_complex_vector(b, dim: int) -> np.ndarray:
     b = np.array(b, dtype=complex)
     if b.ndim != 1:
-        raise DimensionMismatchError(f"vector must be one-dimensional, got shape {b.shape}")
-    if dim is not None and b.shape[0] != dim:
-        raise DimensionMismatchError(f"vector has length {b.shape[0]}, expected {dim}")
+        raise InvalidInputError(f"vector must be one-dimensional, got shape {b.shape}")
+    if b.shape[0] != dim:
+        raise InvalidInputError(f"vector has length {b.shape[0]}, expected {dim}")
     if not np.all(np.isfinite(b.view(float))):
         raise InvalidInputError("vector entries must be finite")
     return b
@@ -102,14 +100,12 @@ def fixed_point(sym: AffineSymbol) -> np.ndarray:
     """Solve (I - A) xi = b, minimum-norm when 1 is an eigenvalue of A.
 
     For bounded symbols a solution always exists; an inconsistent system
-    raises with the residual.
+    raises, naming the residual.
     """
     d = sym.dimension
     m = np.eye(d) - sym.a
     xi, *_ = np.linalg.lstsq(m, sym.b, rcond=None)
     residual = float(np.linalg.norm(m @ xi - sym.b))
     if residual > sym.tol * (1 + np.linalg.norm(sym.b)):
-        raise NoFixedPointError(
-            f"(I - A) x = b is inconsistent (residual {residual:.3e})", residual
-        )
+        raise NoFixedPointError(f"(I - A) x = b is inconsistent (residual {residual:.3e})")
     return xi

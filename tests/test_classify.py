@@ -11,7 +11,7 @@ from fockdyn.classify import (
     convex_obstruction_value,
     cyclic_vector_test,
 )
-from fockdyn.errors import InvalidInputError, PreconditionError
+from fockdyn.errors import InvalidInputError
 from fockdyn.fockmat.basis import multi_indices
 from fockdyn.fockmat.projections import from_L_basis
 from fockdyn.polymap import poly_eval
@@ -79,7 +79,7 @@ def test_single_two_block_is_acceptable():
 
 
 def test_unbounded_symbol_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InvalidInputError, match="only defined for bounded operators"):
         classify_cyclicity(AffineSymbol([[2.0]], [0.0]))
 
 
@@ -161,7 +161,7 @@ def test_cyclic_vector_missing_constant_fails():
 
 def test_cyclic_vector_requires_cyclic_operator():
     sym = rational_diagonal([Fraction(1, 2), Fraction(1, 4)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InvalidInputError, match="operator is not provably cyclic"):
         cyclic_vector_test(sym, {(0, 0): 1.0 + 0j}, 2)
 
 

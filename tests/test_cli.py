@@ -10,7 +10,10 @@ import pytest
 
 import fockdyn.suite
 from fockdyn.cli import main, render_report
+from fockdyn.fockmat.enumeration import approx_numbers
+from fockdyn.io import dump_approx
 from fockdyn.suite import CriterionResult
+from fockdyn.symbol import AffineSymbol
 
 
 SYMBOL_HALF = {
@@ -270,6 +273,21 @@ def test_approx_near_one_singular_values_stay_small(tmp_path, capsys):
     assert report["terms"] == [{"alpha": [0, 0, 0], "value": 1.0}]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_approx_float_range_exits_three(tmp_path, capsys, fmt):
+    # b = 50 puts the prefactor at exp(833), past the largest float: refused
+    # before exp overflows, with no warning and no report
+    doc = {"dimension": 1, "A": [[0.5]], "b": [50]}
+    path = write_json(tmp_path / "far.json", doc)
+    for oracle in ([], ["--oracle"]):
+        assert main(["approx", path, "--top", "3", "--format", fmt, *oracle]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fockdyn: budget exceeded: closed-form sum exp(")
+        assert err.count("\n") == 1
+
+
 def unimodular_exact_symbol(denominators):
     """diag(exp(i pi / q)) with its exact polar data: moduli 1, arguments pi / q."""
     values = [np.exp(1j * np.pi / q) for q in denominators]
@@ -402,6 +420,14 @@ def test_suite_filter_runs_matching_criteria(tmp_path):
     assert doc["criteria"][0]["passed"] is True
 
 
+def test_suite_text_report_uses_the_report_renderer(capsys):
+    assert main(["suite", "--only", "adjoint", "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["criteria:", "  -"]
+    assert "    slug: adjoint-pairing" in lines and "    passed: true" in lines
+    assert "passed_count: 1" in lines and "total: 1" in lines
+
+
 def test_suite_unknown_filter_exits_two():
     assert main(["suite", "--only", "nosuch"]) == 2
 
@@ -458,6 +484,85 @@ def test_json_writer_matches_json_dumps():
     payloads = [fixed] + [{"report": random_json(rng, 0)} for _ in range(300)]
     for payload in payloads:
         assert render_report(payload, ns) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def reference_scalar_text(value) -> str:
+    kind = type(value)
+    if kind is str or kind is int or kind is float:
+        return str(value)
+    if kind is bool or value is None:
+        return {True: "true", False: "false", None: "null"}[value]
+    raise TypeError(f"cannot render {kind.__name__}")
+
+
+def is_complex_doc(value) -> bool:
+    return isinstance(value, dict) and set(value) == {"re", "im"}
+
+
+def reference_text_lines(value, indent: str) -> list:
+    """The text format as a plain line builder, one string per line: the
+    reference for the text writer, as json.dumps is for the JSON writer."""
+    if is_complex_doc(value):
+        return [f"{indent}{complex(value['re'], value['im'])}"]
+    if isinstance(value, dict):
+        lines = []
+        for key in sorted(value):
+            v = value[key]
+            if is_complex_doc(v):
+                lines.append(f"{indent}{key}: {complex(v['re'], v['im'])}")
+            elif isinstance(v, (dict, list, tuple)):
+                lines.append(f"{indent}{key}:")
+                lines.extend(reference_text_lines(v, indent + "  "))
+            else:
+                lines.append(f"{indent}{key}: {reference_scalar_text(v)}")
+        return lines
+    if isinstance(value, (list, tuple)):
+        lines = []
+        for v in value:
+            if is_complex_doc(v):
+                lines.append(f"{indent}- {complex(v['re'], v['im'])}")
+            elif isinstance(v, (dict, list, tuple)):
+                lines.append(f"{indent}-")
+                lines.extend(reference_text_lines(v, indent + "  "))
+            else:
+                lines.append(f"{indent}- {reference_scalar_text(v)}")
+        return lines
+    return [f"{indent}{reference_scalar_text(value)}"]
+
+
+def test_text_writer_matches_reference_lines():
+    ns = argparse.Namespace(format="text", command="approx")
+    fixed = {
+        "complex": [{"re": 0.5, "im": -0.0}, {"re": 1, "im": 2}, {"re": -1e300, "im": np.inf}],
+        "in_dict": {"z": {"im": 0.25, "re": -3.0}, "not_complex": {"re": 1.0}},
+        "empty": [{}, [], (), {"": {}}, [[], [{}]]],
+        "tuples": ((1, "a"), ((), (None,)), [(True, False)]),
+        "strings": ["", 'quote " back \\ slash', "line\nbreak", "é ∑ 𝄞 \u2028"],
+        "floats": [-0.0, 1e16, 2.0**-1074, 0.1, np.nan, np.inf, -np.inf],
+        "ints": [0, -1, 2**64, -(2**100)],
+    }
+    rng = np.random.default_rng(3)
+    payloads = [fixed, {}] + [{"report": random_json(rng, 0)} for _ in range(300)]
+    for payload in payloads:
+        expected = "\n".join(reference_text_lines(payload, "")) + "\n"
+        assert render_report(payload, ns) == expected
+
+
+def test_text_report_peaks_no_higher_than_json():
+    # the text writer holds one string per container, not one per line: a
+    # 20,000-term d=3 approx report peaks below its JSON rendering
+    sym = AffineSymbol(np.diag([0.9, 0.8, 0.7]), np.array([0.1, 0.0, 0.2]))
+    payload = dump_approx(approx_numbers(sym, 20_000))
+    peaks = {}
+    for fmt in ("json", "text"):
+        ns = argparse.Namespace(format=fmt, command="approx")
+        tracemalloc.start()
+        try:
+            render_report(payload, ns)
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["text"] <= peaks["json"], peaks
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from fockdyn.errors import BudgetError, PreconditionError
+from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import graded_basis, multi_indices
 from fockdyn.fockmat.enumeration import (
     _best_first,
@@ -16,10 +16,10 @@ from fockdyn.fockmat.enumeration import (
     reduced_oracle_singular_values,
 )
 from fockdyn.fockmat.operator import (
-    GridCompositionOperator,
     _assemble_matrix,
     _degree_columns,
     assemble_truncated,
+    grid_operator,
     top_singular_values,
     truncated_singular_values,
     truncated_spectrum,
@@ -103,9 +103,9 @@ def test_truncation_spectrum_is_eigenvalue_power_multiset():
 
 
 def test_truncation_spectrum_unbounded_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InvalidInputError, match="does not induce a bounded operator"):
         assemble_truncated(AffineSymbol([[1.5]], [0.0]), 3)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InvalidInputError, match="does not induce a bounded operator"):
         truncated_spectrum(AffineSymbol([[1.5]], [0.0]), 3)
 
 
@@ -297,7 +297,7 @@ def test_reduced_and_grid_oracles_agree():
 def test_grid_action_matches_dense_matrix(a, b, n):
     sym = AffineSymbol(a, b)
     mat = assemble_truncated(sym, n)
-    gop = GridCompositionOperator(sym, n)
+    gop = grid_operator(sym, n)
     rng = np.random.default_rng(7)
     x = rng.normal(size=mat.shape[0]) + 1j * rng.normal(size=mat.shape[0])
     assert np.allclose(gop.matvec(x), mat @ x, rtol=0, atol=1e-13)
@@ -314,7 +314,7 @@ def test_truncated_singular_values_monotone_in_degree():
 
 
 def test_approx_numbers_requires_compact():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InvalidInputError, match="require a compact operator"):
         approx_numbers(AffineSymbol([[1.0]], [0.0]), 3)
 
 
