@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -30,6 +32,7 @@ from .fockmat.experiments import kronecker_density_demo, orbit_krylov_rank
 from .fockmat.operator import truncated_spectrum
 from .fockmat.projections import project_homogeneous
 from .io import (
+    Rows,
     dump_approx,
     dump_boundedness,
     dump_complex,
@@ -249,7 +252,7 @@ def _cmd_spectrum(ns: argparse.Namespace):
     payload = {
         "degree": ns.degree,
         "basis_size": int(eigenvalues.size),
-        "eigenvalues": [dump_complex(z) for z in eigenvalues],
+        "eigenvalues": Rows(("im", "re"), (eigenvalues.imag.tolist(), eigenvalues.real.tolist())),
         "tolerance": sym.tol,
     }
     return payload, 0
@@ -333,23 +336,22 @@ def _cmd_project(ns: argparse.Namespace):
 
 def _cmd_demo_kronecker(ns: argparse.Namespace):
     doc = _read_json(ns.input)
-    if not isinstance(doc, dict) or "thetas" not in doc or "target" not in doc:
+    if not isinstance(doc, dict) or not all(type(doc.get(k)) is list for k in ("thetas", "target")):
         raise InvalidInputError(
             'demo-kronecker input needs "thetas" and "target" lists'
         )
-    try:
-        thetas = [float(t) for t in doc["thetas"]]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"thetas must be real numbers: {exc}") from exc
+    if not all(type(t) in (int, float) for t in doc["thetas"]):
+        raise InvalidInputError("thetas must be real numbers")
+    thetas = [float(t) for t in doc["thetas"]]
     target = [load_complex(t, "target entry") for t in doc["target"]]
     n_max = ns.n_max if ns.n_max is not None else doc.get("n_max")
     if n_max is None:
         raise InvalidInputError("n_max is required (flag --n-max or input field)")
-    best_n, best_err = kronecker_density_demo(thetas, target, int(n_max))
+    best_n, best_err = kronecker_density_demo(thetas, target, n_max)
     payload = {
         "best_n": best_n,
         "best_error": best_err,
-        "n_max": int(n_max),
+        "n_max": n_max,
         "num_angles": len(thetas),
     }
     return payload, 0
@@ -429,15 +431,15 @@ _JSON_LAYOUT = [
 def _json_text(value, depth: int) -> str:
     """json.dumps(value, sort_keys=True, indent=2) of value at nesting depth
     depth, byte for byte, without the pure-Python encoder json falls back to
-    under indent.  Types other than dict (str keys), list, tuple, str, int,
-    float, bool and None, numpy scalars included, raise TypeError."""
+    under indent.  A Rows prints as the list of its records.  Types other
+    than dict (str keys), list, tuple, Rows, str, int, float, bool and None,
+    numpy scalars included, raise TypeError."""
     kind = type(value)
     leaf = _JSON_LEAVES.get(kind)
     if leaf is not None:
         return leaf(value)
     sep, open_dict, close_dict, open_list, close_list = _JSON_LAYOUT[depth]
-    # leaves are encoded in the loops, not by a call each: a 4,000-term
-    # approx report renders in 8.7 ms instead of 11.7
+    # leaves are encoded in the loops, not by a call each
     items = []
     if kind is dict:
         for key in sorted(value):
@@ -451,16 +453,57 @@ def _json_text(value, depth: int) -> str:
             leaf = _JSON_LEAVES.get(type(v))
             items.append(leaf(v) if leaf is not None else _json_text(v, depth + 1))
         return open_list + sep.join(items) + close_list if items else "[]"
+    if kind is Rows:
+        return _json_rows(value, depth)
     raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+def _row_args(rows: Rows) -> tuple:
+    """The leaves of rows, record by record, each record's in field order
+    and a tuple's slot by slot: the arguments of a template that repeats one
+    record's pattern."""
+    flat = []
+    for column, width in zip(rows.columns, rows.widths):
+        if width is None:
+            flat.append(column)
+        else:
+            flat.extend(zip(*column))  # one column per tuple slot
+    return tuple(chain.from_iterable(zip(*flat)))
+
+
+def _json_rows(rows: Rows, depth: int) -> str:
+    """_json_text of the list of rows' records, from one % template: '%d'
+    per int and '%r' per float in each record's layout, repeated len(rows)
+    times.  JSON spells a non-finite float NaN or Infinity where %r gives
+    nan or inf, so rows with one (or with floats that sum past the float
+    range) take the per-item path.  The 4,000-term d=3 approx report takes
+    6-10 ms from dump_approx to text, its float reprs about 3 ms of that
+    (one core of a 2-vCPU Xeon)."""
+    if not len(rows):
+        return "[]"
+    if not all(math.isfinite(sum(c)) for c, w in zip(rows.columns, rows.widths) if w is None):
+        return _json_text(list(rows), depth)
+    sep, _, _, open_list, close_list = _JSON_LAYOUT[depth]
+    record_sep, open_record, close_record, _, _ = _JSON_LAYOUT[depth + 1]
+    slot_sep, _, _, open_slots, close_slots = _JSON_LAYOUT[depth + 2]
+    items = []
+    for name, width in zip(rows.fields, rows.widths):
+        if width is None:
+            leaf = "%r"
+        else:
+            leaf = open_slots + slot_sep.join(["%d"] * width) + close_slots if width else "[]"
+        items.append(encode_basestring_ascii(name).replace("%", "%%") + ": " + leaf)
+    record = open_record + record_sep.join(items) + close_record
+    return open_list + sep.join([record] * len(rows)) % _row_args(rows) + close_list
 
 
 _TEXT_LEAVES = _JSON_LEAVES | {str: str, int: int.__repr__, float: float.__repr__}
 
 
 def _text(value, pad: str) -> str:
-    """The text report of a dict or list value, each line indented by pad:
-    "key: leaf" per dict item in key order, "- leaf" per list item, and a
-    container item's key or dash on a line of its own above the container,
+    """The text report of a dict, list or Rows value, each line indented by
+    pad: "key: leaf" per dict item in key order, "- leaf" per list item, and
+    a container item's key or dash on a line of its own above the container,
     two spaces deeper.  {"re", "im"} items print as complex numbers.  Leaves
     are encoded in the loop, as in _json_text; other types raise TypeError."""
     kind = type(value)
@@ -469,6 +512,8 @@ def _text(value, pad: str) -> str:
     elif kind is list or kind is tuple:
         dash = pad + "-"
         heads = ((dash, v) for v in value)
+    elif kind is Rows:
+        return _text_rows(value, pad)
     else:
         raise TypeError(f"cannot render {kind.__name__}")
     lines = []
@@ -484,6 +529,23 @@ def _text(value, pad: str) -> str:
             if body:
                 lines.append(body)
     return "\n".join(lines)
+
+
+def _text_rows(rows: Rows, pad: str) -> str:
+    """_text of the list of rows' records, from one % template as in
+    _json_rows; records of two float fields re and im print as complex
+    numbers."""
+    n = len(rows)
+    if not n:
+        return ""
+    if rows.fields == ("im", "re") and rows.widths == (None, None):
+        im, re = rows.columns
+        return "\n".join([pad + "- %s"] * n) % tuple(map(complex, re, im))
+    items = [pad + "-"]
+    for name, width in zip(rows.fields, rows.widths):
+        head = pad + "  " + name.replace("%", "%%") + ":"
+        items.append(head + " %r" if width is None else head + ("\n" + pad + "    - %d") * width)
+    return "\n".join(["\n".join(items)] * n) % _row_args(rows)
 
 
 def render_report(payload: dict, ns: argparse.Namespace) -> str:

@@ -6,6 +6,7 @@ batch callers can map them to a uniform exit status.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +34,54 @@ def load_complex(x, what: str) -> complex:
             _as_number(x.get("im", 0.0), f"{what}.im"),
         )
     return complex(_as_number(x, what))
+
+
+class Rows:
+    """Records that share their fields, held as columns in field order:
+    record i is {fields[j]: columns[j][i]}.  A column holds plain floats, or
+    tuples of plain ints that all have one width (widths[j]; None for a
+    float column).  Anything else, a numpy scalar included, raises
+    TypeError: the report writers of fockdyn.cli print a Rows as the list of
+    its records from one format template, in which '%r' of a numpy float
+    would print its repr.  Iterating gives the records as dicts."""
+
+    __slots__ = ("fields", "columns", "widths")
+
+    def __init__(self, fields, columns):
+        fields, columns = tuple(fields), tuple(map(tuple, columns))
+        if (
+            not fields
+            or len(fields) != len(columns)
+            or len(set(fields)) != len(fields)
+            or set(map(type, fields)) != {str}
+        ):
+            raise ValueError("Rows need distinct str fields, one column each")
+        if len(set(map(len, columns))) != 1:
+            raise ValueError("Rows columns differ in length")
+        self.fields, self.columns = zip(*sorted(zip(fields, columns)))
+        widths = []
+        for name, column in zip(self.fields, self.columns):
+            kinds = set(map(type, column))
+            if kinds <= {float}:
+                widths.append(None)
+            elif (
+                kinds == {tuple}
+                and len(set(map(len, column))) == 1
+                and set(map(type, chain.from_iterable(column))) <= {int}
+            ):
+                widths.append(len(column[0]))
+            else:
+                raise TypeError(
+                    f"column {name!r} holds {sorted(k.__name__ for k in kinds)}, "
+                    "not plain floats or equal-width tuples of plain ints"
+                )
+        self.widths = tuple(widths)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return (dict(zip(self.fields, row)) for row in zip(*self.columns))
 
 
 def dump_complex(z) -> dict:
@@ -202,10 +251,7 @@ def dump_boundedness(rep: BoundednessReport) -> dict:
 def dump_approx(rep: ApproxReport) -> dict:
     out = {
         "prefactor": rep.prefactor,
-        "terms": [
-            {"alpha": list(a), "value": v}
-            for a, v in zip(rep.indices, rep.values)
-        ],
+        "terms": Rows(("alpha", "value"), (rep.indices, rep.values)),
         "closed_form_sum": rep.closed_form_sum,
     }
     if rep.oracle_values is not None:

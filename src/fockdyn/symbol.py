@@ -9,10 +9,11 @@ and the reproducing kernel is k_w(z) = exp(<z, w> / 2).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from .errors import InvalidInputError, NoFixedPointError
+from .errors import InvalidInputError, NoFixedPointError, NumericalFailureError
 from .relations import ExactPolarSpec
 
 
@@ -34,6 +35,16 @@ def as_complex_vector(b, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(b.view(float))):
         raise InvalidInputError("vector entries must be finite")
     return b
+
+
+def unit_scaled(b: np.ndarray) -> tuple:
+    """(b s, s) for s a power of two that brings the parts of b under 1 in
+    modulus when they reach 1, else s = 1.0: norms and inner products of
+    b s cannot overflow.  The product is taken part by part, so it rounds
+    nothing and keeps signed zeros, which a complex product would not."""
+    top = float(np.abs(b.view(float)).max(initial=0.0))
+    s = math.ldexp(1.0, -math.frexp(top)[1]) if top >= 1.0 else 1.0
+    return (b.view(float) * s).view(complex), s
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,12 +93,13 @@ def check_boundedness(sym: AffineSymbol) -> BoundednessReport:
     iso_dim = int(np.count_nonzero(s >= 1 - 10 * tol))
     bounded = norm_a <= 1 + tol
     witness = None
-    bnorm = float(np.linalg.norm(sym.b))
+    b, _ = unit_scaled(sym.b)  # the test below is homogeneous in b
+    bnorm = float(np.linalg.norm(b))
     for i in range(s.size):
         if s[i] < 1 - tol:
             break
         # <A v_i, b> with v_i the i-th right singular vector
-        pairing = s[i] * complex(np.vdot(sym.b, u[:, i]))
+        pairing = s[i] * complex(np.vdot(b, u[:, i]))
         if abs(pairing) > tol * bnorm:
             bounded = False
             witness = vh[i].conj()
@@ -100,12 +112,17 @@ def fixed_point(sym: AffineSymbol) -> np.ndarray:
     """Solve (I - A) xi = b, minimum-norm when 1 is an eigenvalue of A.
 
     For bounded symbols a solution always exists; an inconsistent system
-    raises, naming the residual.
+    raises, naming the residual.  The system is solved for b scaled by
+    unit_scaled, and a solution past the float range raises
+    NumericalFailureError.
     """
     d = sym.dimension
     m = np.eye(d) - sym.a
-    xi, *_ = np.linalg.lstsq(m, sym.b, rcond=None)
-    residual = float(np.linalg.norm(m @ xi - sym.b))
-    if residual > sym.tol * (1 + np.linalg.norm(sym.b)):
+    b, scale = unit_scaled(sym.b)
+    xi, *_ = np.linalg.lstsq(m, b, rcond=None)
+    residual = float(np.linalg.norm(m @ xi - b)) / scale
+    if residual > sym.tol * (1 + float(np.linalg.norm(b)) / scale):
         raise NoFixedPointError(f"(I - A) x = b is inconsistent (residual {residual:.3e})")
-    return xi
+    if float(np.abs(xi.view(float)).max(initial=0.0)) / scale > np.finfo(float).max:
+        raise NumericalFailureError("the fixed point has an entry past the float range")
+    return (xi.view(float) / scale).view(complex)

@@ -2,16 +2,22 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockdyn
 import fockdyn.suite
 from fockdyn.cli import main, render_report
 from fockdyn.fockmat.enumeration import approx_numbers
-from fockdyn.io import dump_approx
+from fockdyn.io import Rows, dump_approx
 from fockdyn.suite import CriterionResult
 from fockdyn.symbol import AffineSymbol
 
@@ -143,6 +149,35 @@ def test_demo_kronecker_report(tmp_path):
     assert code == 0
     assert doc["best_n"] in (4, 12)  # odd multiples of pi land on -1
     assert doc["best_error"] < 1e-12
+
+
+@pytest.mark.parametrize("n_max", ['"abc"', "1e400", "1.5", "true", "0", "-2", '[3]'])
+def test_demo_kronecker_refuses_bad_n_max(tmp_path, capsys, n_max):
+    path = tmp_path / "kron.json"
+    path.write_text('{"thetas": [0.5, 1.5], "target": [1, -1], "n_max": %s}' % n_max)
+    assert main(["demo-kronecker", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("fockdyn: invalid input: n_max must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("thetas", ['["1.5"]', "[true]", "[Infinity]", "[]", "0.5"])
+def test_demo_kronecker_refuses_bad_angles(tmp_path, capsys, thetas):
+    path = tmp_path / "kron.json"
+    path.write_text('{"thetas": %s, "target": [1], "n_max": 5}' % thetas)
+    assert main(["demo-kronecker", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("fockdyn: invalid input: ") and err.count("\n") == 1
+
+
+def test_demo_kronecker_budget_exits_three_at_once(tmp_path, capsys):
+    doc = {"thetas": [0.5, 1.5], "target": [1, -1], "n_max": 10**12}
+    path = write_json(tmp_path / "kron.json", doc)
+    start = time.perf_counter()
+    assert main(["demo-kronecker", path]) == 3
+    assert main(["demo-kronecker", path, "--n-max", str(10**8)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("fockdyn: budget exceeded: ") == 2 and err.count("\n") == 2
 
 
 def test_usage_errors_exit_one(capsys):
@@ -286,6 +321,27 @@ def test_approx_float_range_exits_three(tmp_path, capsys, fmt):
         assert out == ""
         assert err.startswith("fockdyn: budget exceeded: closed-form sum exp(")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("b0", [1e160, 1.5e308])
+def test_huge_translation_ends_in_one_line(tmp_path, capsys, b0):
+    # |b|^2 is past the float range: norms and pairings of b are taken on b
+    # scaled by a power of two, with no overflow warning
+    doc = {"dimension": 2, "A": [[0.5, 0], [0, 0.4]], "b": [b0, 0]}
+    path = write_json(tmp_path / "far.json", doc)
+    codes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, *flags in (["analyze"], ["spectrum", "--degree", "4"], ["approx"]):
+            code = codes[command] = main([command, path, *flags])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3), (command, err)
+            if code == 0:
+                assert err == "" and json.loads(out)
+            else:
+                assert out == "" and err.startswith("fockdyn: ") and err.count("\n") == 1
+    # the fixed point 2 b0 is a float at 1e160 and past the range at 1.5e308
+    assert codes == {"analyze": 0 if b0 == 1e160 else 2, "spectrum": 0, "approx": 3}
 
 
 def unimodular_exact_symbol(denominators):
@@ -548,6 +604,84 @@ def test_text_writer_matches_reference_lines():
         assert render_report(payload, ns) == expected
 
 
+def expanded(value):
+    """value with every Rows replaced by the list of its records."""
+    if type(value) is Rows:
+        return [expanded(r) for r in value]
+    if type(value) is dict:
+        return {k: expanded(v) for k, v in value.items()}
+    if type(value) in (list, tuple):
+        return [expanded(v) for v in value]
+    return value
+
+
+ROW_FLOATS = [-0.0, 0.0, 5e-324, 2.0**-1074, 1e16, 1e-7, 0.1, 1e308, -1e-300]
+
+
+def random_rows(rng, nonfinite: bool):
+    """Rows of 1 to 3 fields, 0 to 50 records, each column floats or int
+    tuples of width 1 to 6; with nonfinite, a float column may hold nan or inf."""
+    alphabet = list("az_%") + ['"', "\\", "é", "𝄞"]
+    names = {"".join(rng.choice(alphabet, size=int(rng.integers(0, 5)))) for _ in range(3)}
+    names = sorted(names)[: int(rng.integers(1, len(names) + 1))]
+    n = int(rng.integers(0, 51))
+    columns = []
+    for _ in names:
+        if rng.uniform() < 0.5:
+            pool = ROW_FLOATS + [np.nan, np.inf, -np.inf] * nonfinite
+            columns.append([
+                float(rng.choice(pool)) if rng.uniform() < 0.5 else float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+                for _ in range(n)
+            ])
+        else:
+            width = int(rng.integers(1, 7))
+            big = [0, 1, -1, 2**64, -(2**100), 10**30]
+            columns.append([
+                tuple(int(rng.choice(big)) if rng.uniform() < 0.2 else int(rng.integers(-5, 300)) for _ in range(width))
+                for _ in range(n)
+            ])
+    return Rows(names, columns)
+
+
+def test_rows_write_as_their_records():
+    # both writers print a Rows, alone or nested in lists and dicts, as they
+    # print the list of its records
+    rng = np.random.default_rng(7)
+    payloads = [{"empty": Rows(("alpha",), [()]), "one": Rows(("x",), [(0.5,)])}]
+    for i in range(120):
+        rows = [random_rows(rng, nonfinite=i % 4 == 0) for _ in range(3)]
+        payloads.append({"a": rows[0], "nested": [rows[1], {"deeper": [rows[2]]}], "z": 1.5})
+    for payload in payloads:
+        plain = expanded(payload)
+        out = render_report(payload, argparse.Namespace(format="json"))
+        assert out == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        out = render_report(payload, argparse.Namespace(format="text"))
+        assert out == "\n".join(reference_text_lines(plain, "")) + "\n"
+
+
+def test_rows_nonfinite_floats_write_as_json_constants():
+    rows = Rows(("value", "alpha"), [(1.0, np.nan, np.inf, -np.inf), ((0,), (1,), (2,), (3,))])
+    out = render_report({"terms": rows}, argparse.Namespace(format="json"))
+    assert [line.strip() for line in out.splitlines() if "value" in line] == [
+        '"value": 1.0', '"value": NaN', '"value": Infinity', '"value": -Infinity'
+    ]
+    assert json.loads(out)["terms"][3] == {"alpha": [3], "value": -np.inf}
+
+
+def test_rows_print_complex_records_as_numbers():
+    rows = Rows(("re", "im"), [(0.5, -0.0, 1e16), (0.0, 1.0, np.nan)])
+    out = render_report({"eigenvalues": rows}, argparse.Namespace(format="text"))
+    assert out == "eigenvalues:\n  - (0.5+0j)\n  - (-0+1j)\n  - (1e+16+nanj)\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_rows_refuse_numpy_scalars(fmt):
+    ns = argparse.Namespace(format=fmt, command="approx")
+    for column in ([np.float64(0.5)], [(np.int64(3),)], [(1, True)], [0.5, 1], [[1, 2]]):
+        with pytest.raises(TypeError):
+            render_report({"terms": Rows(("value",), [column])}, ns)
+
+
 def test_text_report_peaks_no_higher_than_json():
     # the text writer holds one string per container, not one per line: a
     # 20,000-term d=3 approx report peaks below its JSON rendering
@@ -596,3 +730,25 @@ def test_main_is_reentrant(tmp_path, capsys):
     code, doc = run_json(tmp_path, ["spectrum", path, "--degree", "1"])
     assert code == 0 and doc["basis_size"] == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_module_entry_point_writes_the_same_report(tmp_path, capsys, fmt):
+    # under python -m the command module runs as __main__, a second copy of
+    # fockdyn.cli; the writers must still recognise fockdyn.io's Rows
+    doc = {"dimension": 3, "A": np.diag([0.9, 0.8, 0.7]).tolist(), "b": [0.1, 0.0, 0.2]}
+    path = write_json(tmp_path / "d3.json", doc)
+    args = ["approx", path, "--top", "2000", "--format", fmt]
+    src = str(Path(fockdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockdyn.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out
+    if fmt == "json":
+        assert proc.stdout == json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
+    else:
+        assert proc.stdout.count("\n  -\n") == 2000

@@ -4,11 +4,14 @@
 random symbols (d <= 4, unbounded linear parts up to norm 1.3, |b| up to 50)
 and sparse random polynomials (degree up to 60, coefficients from 1e-12 to
 1e12); `analyze`, `spectrum`, `approx` and `orbit-rank` run on the same
-symbols at small degrees, half of them with `--format text`.  A failure must
-be one line on stderr; a success writes nothing there.
+symbols at small degrees, half of them with `--format text`.  `analyze`
+also runs on symbols with exact eigenvalue data (d <= 6, rational moduli,
+arguments pi p / q, denominators up to 62 bits, repeated eigenvalues).  A
+failure must be one line on stderr; a success writes nothing there.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from fockdyn.cli import main
 
 CASES = 100
+EXACT_CASES = 40
 
 
 def complex_doc(z) -> dict:
@@ -104,3 +108,60 @@ def test_polynomial_commands_end_in_a_known_exit(tmp_path, capsys):
     # also refuses somewhere
     assert len(codes) == 7 and codes.pop("analyze") == {0}, codes
     assert all(seen >= {0, 2} for seen in codes.values()), codes
+
+
+def random_fraction(rng, low: int, high_factor: int) -> Fraction:
+    """p / q with q drawn below 2^bits, bits uniform in 1..62, and p in
+    [low, high_factor q]."""
+    q = int(rng.integers(1, 2 ** int(rng.integers(1, 63))))
+    return Fraction(int(rng.integers(low, high_factor * q + 1)), q)
+
+
+def exact_symbol(rng) -> dict:
+    """A symbol whose eigenvalues r exp(i pi t) carry exact polar data:
+    r in (0, 1] and t in [0, 2] rational, about 30% of them a repeat of an
+    earlier one.  A is diagonal, or conjugated by a random unitary."""
+    d = int(rng.integers(1, 7))
+    polar = []
+    for j in range(d):
+        if j and rng.uniform() < 0.3:
+            polar.append(polar[int(rng.integers(0, j))])
+        else:
+            polar.append((random_fraction(rng, 1, 1), random_fraction(rng, 0, 2)))
+    a = np.diag([float(r) * np.exp(1j * np.pi * float(t)) for r, t in polar])
+    if rng.uniform() < 0.5:
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        a = q @ a @ q.conj().T
+    b = (rng.normal(size=d) + 1j * rng.normal(size=d)) * (rng.uniform() < 0.5)
+    return {
+        "dimension": d,
+        "A": [[complex_doc(z) for z in row] for row in a],
+        "b": [complex_doc(z) for z in b],
+        "exact": {
+            "eigenvalues": [
+                {
+                    "modulus": {"num": r.numerator, "den": r.denominator},
+                    "arg": {"pi_rational": {"num": t.numerator, "den": t.denominator}},
+                }
+                for r, t in polar
+            ]
+        },
+    }
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_symbols_end_in_a_known_exit(tmp_path, capsys):
+    # a generator of its own, so the cases above stay as they are
+    rng = np.random.default_rng(2026)
+    for i in range(EXACT_CASES):
+        path = tmp_path / f"exact{i}.json"
+        path.write_text(json.dumps({"symbol": exact_symbol(rng)}))
+        args = ["analyze", str(path), "--height", str(int(rng.integers(1, 13)))]
+        args += ["--format", "text"] * (rng.uniform() < 0.5) + ["--output", str(tmp_path / "out")]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (args, code, err)
+        if code == 0:
+            assert err == "", (args, err)
+        else:
+            assert err.startswith("fockdyn: ") and err.count("\n") == 1, (args, err)

@@ -7,6 +7,7 @@ import pytest
 
 from fockdyn.errors import InvalidInputError
 from fockdyn.io import (
+    Rows,
     dump_approx,
     dump_function,
     dump_verdict,
@@ -146,3 +147,18 @@ def test_approx_document_shape():
     assert set(doc) == {"prefactor", "terms", "closed_form_sum", "oracle"}
     assert [tuple(t["alpha"]) for t in doc["terms"]] == [(0,), (1,), (2,), (3,)]
     assert doc["oracle"]["max_rel_delta"] < 1e-8
+
+
+def test_rows_hold_columns_of_one_kind():
+    rows = Rows(("alpha", "value"), ([(0, 1), (2, 3)], [0.5, 0.25]))
+    assert len(rows) == 2 and rows.widths == (2, None)
+    assert list(rows) == [{"alpha": (0, 1), "value": 0.5}, {"alpha": (2, 3), "value": 0.25}]
+    assert len(Rows(("x",), [[]])) == 0
+    for fields, columns in [((), ()), (("x", "x"), ([], [])), (("x",), ([], [])), ((1,), ([],))]:
+        with pytest.raises(ValueError):
+            Rows(fields, columns)
+    with pytest.raises(ValueError):
+        Rows(("x", "y"), ([0.5], [0.5, 0.25]))
+    for column in ([(0, 1), (2,)], [(0.5,)], [0.5, None], [np.float64(0.5)], [False]):
+        with pytest.raises(TypeError):
+            Rows(("x",), [column])
