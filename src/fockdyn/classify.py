@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 import numpy as np
 import scipy.optimize
 
-from .errors import InvalidInputError
-from .fockmat.basis import multi_indices
+from .errors import BudgetError, InvalidInputError
+from .fockmat.basis import BASIS_SIZE_BUDGET, multi_indices
 from .fockmat.projections import expand_in_L_basis
 from .polymap import compose_affine, poly_degree, poly_eval, validate_coeffs
 from .relations import (
@@ -308,6 +309,12 @@ def cyclic_vector_test(
     degree can only ever refute or partially support cyclicity of f; the
     report records the degree actually checked.
     """
+    d = sym.dimension
+    size = math.comb(max(degree, 0) + d, d)
+    if size > BASIS_SIZE_BUDGET:
+        raise BudgetError(
+            f"degree {degree} checks {size} coefficients, over the basis budget {BASIS_SIZE_BUDGET}"
+        )
     rep = check_boundedness(sym)
     if not rep.compact:
         raise InvalidInputError("cyclic vector testing covers compact operators only")
@@ -319,7 +326,6 @@ def cyclic_vector_test(
         )
     if degree < 0:
         raise InvalidInputError(f"degree must be nonnegative, got {degree}")
-    d = sym.dimension
     validate_coeffs(f_coeffs, d)
     if poly_degree(f_coeffs) > degree:
         raise InvalidInputError(

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, suite
-from .classify import classify_cyclicity, cyclic_vector_test
+from .classify import DEFAULT_SEARCH_HEIGHT, classify_cyclicity, cyclic_vector_test
 from .errors import BudgetError, InvalidInputError, NoFixedPointError, NumericalFailureError
 from .fockmat.basis import multi_indices
 from .fockmat.enumeration import approx_numbers
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--height",
         type=int,
-        default=12,
+        default=DEFAULT_SEARCH_HEIGHT,
         help="lattice search height for numeric relation detection",
     )
 
@@ -458,43 +458,29 @@ def _json_text(value, depth: int) -> str:
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def _row_args(rows: Rows) -> tuple:
-    """The leaves of rows, record by record, each record's in field order
-    and a tuple's slot by slot: the arguments of a template that repeats one
-    record's pattern."""
-    flat = []
-    for column, width in zip(rows.columns, rows.widths):
-        if width is None:
-            flat.append(column)
-        else:
-            flat.extend(zip(*column))  # one column per tuple slot
-    return tuple(chain.from_iterable(zip(*flat)))
-
-
 def _json_rows(rows: Rows, depth: int) -> str:
     """_json_text of the list of rows' records, from one % template: '%d'
     per int and '%r' per float in each record's layout, repeated len(rows)
-    times.  JSON spells a non-finite float NaN or Infinity where %r gives
-    nan or inf, so rows with one (or with floats that sum past the float
-    range) take the per-item path.  The 4,000-term d=3 approx report takes
-    6-10 ms from dump_approx to text, its float reprs about 3 ms of that
-    (one core of a 2-vCPU Xeon)."""
+    times, whose arguments are the leaf columns interleaved.  JSON spells a
+    non-finite float NaN or Infinity where %r gives nan or inf, so rows with
+    one (or with floats that sum past the float range) take the per-item
+    path.  A 4,000-term d=3 approx report takes 7-10 ms from dump_approx
+    to JSON text, its float reprs 3-5 ms of that (one core of a 2-vCPU
+    Xeon)."""
     if not len(rows):
         return "[]"
-    if not all(math.isfinite(sum(c)) for c, w in zip(rows.columns, rows.widths) if w is None):
+    if not all(math.isfinite(sum(c)) for c in rows.columns if type(c[0]) is float):
         return _json_text(list(rows), depth)
     sep, _, _, open_list, close_list = _JSON_LAYOUT[depth]
     record_sep, open_record, close_record, _, _ = _JSON_LAYOUT[depth + 1]
     slot_sep, _, _, open_slots, close_slots = _JSON_LAYOUT[depth + 2]
     items = []
     for name, width in zip(rows.fields, rows.widths):
-        if width is None:
-            leaf = "%r"
-        else:
-            leaf = open_slots + slot_sep.join(["%d"] * width) + close_slots if width else "[]"
+        leaf = "%r" if width is None else open_slots + slot_sep.join(["%d"] * width) + close_slots
         items.append(encode_basestring_ascii(name).replace("%", "%%") + ": " + leaf)
     record = open_record + record_sep.join(items) + close_record
-    return open_list + sep.join([record] * len(rows)) % _row_args(rows) + close_list
+    args = tuple(chain.from_iterable(zip(*rows.columns)))
+    return open_list + sep.join([record] * len(rows)) % args + close_list
 
 
 _TEXT_LEAVES = _JSON_LEAVES | {str: str, int: int.__repr__, float: float.__repr__}
@@ -545,7 +531,7 @@ def _text_rows(rows: Rows, pad: str) -> str:
     for name, width in zip(rows.fields, rows.widths):
         head = pad + "  " + name.replace("%", "%%") + ":"
         items.append(head + " %r" if width is None else head + ("\n" + pad + "    - %d") * width)
-    return "\n".join(["\n".join(items)] * n) % _row_args(rows)
+    return "\n".join(["\n".join(items)] * n) % tuple(chain.from_iterable(zip(*rows.columns)))
 
 
 def render_report(payload: dict, ns: argparse.Namespace) -> str:

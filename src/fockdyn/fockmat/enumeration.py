@@ -71,11 +71,13 @@ def _lattice_below(w, t: float, limit: int):
     return cols, total
 
 
-def enumerate_lambda_desc(lambdas, k: int) -> list:
+def enumerate_lambda_desc(lambdas, k: int) -> tuple:
     """The k largest values of prod(lambda_j^{alpha_j}) over alpha in N^d.
 
-    Returns (alpha, value) pairs in nonincreasing value order, ties broken
-    by graded lexicographic order on alpha.  Requires 0 < lambda_j < 1.
+    Returns (alphas, values) as columns: alphas holds one tuple of plain
+    ints per axis, alphas[j][i] the j-th exponent of the i-th term, and
+    values the list of floats, in nonincreasing value order with ties
+    broken by graded lexicographic order on alpha.  Requires 0 < lambda_j < 1.
 
     With w = -log lambda, a threshold t grows by 2^(1/d) until k lattice
     points have alpha . w <= t; all points under t + 16 d eps (1 + t), twice
@@ -100,9 +102,11 @@ def enumerate_lambda_desc(lambdas, k: int) -> list:
         grid = None if t > 700.0 else _lattice_below(w, t + margin * (1.0 + t), 4 * k + 4096)
         if grid is None:
             # alpha_j = k has k predecessors that pop first, so no top-k index reaches k
-            return _best_first(
+            pairs = _best_first(
                 lambda alpha: math.prod(x**a for x, a in zip(lam, alpha)), (k,) * len(lam), k
             )
+            alphas, values = zip(*pairs)
+            return tuple(zip(*alphas)), list(values)
         cols, total = grid
         if np.count_nonzero(total <= t) >= k:
             break
@@ -112,8 +116,7 @@ def enumerate_lambda_desc(lambdas, k: int) -> list:
         values = values * np.array([x**a for a in range(int(c.max()) + 1)])[c]
     # the rows come in lexicographic order on alpha, and lexsort is stable
     order = np.lexsort([sum(cols), -values])[:k]
-    alphas = zip(*[c[order].tolist() for c in cols])
-    return list(zip(alphas, values[order].tolist()))
+    return tuple(tuple(c[order].tolist()) for c in cols), values[order].tolist()
 
 
 def reduced_oracle_singular_values(
@@ -169,9 +172,13 @@ def reduced_oracle_singular_values(
 
 @dataclasses.dataclass(frozen=True)
 class ApproxReport:
+    """The closed-form approximation numbers as columns: term i is
+    values[i] = prefactor lambda^alpha with alpha_j = alphas[j][i]; the axes
+    of zero singular values share one column of zeros."""
+
     prefactor: float
-    indices: tuple  # full-dimension multi-indices, zeros in collapsed slots
-    values: tuple  # nonincreasing approximation numbers
+    alphas: tuple  # one tuple of exponents per axis
+    values: list  # nonincreasing approximation numbers
     closed_form_sum: float
     oracle_values: tuple | None = None
     oracle_degree: int | None = None
@@ -191,7 +198,8 @@ LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def singular_data(sym: AffineSymbol):
-    """(lambda, B, v, prefactor) of the closed-form approximation numbers."""
+    """(lambda, w, prefactor) of the closed-form approximation numbers,
+    with w = (I-B)^{-1} v."""
     a, b = sym.a, sym.b
     d = sym.dimension
     aa = a @ a.conj().T
@@ -211,7 +219,7 @@ def singular_data(sym: AffineSymbol):
     if not log_sum <= LOG_FLOAT_MAX:
         raise BudgetError(f"closed-form sum exp({log_sum:.6g}) exceeds float range")
     prefactor = float(np.exp(exponent))
-    return lam, bmat, v / scale, prefactor
+    return lam, w / scale, prefactor
 
 
 def approx_numbers(
@@ -233,25 +241,25 @@ def approx_numbers(
     rep = check_boundedness(sym)
     if not rep.compact:
         raise InvalidInputError("approximation numbers require a compact operator")
-    lam, _, _, prefactor = singular_data(sym)
+    lam, w, prefactor = singular_data(sym)
     if lam[0] <= ZERO_SINGULAR_TOL:
         raise InvalidInputError("linear part is zero; enumeration is degenerate")
     keep = [j for j in range(lam.size) if lam[j] > ZERO_SINGULAR_TOL]
-    pairs = enumerate_lambda_desc([lam[j] for j in keep], k)
-    # one column per axis, zeros on the axes of zero singular values
-    columns = [(0,) * len(pairs)] * sym.dimension
-    for j, column in zip(keep, zip(*[alpha for alpha, _ in pairs])):
-        columns[j] = column
-    indices = tuple(zip(*columns))
-    values = tuple(prefactor * v for _, v in pairs)
+    kept, values = enumerate_lambda_desc([lam[j] for j in keep], k)
+    alphas = [(0,) * len(values)] * sym.dimension
+    for j, column in zip(keep, kept):
+        alphas[j] = column
+    values = [prefactor * v for v in values]
     total = prefactor * float(np.prod(1.0 / (1.0 - lam)))
     oracle_vals = used_degree = None
     if oracle == "grid":
-        used_degree = (
-            oracle_degree
-            if oracle_degree is not None
-            else auto_oracle_degree(sym, indices)
-        )
+        # the leading singular functions concentrate near a Gaussian centered
+        # at w; their monomial tails beyond the top index's degree carry
+        # Poisson-tail mass with rate |w|^2 / 2, which _oracle_pad covers
+        used_degree = oracle_degree
+        if used_degree is None:
+            top_deg = int(np.sum(alphas, axis=0).max())
+            used_degree = top_deg + _oracle_pad(float(np.vdot(w, w).real) / 2.0)
         oracle_vals = tuple(map(float, top_singular_values(sym, used_degree, len(values))))
     elif oracle == "reduced":
         sv, used_degree = reduced_oracle_singular_values(
@@ -261,23 +269,8 @@ def approx_numbers(
     elif oracle is not None:
         raise InvalidInputError(f"unknown oracle method {oracle!r}")
     return ApproxReport(
-        prefactor, indices, values, total, oracle_vals, used_degree
+        prefactor, tuple(alphas), values, total, oracle_vals, used_degree
     )
-
-
-def auto_oracle_degree(sym: AffineSymbol, indices) -> int:
-    """Truncation degree at which the top singular values have converged.
-
-    The leading singular functions concentrate near a Gaussian centered at
-    w = (I-B)^{-1} v; their monomial tails beyond degree n carry Poisson-tail
-    mass with rate |w|^2/2, so padding by that rate plus a safety band brings
-    the truncation error under the cross-check tolerance.
-    """
-    lam, bmat, v, _ = singular_data(sym)
-    d = sym.dimension
-    w = np.linalg.solve(np.eye(d) - bmat, v)
-    top_deg = max((sum(a) for a in indices), default=0)
-    return top_deg + _oracle_pad(float(np.vdot(w, w).real) / 2.0)
 
 
 def _oracle_pad(rate: float) -> int:

@@ -180,9 +180,10 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     m = math.comb(n + sym.dimension, sym.dimension)
     if m <= DENSE_SVD_CUTOFF or k >= m - 1:
         return truncated_singular_values(assemble_truncated(sym, n), k)
+    op = grid_operator(sym, n)  # refuses a basis over budget before v0 is allocated
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
     s = scipy.sparse.linalg.svds(
-        grid_operator(sym, n),
+        op,
         k=k,
         v0=v0,
         return_singular_vectors=False,

@@ -29,37 +29,39 @@ def project_homogeneous(f_coeffs, xi, n: int, mode: str = "recentering"):
     """Coefficients of the degree-n homogeneous part of f around xi."""
     if n < 0:
         raise InvalidInputError(f"homogeneous degree must be nonnegative, got {n}")
+    if mode not in ("recentering", "quadrature"):
+        raise InvalidInputError(f"unknown projection mode {mode!r}")
     xi = np.asarray(xi, dtype=complex)
     d = xi.shape[0]
     deg = poly_degree(f_coeffs)
     if deg > PROJECTION_DEGREE_CAP:
         raise BudgetError(f"polynomial degree {deg} exceeds projection cap {PROJECTION_DEGREE_CAP}")
+    validate_coeffs(f_coeffs, d)
+    if n > deg:
+        return {}  # every term of f has degree below n around any center
     eye = np.eye(d)
     if mode == "recentering":
         shifted = compose_affine(f_coeffs, eye, xi)  # f(w + xi), w = z - xi
         kept = {a: c for a, c in shifted.items() if sum(a) == n}
         return poly_clean(compose_affine(kept, eye, -xi))
-    if mode == "quadrature":
-        validate_coeffs(f_coeffs, d)
-        # the node average cancels the node terms' coefficients; beyond
-        # 1e8 x the input's size that cancellation has no digits left
-        limit = 1e8 * max([1.0, *(abs(c) for c in f_coeffs.values())])
-        nodes = max(deg, 0) + n + 1
-        theta = 2 * np.pi * np.arange(nodes) / nodes
-        rot, weight = np.exp(1j * theta), np.exp(-1j * n * theta) / nodes
-        acc = {}
-        for js, keys, vals in compose_batches(f_coeffs, lambda s: _node_stages(xi, rot[s]), nodes):
-            largest = np.abs(vals).max(axis=0, initial=0.0)
-            if (largest > limit).any():
-                j = int(np.argmax(largest > limit))
-                raise NumericalFailureError(
-                    f"quadrature node {js.start + j} of {nodes} has a coefficient "
-                    f"{largest[j]:.3e}, over 1e8 times the input's largest; "
-                    "recentering mode avoids the cancellation"
-                )
-            acc = poly_add(acc, dict(zip(keys, (vals @ weight[js]).tolist())))
-        return poly_clean(acc, tol=0.0)
-    raise InvalidInputError(f"unknown projection mode {mode!r}")
+    # the node average cancels the node terms' coefficients; beyond
+    # 1e8 x the input's size that cancellation has no digits left
+    limit = 1e8 * max([1.0, *(abs(c) for c in f_coeffs.values())])
+    nodes = deg + n + 1
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    rot, weight = np.exp(1j * theta), np.exp(-1j * n * theta) / nodes
+    acc = {}
+    for js, keys, vals in compose_batches(f_coeffs, lambda s: _node_stages(xi, rot[s]), nodes):
+        largest = np.abs(vals).max(axis=0, initial=0.0)
+        if (largest > limit).any():
+            j = int(np.argmax(largest > limit))
+            raise NumericalFailureError(
+                f"quadrature node {js.start + j} of {nodes} has a coefficient "
+                f"{largest[j]:.3e}, over 1e8 times the input's largest; "
+                "recentering mode avoids the cancellation"
+            )
+        acc = poly_add(acc, dict(zip(keys, (vals @ weight[js]).tolist())))
+    return poly_clean(acc, tol=0.0)
 
 
 def _check_basis(rows: np.ndarray) -> None:

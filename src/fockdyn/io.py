@@ -6,7 +6,7 @@ batch callers can map them to a uniform exit status.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
@@ -37,18 +37,20 @@ def load_complex(x, what: str) -> complex:
 
 
 class Rows:
-    """Records that share their fields, held as columns in field order:
-    record i is {fields[j]: columns[j][i]}.  A column holds plain floats, or
-    tuples of plain ints that all have one width (widths[j]; None for a
-    float column).  Anything else, a numpy scalar included, raises
-    TypeError: the report writers of fockdyn.cli print a Rows as the list of
-    its records from one format template, in which '%r' of a numpy float
-    would print its repr.  Iterating gives the records as dicts."""
+    """Records that share their fields, held as columns.  A float field is
+    one column of plain floats; a tuple field is given as its slot columns
+    of plain ints, record i holding (slot_0[i], slot_1[i], ...).  fields
+    are kept sorted, widths holds their slot counts (None for a float
+    field), and columns the leaf columns flat in that order, all of one
+    length.  Anything else, a numpy scalar included, raises TypeError: the
+    report writers of fockdyn.cli print a Rows as the list of its records
+    from one format template, in which '%r' of a numpy float would print
+    its repr.  Iterating gives the records as dicts."""
 
-    __slots__ = ("fields", "columns", "widths")
+    __slots__ = ("fields", "widths", "columns")
 
     def __init__(self, fields, columns):
-        fields, columns = tuple(fields), tuple(map(tuple, columns))
+        fields, columns = tuple(fields), tuple(columns)
         if (
             not fields
             or len(fields) != len(columns)
@@ -56,32 +58,34 @@ class Rows:
             or set(map(type, fields)) != {str}
         ):
             raise ValueError("Rows need distinct str fields, one column each")
-        if len(set(map(len, columns))) != 1:
-            raise ValueError("Rows columns differ in length")
-        self.fields, self.columns = zip(*sorted(zip(fields, columns)))
-        widths = []
-        for name, column in zip(self.fields, self.columns):
+        self.fields, columns = zip(*sorted(zip(fields, columns)))
+        widths, self.columns = [], []
+        for name, column in zip(self.fields, columns):
             kinds = set(map(type, column))
             if kinds <= {float}:
                 widths.append(None)
-            elif (
-                kinds == {tuple}
-                and len(set(map(len, column))) == 1
-                and set(map(type, chain.from_iterable(column))) <= {int}
-            ):
-                widths.append(len(column[0]))
+                self.columns.append(column)
+            elif kinds <= {tuple, list} and all(set(map(type, slot)) <= {int} for slot in column):
+                widths.append(len(column))
+                self.columns.extend(column)
             else:
                 raise TypeError(
-                    f"column {name!r} holds {sorted(k.__name__ for k in kinds)}, "
-                    "not plain floats or equal-width tuples of plain ints"
+                    f"column {name!r} is neither plain floats nor slot columns of plain ints"
                 )
+        if len(set(map(len, self.columns))) != 1:
+            raise ValueError("Rows columns differ in length")
         self.widths = tuple(widths)
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __iter__(self):
-        return (dict(zip(self.fields, row)) for row in zip(*self.columns))
+        for leaves in zip(*self.columns):
+            leaves = iter(leaves)
+            yield {
+                name: next(leaves) if width is None else tuple(islice(leaves, width))
+                for name, width in zip(self.fields, self.widths)
+            }
 
 
 def dump_complex(z) -> dict:
@@ -251,7 +255,7 @@ def dump_boundedness(rep: BoundednessReport) -> dict:
 def dump_approx(rep: ApproxReport) -> dict:
     out = {
         "prefactor": rep.prefactor,
-        "terms": Rows(("alpha", "value"), (rep.indices, rep.values)),
+        "terms": Rows(("alpha", "value"), (rep.alphas, rep.values)),
         "closed_form_sum": rep.closed_form_sum,
     }
     if rep.oracle_values is not None:

@@ -216,8 +216,6 @@ def integer_kernel(rows: list, n: int) -> list:
 class ValuationLattice:
     """Constraint matrix for |lambda^alpha| = 1 and its integer kernel."""
 
-    primes: tuple
-    log_tags: tuple
     matrix: tuple  # rows: prime valuations first, then log-tag indicators
     kernel_basis: tuple
 
@@ -240,19 +238,18 @@ def modulus_kernel(spec: ExactPolarSpec) -> ValuationLattice:
             vals.append(v)
         else:
             vals.append(None)
-    prime_list = tuple(sorted(primes))
-    tags = tuple(sorted({e.modulus_log_tag for e in spec.eigenvalues if e.modulus_log_tag}))
+    tags = {e.modulus_log_tag for e in spec.eigenvalues if e.modulus_log_tag}
     rows = []
-    for p in prime_list:
+    for p in sorted(primes):
         rows.append(tuple(0 if v is None else v.get(p, 0) for v in vals))
-    for t in tags:
+    for t in sorted(tags):
         rows.append(tuple(1 if e.modulus_log_tag == t else 0 for e in spec.eigenvalues))
     kernel = integer_kernel([list(r) for r in rows], d)
     # exact self-check: every basis vector leaves the rational moduli balanced
     for vec in kernel:
         if any(_row_sums(rows, vec)):
             raise NumericalFailureError("modulus kernel verification failed")
-    return ValuationLattice(prime_list, tags, tuple(rows), tuple(kernel))
+    return ValuationLattice(tuple(rows), tuple(kernel))
 
 
 def _row_sums(rows, alpha) -> list:

@@ -138,9 +138,8 @@ def _criterion_approx_sum(seed: int):
         a = q1 @ np.diag(lam_target).astype(complex) @ q2.conj().T
         b = _random_ball(rng, d, rng.uniform(0.0, 1.5))
         sym = AffineSymbol(a, b)
-        lam, _, _, prefactor = singular_data(sym)
-        pairs = enumerate_lambda_desc(list(lam), k)
-        partial = prefactor * math.fsum(v for _, v in pairs)
+        lam, _, prefactor = singular_data(sym)
+        partial = prefactor * math.fsum(enumerate_lambda_desc(list(lam), k)[1])
         total = prefactor * float(np.prod(1.0 / (1.0 - lam)))
         gap = (total - partial) / total
         m = math.ceil(math.log(k) / -math.log(float(lam[0])))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 import fockdyn
 import fockdyn.suite
 from fockdyn.cli import main, render_report
-from fockdyn.fockmat.enumeration import approx_numbers
+from fockdyn.fockmat.enumeration import ZERO_SINGULAR_TOL, _best_first, approx_numbers, singular_data
 from fockdyn.io import Rows, dump_approx
 from fockdyn.suite import CriterionResult
 from fockdyn.symbol import AffineSymbol
@@ -431,6 +432,71 @@ def test_sparse_degree_200_quadrature_refuses(tmp_path, capsys):
     assert err.startswith("fockdyn: unsupported input: ") and err.count("\n") == 1
 
 
+def test_project_above_the_function_degree_is_zero_in_both_modes(tmp_path, capsys):
+    # f = z1 + 0.5 z2^2 has no part of degree 10^9 around any center; the
+    # quadrature would take deg f + n + 1 nodes and ask for 7.45 GiB
+    doc = {"dimension": 2, "A": [[0.5, 0], [0, 0.4]], "b": [0.1, 0.2]}
+    doc["function"] = {
+        "coefficients": [{"alpha": [1, 0], "value": 1.0}, {"alpha": [0, 2], "value": 0.5}]
+    }
+    path = write_json(tmp_path / "fn.json", doc)
+    reports = {}
+    for mode in ("recentering", "quadrature"):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, reports[mode] = run_json(
+                tmp_path, ["project", path, "--degree", "1000000000", "--mode", mode]
+            )
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak < 20 * 2**20 and elapsed < 10.0
+        assert reports[mode]["coefficients"] == []
+        del reports[mode]["mode"], reports[mode]["provenance"]["mode"]
+    assert reports["recentering"] == reports["quadrature"]
+
+
+def test_grid_oracle_over_the_basis_budget_exits_three_at_once(tmp_path, capsys):
+    # degree 10^5 in two variables is a 5e9-row basis: refused before the
+    # Lanczos start vector (74.5 GiB) is allocated, as the reduced oracle is
+    doc = {"dimension": 2, "A": [[0.5, 0], [0, 0.4]], "b": [0.1, 0.2]}
+    path = write_json(tmp_path / "sym.json", doc)
+    for method in ("grid", "reduced"):
+        tracemalloc.start()
+        try:
+            code = main([
+                "approx", path, "--top", "3", "--oracle", "--oracle-method", method,
+                "--oracle-degree", "100000",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 20 * 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("fockdyn: budget exceeded: ") and err.count("\n") == 1
+
+
+def test_cyclic_vector_over_the_basis_budget_exits_three_at_once(tmp_path, capsys):
+    # degree 315 checks C(317, 2) = 50,086 coefficients, over the 50,000 of
+    # BASIS_SIZE_BUDGET (degree 314 checks 49,770); degree 10^5 once ended
+    # in a MemoryError
+    doc = dict(SYMBOL_CYCLIC, function={"coefficients": [{"alpha": [0, 0], "value": 1.0}]})
+    path = write_json(tmp_path / "fn.json", doc)
+    for degree in ("315", "100000"):
+        tracemalloc.start()
+        try:
+            code = main(["cyclic-vector", path, "--degree", degree])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 20 * 2**20
+        err = capsys.readouterr().err
+        assert "basis budget" in err and err.count("\n") == 1
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # near-defective: the Jordan profile of A cannot be read off reliably
     doc = {"dimension": 3, "A": [[0.5, 1e-9, 0], [0, 0.5, 1e-9], [0, 0, 0.5]], "b": [0, 0, 0]}
@@ -619,8 +685,9 @@ ROW_FLOATS = [-0.0, 0.0, 5e-324, 2.0**-1074, 1e16, 1e-7, 0.1, 1e308, -1e-300]
 
 
 def random_rows(rng, nonfinite: bool):
-    """Rows of 1 to 3 fields, 0 to 50 records, each column floats or int
-    tuples of width 1 to 6; with nonfinite, a float column may hold nan or inf."""
+    """Rows of 1 to 3 fields, 0 to 50 records, each field floats or int
+    tuples of width 1 to 6 (given as 1 to 6 slot columns); with nonfinite, a
+    float column may hold nan or inf."""
     alphabet = list("az_%") + ['"', "\\", "é", "𝄞"]
     names = {"".join(rng.choice(alphabet, size=int(rng.integers(0, 5)))) for _ in range(3)}
     names = sorted(names)[: int(rng.integers(1, len(names) + 1))]
@@ -637,9 +704,9 @@ def random_rows(rng, nonfinite: bool):
             width = int(rng.integers(1, 7))
             big = [0, 1, -1, 2**64, -(2**100), 10**30]
             columns.append([
-                tuple(int(rng.choice(big)) if rng.uniform() < 0.2 else int(rng.integers(-5, 300)) for _ in range(width))
-                for _ in range(n)
-            ])
+                tuple(int(rng.choice(big)) if rng.uniform() < 0.2 else int(rng.integers(-5, 300)) for _ in range(n))
+                for _ in range(width)
+            ])  # one column per tuple slot
     return Rows(names, columns)
 
 
@@ -660,7 +727,7 @@ def test_rows_write_as_their_records():
 
 
 def test_rows_nonfinite_floats_write_as_json_constants():
-    rows = Rows(("value", "alpha"), [(1.0, np.nan, np.inf, -np.inf), ((0,), (1,), (2,), (3,))])
+    rows = Rows(("value", "alpha"), [(1.0, np.nan, np.inf, -np.inf), ((0, 1, 2, 3),)])
     out = render_report({"terms": rows}, argparse.Namespace(format="json"))
     assert [line.strip() for line in out.splitlines() if "value" in line] == [
         '"value": 1.0', '"value": NaN', '"value": Infinity', '"value": -Infinity'
@@ -677,9 +744,38 @@ def test_rows_print_complex_records_as_numbers():
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_rows_refuse_numpy_scalars(fmt):
     ns = argparse.Namespace(format=fmt, command="approx")
-    for column in ([np.float64(0.5)], [(np.int64(3),)], [(1, True)], [0.5, 1], [[1, 2]]):
+    for column in ([np.float64(0.5)], [(np.int64(3),)], [(1, True)], [0.5, 1], [[[1, 2]]]):
         with pytest.raises(TypeError):
             render_report({"terms": Rows(("value",), [column])}, ns)
+
+
+@pytest.mark.parametrize("a, b, k", [
+    ([[0.6]], [0.3], 50),
+    ([[0.5, 0.2], [0.0, 0.4]], [0.25, 0.15j], 400),
+    ([[0.5, 0.0, 0.1], [0.0, 0.0, 0.0], [0.2, 0.0, 0.3]], [0.1, 0.2, 0.0], 1000),  # rank 2
+    ((0.6 * np.eye(4) + 0.05 * np.ones((4, 4))).tolist(), [0.1, 0.0, -0.2, 0.3j], 3000),
+])
+def test_approx_report_matches_heap_records(a, b, k):
+    # the columns from the enumeration to the writers print the records of
+    # the best-first heap over the nonzero singular values, times the
+    # prefactor, with zero exponents on the axes of zero singular values
+    sym = AffineSymbol(a, b)
+    lam, _, prefactor = singular_data(sym)
+    keep = [float(x) for x in lam if x > ZERO_SINGULAR_TOL]
+    pairs = _best_first(lambda alpha: math.prod(x**a for x, a in zip(keep, alpha)), (k,) * len(keep), k)
+    zeros = [0] * (len(lam) - len(keep))
+    rep = approx_numbers(sym, k)
+    plain = {
+        "prefactor": prefactor,
+        "terms": [{"alpha": [*alpha, *zeros], "value": prefactor * v} for alpha, v in pairs],
+        "closed_form_sum": rep.closed_form_sum,
+    }
+    assert len(keep) == (2 if len(lam) == 3 else len(lam))
+    payload = dump_approx(rep)
+    out = render_report(payload, argparse.Namespace(format="json"))
+    assert out == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    out = render_report(payload, argparse.Namespace(format="text"))
+    assert out == "\n".join(reference_text_lines(plain, "")) + "\n"
 
 
 def test_text_report_peaks_no_higher_than_json():

@@ -150,8 +150,10 @@ def test_approx_document_shape():
 
 
 def test_rows_hold_columns_of_one_kind():
-    rows = Rows(("alpha", "value"), ([(0, 1), (2, 3)], [0.5, 0.25]))
-    assert len(rows) == 2 and rows.widths == (2, None)
+    # a tuple field is passed as its slot columns: alpha = (0, 1), then (2, 3)
+    rows = Rows(("value", "alpha"), ([0.5, 0.25], ((0, 2), (1, 3))))
+    assert len(rows) == 2 and rows.fields == ("alpha", "value") and rows.widths == (2, None)
+    assert rows.columns == [(0, 2), (1, 3), [0.5, 0.25]]
     assert list(rows) == [{"alpha": (0, 1), "value": 0.5}, {"alpha": (2, 3), "value": 0.25}]
     assert len(Rows(("x",), [[]])) == 0
     for fields, columns in [((), ()), (("x", "x"), ([], [])), (("x",), ([], [])), ((1,), ([],))]:
@@ -159,6 +161,23 @@ def test_rows_hold_columns_of_one_kind():
             Rows(fields, columns)
     with pytest.raises(ValueError):
         Rows(("x", "y"), ([0.5], [0.5, 0.25]))
-    for column in ([(0, 1), (2,)], [(0.5,)], [0.5, None], [np.float64(0.5)], [False]):
+    with pytest.raises(ValueError):  # slots of unequal length
+        Rows(("x",), [[(0, 1), (2,)]])
+    for column in ([(0.5,)], [0.5, None], [np.float64(0.5)], [False]):
         with pytest.raises(TypeError):
             Rows(("x",), [column])
+
+
+def test_rows_refuse_mixed_leaf_columns():
+    # every leaf column has the length of the others, plain ints in a slot
+    # and plain floats in a float field
+    with pytest.raises(ValueError):
+        Rows(("alpha", "value"), (((0, 1), (0,)), [0.5, 0.25]))
+    with pytest.raises(ValueError):
+        Rows(("alpha", "value"), (((0, 1), (0, 1)), [0.5]))
+    with pytest.raises(TypeError):
+        Rows(("alpha", "value"), (((0, 1), (0, 1.0)), [0.5, 0.25]))
+    with pytest.raises(TypeError):
+        Rows(("alpha", "value"), (((0, 1), (0, 1)), [0.5, 1]))
+    with pytest.raises(TypeError):
+        Rows(("alpha",), [((0, 1), [0.5, 0.25])])

@@ -11,7 +11,6 @@ from fockdyn.fockmat.basis import graded_basis, multi_indices
 from fockdyn.fockmat.enumeration import (
     _best_first,
     approx_numbers,
-    auto_oracle_degree,
     enumerate_lambda_desc,
     reduced_oracle_singular_values,
 )
@@ -167,20 +166,20 @@ def test_eigensolver_budget():
 
 
 def test_enumerate_lambda_desc_orders_products():
-    pairs = enumerate_lambda_desc([0.5, 0.25], 6)
-    values = [v for _, v in pairs]
+    alphas, values = enumerate_lambda_desc([0.5, 0.25], 6)
     assert values == sorted(values, reverse=True)
     assert values[0] == pytest.approx(1.0)
     # each value is the product lambda^alpha of its index
-    for alpha, v in pairs:
-        assert v == pytest.approx(0.5 ** alpha[0] * 0.25 ** alpha[1])
+    for a0, a1, v in zip(*alphas, values):
+        assert v == pytest.approx(0.5**a0 * 0.25**a1)
     # equal values come in graded lexicographic order: (1, 0) before (0, 2)
-    pairs = enumerate_lambda_desc([0.25, 0.5], 4)
-    assert [alpha for alpha, _ in pairs] == [(0, 0), (0, 1), (1, 0), (0, 2)]
+    alphas, _ = enumerate_lambda_desc([0.25, 0.5], 4)
+    assert alphas == ((0, 0, 1, 0), (0, 1, 0, 2))
 
 
 def heap_lambda_desc(lambdas, k):
-    """Reference: the best-first heap grown from alpha = 0."""
+    """Reference: the best-first heap grown from alpha = 0, its (alpha,
+    value) pairs transposed to the enumeration's (alphas, values) columns."""
 
     def value(alpha):
         v = 1.0
@@ -188,7 +187,8 @@ def heap_lambda_desc(lambdas, k):
             v *= x**a
         return v
 
-    return _best_first(value, (k,) * len(lambdas), k)
+    alphas, values = zip(*_best_first(value, (k,) * len(lambdas), k))
+    return tuple(zip(*alphas)), list(values)
 
 
 def random_lambda_cases():
@@ -214,10 +214,11 @@ def random_lambda_cases():
     ([1 - 1e-12, 0.999, 0.5], 4000),
 ])
 def test_threshold_enumeration_matches_heap(lambdas, k):
-    pairs = enumerate_lambda_desc(lambdas, k)
-    assert pairs == heap_lambda_desc([float(x) for x in lambdas], k)
-    assert all(type(a) is int for alpha, _ in pairs for a in alpha)
-    assert all(type(v) is float for _, v in pairs)
+    alphas, values = enumerate_lambda_desc(lambdas, k)
+    assert (alphas, values) == heap_lambda_desc([float(x) for x in lambdas], k)
+    assert len(alphas) == len(lambdas) and all(type(column) is tuple for column in alphas)
+    assert all(type(a) is int for column in alphas for a in column)
+    assert type(values) is list and all(type(v) is float for v in values)
 
 
 @pytest.mark.parametrize("lambdas, k", [
@@ -229,12 +230,12 @@ def test_threshold_enumeration_matches_heap(lambdas, k):
 def test_lambdas_near_one_enumerate_in_small_memory(lambdas, k):
     tracemalloc.start()
     try:
-        pairs = enumerate_lambda_desc(lambdas, k)
+        columns = enumerate_lambda_desc(lambdas, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
-    assert pairs == heap_lambda_desc(lambdas, k)
+    assert columns == heap_lambda_desc(lambdas, k)
 
 
 def test_approx_numbers_pure_dilation():
@@ -257,7 +258,7 @@ def test_approx_numbers_frozen_oracle_values():
         0.081161586628309,
     ]
     assert np.allclose(rep.values, frozen, rtol=1e-10)
-    assert rep.indices == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert rep.alphas == ((0, 1, 0, 2, 1, 0), (0, 0, 1, 0, 1, 2))
     assert rep.prefactor == pytest.approx(1.014519832853858, rel=1e-10)
 
 
@@ -274,7 +275,7 @@ def test_reduced_and_grid_oracles_agree():
     sym = AffineSymbol([[0.5, 0.2], [0.0, 0.4]], [0.25, 0.15])
     k = 8
     reduced, _ = reduced_oracle_singular_values(sym, k)
-    degree = auto_oracle_degree(sym, approx_numbers(sym, k).indices)
+    degree = approx_numbers(sym, k, oracle="grid").oracle_degree
     grid = top_singular_values(sym, degree, k)
     assert np.allclose(reduced, grid[:k], rtol=1e-8)
     # per-axis degree 1 leaves 2 values per axis, so only 4 products exist
@@ -322,5 +323,5 @@ def test_approx_numbers_rank_deficient_linear_part():
     # a zero singular value removes its axis from the index lattice
     sym = AffineSymbol([[0.5, 0.0], [0.0, 0.0]], [0.1, 0.1])
     rep = approx_numbers(sym, 4, oracle="reduced")
-    assert all(a[1] == 0 for a in rep.indices)
+    assert rep.alphas[1] == (0,) * 4
     assert rep.max_rel_delta < 1e-8
