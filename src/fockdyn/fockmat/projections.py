@@ -20,9 +20,9 @@ PROJECTION_DEGREE_CAP = 200
 
 def _node_stages(xi: np.ndarray, rot: np.ndarray) -> tuple:
     """Stages of z -> rot_j z + (1 - rot_j) xi over the batch, as affine_stages
-    orders a diagonal map: z_i + b_i by ascending i, then rot z_i descending."""
-    rows = [(i, [(i, 1)], x - rot * x) for i, x in enumerate(xi) if x != 0]
-    return tuple(range(len(xi))), rows + [(i, [(i, rot)], 0) for i in reversed(range(len(xi)))]
+    orders a diagonal map: z_i -> rot z_i + (1 - rot) xi_i by descending i."""
+    rows = [(i, [(i, rot)], xi[i] - rot * xi[i]) for i in reversed(range(len(xi)))]
+    return tuple(range(len(xi))), rows
 
 
 def project_homogeneous(f_coeffs, xi, n: int, mode: str = "recentering"):

@@ -6,17 +6,19 @@ polynomial is the empty dict.  These maps are what io reads and writes and
 what the projection, cyclic-vector and experiment code passes around.
 
 f o phi for phi(z) = Az + b is computed here once, by _compose_grid: an LU
-sweep of single-variable Horner substitutions on a dense coefficient box,
-with a trailing axis over a batch of maps.  compose_batches runs it on
-clusters of terms that share a small box, for compose_affine (one map) and
-the quadrature projection (one map per node); fockmat.operator.grid_operator
-runs it on the full (n+1)^d grid.  The only other builder of f o phi is
-fockmat.operator._degree_columns, which makes the truncated matrix, or its
-diagonal blocks, a degree at a time.
+sweep of single-variable substitutions on a dense coefficient box, with a
+trailing axis over a batch of maps; z_i -> c z_i + e is one binomial-table
+product, a form in other variables too a Horner sweep.  compose_batches runs
+it on clusters of terms that share a small box, for compose_affine (one map)
+and the quadrature projection (one map per node);
+fockmat.operator.grid_operator runs it on the full (n+1)^d grid.  The only
+other builder of f o phi is fockmat.operator._degree_columns, which makes the
+truncated matrix, or its diagonal blocks, a degree at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,8 +32,8 @@ CoeffMap = dict
 # it leaves room on an 8 GiB host for the LAPACK call that follows.
 DENSE_BYTES_BUDGET = 2 * 2**30
 
-# complex tensors alive at the peak of _compose_grid: the caller's grid, the
-# stage input, the Horner accumulator, its next value and one shifted product
+# complex tensors alive at the peak of _compose_grid: the caller's grid, the stage input, and
+# a Horner accumulator, next value and shifted product or a flat input, product and table
 _GRID_COPIES = 5
 
 # live bytes of a chunk of the batch: wider ones save no call overhead, leave the cache
@@ -48,6 +50,10 @@ def validate_coeffs(f: CoeffMap, d: int) -> None:
     dims = {len(a) for a in f}
     if dims - {d}:
         raise InvalidInputError(f"mixed exponent lengths {sorted(dims)}; expected {d}")
+    exps = [k for a in f for k in a]  # each type is checked once; 1 and 1.0 stay two entries
+    if all(issubclass(k, (int, np.integer)) for k in set(map(type, exps))):
+        if min(exps, default=0) >= 0:
+            return  # else name the first bad key
     for a in f:
         if any((not isinstance(k, (int, np.integer))) or k < 0 for k in a):
             raise InvalidInputError(f"exponents must be nonnegative integers, got {a}")
@@ -126,19 +132,19 @@ def affine_stages(a: np.ndarray, b: np.ndarray) -> tuple:
     and each triangular stage is a chain of single-variable substitutions
     (ascending rows for L, descending for U) that matches the simultaneous
     substitution because already-replaced variables never reappear in a
-    later row's affine form.  Returns the axis permutation for P and the
-    rows (axis, [(k, c_k) per nonzero c_k], const); rows z_i -> z_i are left
-    out.
+    later row's affine form; an upper-triangular A is U, with b in its rows.
+    Returns the axis permutation for P and the rows (axis, [(k, c_k) per
+    nonzero c_k], const); rows z_i -> z_i are left out.
     """
     d = a.shape[0]
     if np.tril(a, -1).any():
         p, low, up = scipy.linalg.lu(a, p_indices=True)  # A = P L U, P[r, p[r]] = 1
-    else:  # no pivoting happens: an upper-triangular A is its own U
-        p, low, up = np.arange(d), np.eye(d), a
-    # g(w) = f(Pw): exponent of w_j in g comes from the slot i with P[i,j]=1
-    perm = np.argsort(p)
-    rows = [(i, low[i], c) for i, c in enumerate(b[perm].tolist())]
-    rows += [(i, up[i], 0) for i in range(d - 1, -1, -1)]
+        # g(w) = f(Pw): exponent of w_j in g comes from the slot i with P[i,j]=1
+        perm = np.argsort(p)
+        rows = [(i, low[i], c) for i, c in enumerate(b[perm].tolist())]
+        rows += [(i, up[i], 0) for i in range(d - 1, -1, -1)]
+    else:  # an upper-triangular A is its own U, and b joins its rows
+        perm, rows = np.arange(d), [(i, a[i], b[i].item()) for i in range(d - 1, -1, -1)]
     stages = []
     for i, coeffs, const in rows:
         terms = [(k, c) for k, c in enumerate(coeffs.tolist()) if c != 0]
@@ -147,18 +153,43 @@ def affine_stages(a: np.ndarray, b: np.ndarray) -> tuple:
     return tuple(perm.tolist()), stages
 
 
+@functools.lru_cache(maxsize=16)
+def _binomials(size: int) -> tuple:
+    """C(m, j) at [j, m], rounded once from the exact integer, and m - j there (0 for j > m)."""
+    gap = np.maximum(np.arange(size) - np.arange(size)[:, None], 0)
+    return np.array([[math.comb(m, j) for m in range(size)] for j in range(size)], dtype=float), gap
+
+
 def _substitute_axis(t: np.ndarray, axis: int, terms: list, const, n: int) -> np.ndarray:
     """Replace variable `axis` by the affine form sum_k c_k z_k + const.
 
-    Horner evaluation in the replaced variable; each c_k and const is a scalar
-    or an array over t's trailing batch axis.  The box grows along each other
-    axis k of the form by the degree in z_axis, capped at the total degree n:
-    no shift pushes a nonzero coefficient off the box, so the result is exact.
+    Each c_k and const is a scalar or an array over t's trailing batch axis.
+    A form c z_axis + e (both scalars or both arrays) is one product along the
+    axis with M[j, m] = C(m, j) c^j e^(m-j) if M has at most t's entries and
+    no factor reaches 2^1000.  Other stages, extents 2 and 3 too (where one or
+    two passes cost less than a table), are Horner sweeps, a whole-box pass per
+    degree in z_axis, that grow the box along each other axis of the form by
+    that degree, capped at the total degree n: no shift pushes a nonzero
+    coefficient off the box, so the result is exact.
     """
+    size = t.shape[axis]
+    if size == 1:  # f does not hold the variable
+        return t
+    if size > 3 and [k for k, _ in terms] == [axis]:
+        ce = np.array((terms[0][1], const))
+        top = 2 ** (499 / (size - 1) - 0.5)  # C(m, j) max(1, |c|, |e|)^(2m) < 2^1000 below it
+        if ce.size * size * size <= 2 * t.size and max(1.0, np.abs(ce).max()) < top:
+            comb, gap = _binomials(size)
+            pc, pe = np.power.outer(ce, gap[0])
+            table = comb * pc[..., None] * pe.take(gap, axis=-1)
+            # batch and axis to the front, one product, and back
+            moved = t.transpose((-1, axis, *range(axis), *range(axis + 1, t.ndim - 1)))
+            out = (table @ moved.reshape(moved.shape[:2] + (-1,))).reshape(moved.shape)
+            return out.transpose((*range(2, axis + 2), 1, *range(axis + 2, t.ndim), 0))
     shape = list(t.shape)
     for k, _ in terms:
         if k != axis:
-            shape[k] = min(n + 1, shape[k] + t.shape[axis] - 1)
+            shape[k] = min(n + 1, shape[k] + size - 1)
     whole, up, down = (slice(None),) * t.ndim, slice(1, None), slice(0, -1)
     shifts = [
         (whole[:k] + (up,) + whole[k + 1 :], whole[:k] + (down,) + whole[k + 1 :], c)
@@ -168,7 +199,7 @@ def _substitute_axis(t: np.ndarray, axis: int, terms: list, const, n: int) -> np
     lead = inner[:axis] + (0,) + inner[axis + 1 :]
     res = dense_grid(tuple(shape))
     res[lead] = t[whole[:axis] + (-1,)]
-    for m in range(t.shape[axis] - 2, -1, -1):
+    for m in range(size - 2, -1, -1):
         nxt = const * res
         for dst, src, c in shifts:
             nxt[dst] += c * res[src]

@@ -1,6 +1,8 @@
 """Algebra laws of the sparse coefficient-map polynomial layer."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from fockdyn.errors import InvalidInputError
 from fockdyn.polymap import (
     _clusters,
+    _compose_grid,
     compose_affine,
     max_coeff_diff,
     poly_add,
@@ -133,3 +136,93 @@ def test_validate_rejects_bad_indices():
     with pytest.raises(InvalidInputError):
         validate_coeffs({(1, 0): 1.0}, 3)
     validate_coeffs({(1, 0): 1.0}, 2)
+
+
+def test_validate_names_the_first_bad_key():
+    # 1.0 == 1 and both hash alike: a check over exponent values would lose the float
+    message = r"^exponents must be nonnegative integers, got \(0, 1\.0\)$"
+    with pytest.raises(InvalidInputError, match=message):
+        validate_coeffs({(1, 0): 1.0, (0, 1.0): 1.0}, 2)
+    with pytest.raises(InvalidInputError, match=r"got \(0, 1\.0\)$"):
+        validate_coeffs({(1, 0): 1.0, (0, 1.0): 1.0, (2, -1): 1.0}, 2)
+    with pytest.raises(InvalidInputError, match=r"got \(0, -1\)$"):
+        validate_coeffs({(1, 0): 1.0, (0, -1): 1.0, (0.5, 0): 1.0}, 2)
+    bad = (0, np.int64(-1))
+    with pytest.raises(InvalidInputError, match=re.escape(f"got {bad}") + "$"):
+        validate_coeffs({(np.int64(1), 0): 1.0, bad: 1.0}, 2)
+    with pytest.raises(InvalidInputError, match=r"^mixed exponent lengths \[1, 2\]; expected 2$"):
+        validate_coeffs({(1, 0): 1.0, (1,): 1.0}, 2)
+    validate_coeffs({(np.int64(2), 0): 1.0, (0, np.uint8(1)): 1.0, (True, 0): 1.0}, 2)
+    validate_coeffs({}, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_compose_affine_past_the_float_range_of_a_table():
+    # (z + 1e3)^150 / 1e300: 1e3^150 overflows, each coefficient does not
+    want = {(j,): math.comb(150, j) * 10.0 ** (3 * (150 - j) - 300) for j in range(151)}
+    g = compose_affine({(150,): 1e-300}, [[1]], [1e3])
+    assert set(g) == set(want)
+    assert max(abs(g[k] - want[k]) / want[k] for k in want) < 1e-12
+    # the same in a box wide enough for a table: 1e11^30 overflows
+    want = {(j, 30): math.comb(30, j) * 10.0 ** (11 * (30 - j) - 300) for j in range(31)}
+    g = compose_affine({(30, 30): 1e-300}, np.eye(2), [1e11, 0])
+    assert set(g) == set(want)
+    assert max(abs(g[k] - want[k]) / want[k] for k in want) < 1e-12
+
+
+def test_compose_affine_with_a_zero_map():
+    f = {(2, 1): 1.5, (0, 3): -1.0, (0, 0): 0.25j}
+    assert compose_affine(f, np.zeros((2, 2)), np.zeros(2)) == {(0, 0): 0.25j}
+
+
+def dense_poly(rng, size):
+    """Every monomial of degree below size in two variables: a size x size box."""
+    keys = [a for a in itertools.product(range(size), repeat=2) if sum(a) < size]
+    return {a: complex(rng.normal(), rng.normal()) for a in keys}
+
+
+@pytest.mark.parametrize("size", [*range(1, 13), 61, 201])
+def test_single_variable_stages_match_point_values(size):
+    """The kernel's f(c z1 + e, c' z2 + e') against poly_eval, with c, c' in
+    {0, 1, random} and e, e' in {0, random}, as scalars and over a batch."""
+    rng = np.random.default_rng(size)
+    f = dense_poly(rng, size)
+    box = np.zeros((size, size, 1), complex)
+    box[tuple(np.array(list(f)).T) + (0,)] = list(f.values())
+    scale = sum(abs(v) for v in f.values())
+
+    def draw():
+        return complex(*rng.uniform(-0.5, 0.5, 2))
+
+    # rows c, e, c', e' and one column per map
+    maps = np.array([(0, 0, 1, draw()), (1, draw(), draw(), 0), (draw(), draw(), 0, draw())]).T
+    z = np.array([draw(), draw()])  # |c z| + |e| <= 1 in each variable
+    wants = [poly_eval(f, [c * z[0] + e, c2 * z[1] + e2]) for c, e, c2, e2 in maps.T]
+
+    def check(out, want):
+        outside = np.ones(out.shape, bool)
+        outside[tuple(np.array(list(f)).T)] = False
+        assert not out[outside].any()  # the degrees never grow
+        assert abs(poly_eval({a: out[a] for a in f}, z) - want) < 1e-12 * scale
+
+    for (c, e, c2, e2), want in zip(maps.T, wants):
+        stages = ((0, 1), [(1, [(1, c2)], e2), (0, [(0, c)], e)])
+        check(_compose_grid(box, stages, size)[..., 0], want)
+    stages = ((0, 1), [(1, [(1, maps[2])], maps[3]), (0, [(0, maps[0])], maps[1])])
+    batch = _compose_grid(np.broadcast_to(box, (size, size, 3)), stages, size)
+    for j, want in enumerate(wants):
+        check(batch[..., j], want)
+
+
+def test_merged_node_map_matches_shift_then_scale():
+    rng = np.random.default_rng(8)
+    t = rng.normal(size=(7, 6, 5, 1)) + 1j * rng.normal(size=(7, 6, 5, 1))
+    t = np.broadcast_to(t, (7, 6, 5, 9))
+    rot = np.exp(2j * np.pi * np.arange(9) / 9)
+    xi = np.array([0.3 - 0.1j, 0, 0.2j])
+    merged = ((0, 1, 2), [(i, [(i, rot)], xi[i] - rot * xi[i]) for i in (2, 1, 0)])
+    shifts = [(i, [(i, 1 + 0 * rot)], x - rot * x) for i, x in enumerate(xi) if x != 0]
+    pair = ((0, 1, 2), shifts + [(i, [(i, rot)], 0 * rot) for i in (2, 1, 0)])
+    want = _compose_grid(t, pair, 15)
+    got = _compose_grid(t, merged, 15)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()

@@ -1,6 +1,7 @@
 """Homogeneous projections and orbit experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,36 @@ def test_quadrature_chunks_stay_within_the_byte_budget(monkeypatch):
         project_homogeneous(sparse, sparse_xi, 2, mode="quadrature")
     assert str(chunked_refusal.value) == str(refusal.value)
     assert starts == [0, 2, 4]
+
+
+def test_quadrature_tables_stay_within_the_byte_budget():
+    """A binomial table holds no more entries than the box it acts on, so the
+    copies that size a chunk bound it: z^200 at d=1 keeps its thin boxes on
+    Horner sweeps (65 nodes of 201 x 201 tables would take 42 MB), and a
+    square 31 x 31 box takes tables."""
+    cases = [
+        ({(200,): 1.0, (3,): 0.5}, [0.01], 2),
+        ({(30, 30): 1.0, (0, 0): 1.0, (1, 1): 0.5}, [0.02, -0.01j], 3),
+    ]
+    for f, xi, n in cases:
+        tracemalloc.start()
+        try:
+            got = project_homogeneous(f, xi, n, mode="quadrature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * polymap._BATCH_BYTES, peak
+        assert max_coeff_diff(got, project_homogeneous(f, xi, n)) <= 1e-12
+
+
+def test_quadrature_of_far_apart_degree_60_terms():
+    """One cluster holds z1^60, z2^60 and the low terms in a square box that
+    takes tables; z3^60 gets a thin box of its own."""
+    f = {(60, 0, 0): 1.0, (0, 60, 0): 1.0, (0, 0, 60): 1.0, (0, 0, 0): 1.0, (1, 1, 0): 0.5}
+    xi = np.array([0.05, 0.05j, -0.05])
+    assert len(_clusters(f)) == 2
+    got = project_homogeneous(f, xi, 3, mode="quadrature")
+    assert max_coeff_diff(got, project_homogeneous(f, xi, 3)) <= 1e-12
 
 
 def test_projections_are_complete_and_idempotent():
