@@ -32,11 +32,10 @@ from .relations import (
 from .spectral import (
     LinearFormBasis,
     SpectralData,
-    eigen_decompose,
     geometric_eigenvalue_list,
     linear_form_basis,
 )
-from .symbol import AffineSymbol, check_boundedness, fixed_point
+from .symbol import AffineSymbol
 
 DEFAULT_SEARCH_HEIGHT = 12
 EXACT_MATCH_TOL = 1e-8
@@ -157,8 +156,7 @@ def classify_cyclicity(
     sym: AffineSymbol, search_height: int = DEFAULT_SEARCH_HEIGHT
 ) -> CyclicityVerdict:
     """Full cyclicity decision for the composition operator of the symbol."""
-    rep = check_boundedness(sym)
-    if not rep.bounded:
+    if not sym.boundedness.bounded:
         raise InvalidInputError("cyclicity is only defined for bounded operators here")
     s = np.linalg.svd(sym.a, compute_uv=False)
     if float(s[-1]) <= sym.tol:
@@ -166,7 +164,7 @@ def classify_cyclicity(
             "NOT_INVERTIBLE",
             f"linear part is singular (smallest singular value {float(s[-1]):.3e})",
         )
-    spec = eigen_decompose(sym.a)
+    spec = sym.spectrum
     if not _jordan_acceptable(spec):
         profile = [
             (np.round(info.value, 6), info.block_sizes) for info in spec.eigenvalues
@@ -315,8 +313,7 @@ def cyclic_vector_test(
         raise BudgetError(
             f"degree {degree} checks {size} coefficients, over the basis budget {BASIS_SIZE_BUDGET}"
         )
-    rep = check_boundedness(sym)
-    if not rep.compact:
+    if not sym.boundedness.compact:
         raise InvalidInputError("cyclic vector testing covers compact operators only")
     verdict = classify_cyclicity(sym)
     if verdict.status is not CyclicityStatus.CYCLIC:
@@ -383,7 +380,7 @@ def convex_obstruction_value(sym: AffineSymbol, f_coeffs, weights, powers) -> co
         raise InvalidInputError("powers must be nonnegative")
     d = sym.dimension
     validate_coeffs(f_coeffs, d)
-    xi = fixed_point(sym)
+    xi = sym.xi
     by_power = {}
     g = dict(f_coeffs)
     top = max(powers, default=0)

@@ -43,8 +43,7 @@ from .io import (
     load_symbol,
 )
 from .polymap import poly_clean
-from .spectral import eigen_decompose
-from .symbol import AffineSymbol, check_boundedness, fixed_point
+from .symbol import AffineSymbol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,8 +214,7 @@ def _function_from_doc(doc, dimension: int):
 
 def _cmd_analyze(ns: argparse.Namespace):
     sym = _load_symbol_input(ns)
-    rep = check_boundedness(sym)
-    spec = eigen_decompose(sym.a)
+    rep, spec = sym.boundedness, sym.spectrum
     payload = {
         "boundedness": dump_boundedness(rep),
         "spectral": {
@@ -235,7 +233,7 @@ def _cmd_analyze(ns: argparse.Namespace):
         "tolerance": sym.tol,
     }
     try:
-        payload["fixed_point"] = [dump_complex(z) for z in fixed_point(sym)]
+        payload["fixed_point"] = [dump_complex(z) for z in sym.xi]
     except NoFixedPointError:
         payload["fixed_point"] = None
     if rep.bounded:
@@ -320,7 +318,7 @@ def _cmd_project(ns: argparse.Namespace):
     f_coeffs = _function_from_doc(doc, sym.dimension)
     if f_coeffs is None:
         raise InvalidInputError('project requires a "function" entry')
-    xi = fixed_point(sym)
+    xi = sym.xi
     component = project_homogeneous(f_coeffs, xi, ns.degree, mode=ns.mode)
     scale = max([1.0, *(abs(c) for c in f_coeffs.values())])
     component = poly_clean(component, tol=sym.tol * scale)

@@ -48,14 +48,6 @@ def monomial_norm_sq_int(alpha) -> int:
     return out
 
 
-def monomial_norm(alpha) -> float:
-    """sqrt(2^{|alpha|} * prod(alpha_j!)), exact integer under the root."""
-    sq = monomial_norm_sq_int(alpha)
-    if sq.bit_length() > 1022:
-        raise BudgetError(f"monomial norm for |alpha|={sum(alpha)} exceeds float range")
-    return math.sqrt(sq)
-
-
 @dataclasses.dataclass(frozen=True)
 class GradedBasis:
     """Bijection between {alpha : |alpha| <= max_degree} and 0..size-1."""
@@ -84,8 +76,12 @@ def graded_basis(d: int, max_degree: int) -> GradedBasis:
             f"basis size {size} exceeds budget {BASIS_SIZE_BUDGET} "
             f"(d={d}, max_degree={max_degree})"
         )
+    fact = [math.factorial(k) for k in range(max_degree + 1)]
+    if (fact[max_degree] << max_degree).bit_length() > 1022:  # the largest, at (N, 0, ..., 0)
+        top = next(k for k, f in enumerate(fact) if (f << k).bit_length() > 1022)
+        raise BudgetError(f"monomial norm for |alpha|={top} exceeds float range")
     idx = multi_indices(d, max_degree)
-    norms = np.array([monomial_norm(a) for a in idx])
+    norms = np.sqrt([float(math.prod([fact[k] for k in a]) << sum(a)) for a in idx])
     index_of = {a: i for i, a in enumerate(idx)}
     basis = GradedBasis(d, max_degree, tuple(idx), index_of, norms)
     basis.norms.setflags(write=False)

@@ -15,8 +15,10 @@ import math
 import numpy as np
 
 from ..errors import BudgetError, InvalidInputError
-from ..symbol import AffineSymbol, check_boundedness, unit_scaled
-from .operator import assemble_truncated, top_singular_values, truncated_singular_values
+from ..polymap import _compose_grid, affine_stages, dense_grid
+from ..symbol import AffineSymbol, unit_scaled
+from .basis import graded_basis
+from .operator import top_singular_values, truncated_singular_values
 
 # numbers an enumeration may return, k values and k d exponents: `approx
 # --top 1000000` at d = 3 took 5.8-6.7 s to a JSON report (peak RSS 566 MiB)
@@ -128,23 +130,21 @@ def reduced_oracle_singular_values(
     unitary composition with a rotation, so the symbol (A, b) may be traded
     for (S, U* b) where A = U S V* is the singular value decomposition.  A
     diagonal linear part splits the operator into a tensor product of
-    one-variable operators; each factor gets a small dense truncated matrix,
-    and the k largest products of the per-axis singular values are merged
-    with a best-first heap.
+    one-variable operators f -> f(lambda_j z + c_j), truncated by _line_factor;
+    the k largest products of the per-axis singular values are merged with a
+    best-first heap.
 
     Returns (values, degree) with degree the largest per-axis truncation
     order used.  This is an independent cross-check of the closed form: it
     never touches the enumeration formula, only dense linear algebra.
     """
-    rep = check_boundedness(sym)
-    if not rep.compact:
+    if not sym.boundedness.compact:
         raise InvalidInputError("singular-value oracle requires a compact operator")
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
     u, s, _ = np.linalg.svd(sym.a)
     c = u.conj().T @ sym.b
-    lists = []
-    used_degree = 0
+    lists, used_degree = [], 0
     for lam_j, c_j in zip(s, c):
         if axis_degree is not None:
             n_j = axis_degree
@@ -152,22 +152,20 @@ def reduced_oracle_singular_values(
             w_j = c_j / ((1.0 - lam_j) * (1.0 + lam_j))
             n_j = (k - 1) + _oracle_pad(abs(w_j) ** 2 / 2.0)
         used_degree = max(used_degree, n_j)
-        factor = AffineSymbol(
-            np.array([[lam_j]], dtype=complex),
-            np.array([c_j], dtype=complex),
-            tol=sym.tol,
-        )
-        sv = truncated_singular_values(assemble_truncated(factor, n_j), n_j + 1)
-        lists.append([float(x) for x in sv])
-
-    def value(idx):
-        v = 1.0
-        for lst, i in zip(lists, idx):
-            v *= lst[i]
-        return v
-
-    pairs = _best_first(value, [len(lst) for lst in lists], k)
+        lists.append(truncated_singular_values(_line_factor(lam_j, c_j, n_j), n_j + 1).tolist())
+    pairs = _best_first(
+        lambda idx: math.prod(lst[i] for lst, i in zip(lists, idx)), [len(lst) for lst in lists], k
+    )
     return [v for _, v in pairs], used_degree
+
+
+def _line_factor(lam: float, c: complex, n: int) -> np.ndarray:
+    """The orthonormal degree-<=n truncation of f -> f(lam z + c): the kernel on z^0..z^n."""
+    norms = graded_basis(1, n).norms
+    line = dense_grid((n + 1, n + 1))
+    np.fill_diagonal(line, 1.0)  # column j holds z^j
+    image = _compose_grid(line, affine_stages(np.array([[lam]]), np.array([c])), n)
+    return image * (norms[:, None] / norms[None, :])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,10 +185,7 @@ class ApproxReport:
     def max_rel_delta(self) -> float | None:
         if self.oracle_values is None:
             return None
-        deltas = [
-            abs(a - o) / a for a, o in zip(self.values, self.oracle_values)
-        ]
-        return max(deltas) if deltas else 0.0
+        return max((abs(a - o) / a for a, o in zip(self.values, self.oracle_values)), default=0.0)
 
 
 ZERO_SINGULAR_TOL = 1e-13
@@ -238,8 +233,7 @@ def approx_numbers(
     auto-selected truncation order (per axis for the reduced method).
     """
     _check_budget(k, sym.dimension)
-    rep = check_boundedness(sym)
-    if not rep.compact:
+    if not sym.boundedness.compact:
         raise InvalidInputError("approximation numbers require a compact operator")
     lam, w, prefactor = singular_data(sym)
     if lam[0] <= ZERO_SINGULAR_TOL:

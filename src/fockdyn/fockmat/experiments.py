@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import BudgetError, InvalidInputError
 from ..polymap import check_dense_bytes, compose_affine, poly_clean, poly_degree
 from ..spectral import LinearFormBasis
-from ..symbol import AffineSymbol, check_boundedness
+from ..symbol import AffineSymbol
 from .basis import graded_basis, monomial_norm_sq_int
 from .operator import _assemble_matrix, _degree_columns
 
@@ -106,8 +106,7 @@ def adjoint_pairing_check(sym: AffineSymbol, alpha, beta):
     is the reproducing kernel at the shift.  Both reduce to single monomial
     coefficients through orthogonality.
     """
-    rep = check_boundedness(sym)
-    if not rep.bounded:
+    if not sym.boundedness.bounded:
         raise InvalidInputError("adjoint pairing requires a bounded operator")
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
@@ -170,8 +169,7 @@ def jordan_coefficient_bound_check(
     j lam^{j-1} L_{i-1} on a chain continuation, so a single affine
     substitution in L-coordinates realizes C^j exactly.
     """
-    rep = check_boundedness(sym)
-    if not rep.compact:
+    if not sym.boundedness.compact:
         raise InvalidInputError("coefficient bound check requires a compact operator")
     if j < 0:
         raise InvalidInputError(f"iterate must be nonnegative, got {j}")

@@ -11,9 +11,11 @@ Two realizations are provided: a dense assembly for moderate basis sizes
 the full coefficient grid (grid_operator, a scipy LinearOperator, used for
 singular value computation at degrees where the dense matrix is too large).
 The matrix-free action runs polymap._compose_grid, the substitution kernel
-that polymap.compose_affine also uses, on a batch of one; _degree_columns
-builds the dense matrix, or its diagonal blocks, a degree of columns at a
-time.
+that polymap.compose_affine and the reduced oracle's one-variable factors
+also use, on a batch of one; _degree_columns builds the dense matrix, or its
+diagonal blocks, a degree of columns at a time.  top_singular_values takes
+the cheaper of a dense SVD and Lanczos on the grid action, within one
+operations budget.
 """
 
 from __future__ import annotations
@@ -25,11 +27,19 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from ..errors import BudgetError, InvalidInputError
-from ..polymap import _compose_grid, affine_stages, check_dense_bytes, dense_grid
-from ..symbol import AffineSymbol, check_boundedness
+from ..polymap import (
+    DENSE_BYTES_BUDGET, _compose_grid, affine_stages, check_dense_bytes, dense_grid
+)
+from ..symbol import AffineSymbol
 from .basis import GradedBasis, graded_basis
 
 DENSE_SVD_CUTOFF = 1200
+
+# Operations of the SVD routes, about 1 ns each on a 2-vCPU Xeon: dense m^3 (4.3 s at
+# m = 1,770, 29 s at m = 3,003), Lanczos for k values 32 m k^2 (3.9 s at m = 1,770 and
+# k = 250, 17 s at m = 3,003 and k = 450); the two meet near k = 0.18 m.
+LANCZOS_COST = 32
+SVD_OPERATIONS_BUDGET = 30_000_000_000
 
 # Cap on sum n_k^3 over the n_k x n_k diagonal blocks of a spectrum; its edges
 # d=3, N=34 and d=4, N=15 take 3.3 s and 1.6 s on a 2-vCPU Xeon.
@@ -37,7 +47,7 @@ EIGVALS_OPERATIONS_BUDGET = 1_500_000_000
 
 
 def _require_bounded(sym: AffineSymbol) -> None:
-    if not check_boundedness(sym).bounded:
+    if not sym.boundedness.bounded:
         raise InvalidInputError("symbol does not induce a bounded operator")
 
 
@@ -48,7 +58,8 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
     first monomials of degree k-1: their images are those columns times (Az + b)_f,
     a b_f term and a shifted add per variable.  Rows: all m with shift, else the
     degree-k ones and no b term, which gives the diagonal block of degree k."""
-    d, a, b, m, norms = basis.d, sym.a, sym.b, basis.size, basis.norms
+    d, m, norms = basis.d, basis.size, basis.norms
+    a, b = sym.a.tolist(), sym.b.tolist()
     below = basis.degree_slice(basis.max_degree).start
     # up[v][i]: position of z_v z^alpha for the i-th alpha, of degree < N
     up = [
@@ -61,15 +72,18 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
         rows = basis.degree_slice(k)
         lo, hi = (0, m) if shift else (rows.start, rows.stop)
         src = min(prev_lo + len(prev), below)  # z_v raises the parent rows below N
+        dst = [u[prev_lo:src] - lo for u in up]
         cols = np.zeros((hi - lo, rows.stop - rows.start), dtype=complex)
-        sizes = [math.comb(k - 2 + d - f, d - 1 - f) for f in reversed(range(d))]
-        for f, out in zip(reversed(range(d)), np.split(cols, np.cumsum(sizes[:-1]), axis=1)):
-            p = prev[:, : out.shape[1]]
+        start = 0
+        for f in reversed(range(d)):
+            width = math.comb(k - 2 + d - f, d - 1 - f)
+            out, p = cols[:, start : start + width], prev[:, :width]
+            start += width
             if shift:
                 out[:] = b[f] * p
             for v in range(d):
-                if a[f, v] != 0:
-                    out[up[v][prev_lo:src] - lo] += a[f, v] * p[: src - prev_lo]
+                if a[f][v] != 0:
+                    out[dst[v]] += a[f][v] * p[: src - prev_lo]
         yield cols * (norms[lo:hi, None] / norms[None, rows])
         prev, prev_lo = cols, lo
 
@@ -173,14 +187,20 @@ def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperat
 def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     """Top-k singular values of the degree-<=n restriction, descending.
 
-    Dense for small bases, Lanczos on the matrix-free grid action otherwise.
+    Dense for small bases and wherever it costs less than Lanczos and fits the dense
+    budget, else Lanczos on the grid action; either over SVD_OPERATIONS_BUDGET is refused.
     """
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
     m = math.comb(n + sym.dimension, sym.dimension)
-    if m <= DENSE_SVD_CUTOFF or k >= m - 1:
+    cheaper = m * m <= LANCZOS_COST * k * k and 40 * m * m <= DENSE_BYTES_BUDGET
+    dense = m <= DENSE_SVD_CUTOFF or cheaper  # k >= m - 1 (past Lanczos) is cheaper or over budget
+    op = None if dense else grid_operator(sym, n)  # refuses a basis over budget first
+    work = m**3 if dense else LANCZOS_COST * m * k * k
+    if work > SVD_OPERATIONS_BUDGET:
+        raise BudgetError(f"{k} of {m} singular values: {work:.2e} operations, over the SVD budget")
+    if dense:
         return truncated_singular_values(assemble_truncated(sym, n), k)
-    op = grid_operator(sym, n)  # refuses a basis over budget before v0 is allocated
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
     s = scipy.sparse.linalg.svds(
         op,

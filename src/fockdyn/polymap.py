@@ -11,9 +11,10 @@ trailing axis over a batch of maps; z_i -> c z_i + e is one binomial-table
 product, a form in other variables too a Horner sweep.  compose_batches runs
 it on clusters of terms that share a small box, for compose_affine (one map)
 and the quadrature projection (one map per node);
-fockmat.operator.grid_operator runs it on the full (n+1)^d grid.  The only
+fockmat.operator.grid_operator runs it on the full (n+1)^d grid, and
+fockmat.enumeration._line_factor on z^0..z^n for the reduced oracle.  The only
 other builder of f o phi is fockmat.operator._degree_columns, which makes the
-truncated matrix, or its diagonal blocks, a degree at a time.
+dense truncated matrix, or its diagonal blocks, a degree at a time.
 """
 
 from __future__ import annotations
@@ -220,30 +221,28 @@ def _compose_grid(t: np.ndarray, stages: tuple, n: int) -> np.ndarray:
     return t
 
 
-def _box_size(top) -> int:
-    return math.prod(k + 1 for k in top)
-
-
 def _clusters(keys) -> list:
     """Group exponent tuples so that each group's joint box stays small.
 
     The kernel's cost follows its box, so a full polynomial makes one group
-    and far-apart sparse terms such as z_1^200 + z_2^200 get one each.
+    and far-apart sparse terms such as z_1^200 + z_2^200 get one each.  Keys
+    that meet a group's bound on its joint box together are one group at once.
     """
     keys = list(keys)
-    if _box_size(map(max, *keys, (0,) * len(keys[0]))) <= _SMALL_BOX:
+    boxes = np.array(keys, dtype=float) + 1.0  # float: a product cannot wrap
+    own = boxes.prod(axis=1)
+    if boxes.max(axis=0).prod() <= max(_SMALL_BOX, _CLUSTER_SLACK * own.sum()):
         return [keys]
     groups = []  # [joint top exponents, summed own box sizes, keys]
-    for key in sorted(keys, key=_box_size, reverse=True):
-        own = _box_size(key)
+    for key, size in sorted(zip(keys, own.tolist()), key=lambda pair: -pair[1]):
         for g in groups:
             top = tuple(map(max, g[0], key))
-            if _box_size(top) <= max(_SMALL_BOX, _CLUSTER_SLACK * (g[1] + own)):
-                g[0], g[1] = top, g[1] + own
+            if math.prod(k + 1 for k in top) <= max(_SMALL_BOX, _CLUSTER_SLACK * (g[1] + size)):
+                g[0], g[1] = top, g[1] + size
                 g[2].append(key)
                 break
         else:
-            groups.append([key, own, [key]])
+            groups.append([key, size, [key]])
     return [g[2] for g in groups]
 
 

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from .errors import NumericalFailureError
-from .symbol import AffineSymbol, fixed_point
+from .symbol import AffineSymbol
 
 # relative rank threshold of the Jordan profile and of the chain nullspaces
 RANK_TOL = 1e-10
@@ -201,8 +201,7 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
 
     Chain residuals above sqrt(tol) raise, naming the residual.
     """
-    xi = fixed_point(sym)
-    spec = eigen_decompose(sym.a)
+    xi, spec = sym.xi, sym.spectrum
     m = sym.a.T.copy()
     norm_m = max(float(np.linalg.norm(m, 2)), 1e-300)
     rows: list = []

@@ -44,7 +44,7 @@ from .relations import (
     numeric_relation_search,
 )
 from .spectral import linear_form_basis
-from .symbol import AffineSymbol, fixed_point
+from .symbol import AffineSymbol
 
 
 @dataclasses.dataclass(frozen=True)
@@ -622,7 +622,7 @@ def _criterion_convex_obstruction(seed: int):
         w = rng.uniform(size=count)
         weights = list(w / w.sum())
         val = convex_obstruction_value(sym, f, weights, powers)
-        target = poly_eval(f, fixed_point(sym))
+        target = poly_eval(f, sym.xi)
         worst = max(worst, abs(val - target) / max(1.0, abs(target)))
     detail = f"100 convex combinations; worst deviation {worst:.3e} (tol 1e-10)"
     return bool(worst <= 1e-10), detail

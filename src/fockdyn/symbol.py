@@ -9,6 +9,7 @@ and the reproducing kernel is k_w(z) = exp(<z, w> / 2).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -70,6 +71,21 @@ class AffineSymbol:
     def dimension(self) -> int:
         return self.a.shape[0]
 
+    # One analysis per symbol, by the module-level function on first use and
+    # kept on the instance; a raise keeps nothing.
+    @functools.cached_property
+    def boundedness(self) -> BoundednessReport:
+        return check_boundedness(self)
+
+    @functools.cached_property
+    def xi(self) -> np.ndarray:
+        return fixed_point(self)
+
+    @functools.cached_property
+    def spectrum(self):  # at the default cluster radius; spectral imports this module
+        from . import spectral
+        return spectral.eigen_decompose(self.a)
+
 
 @dataclasses.dataclass(frozen=True)
 class BoundednessReport:
@@ -103,6 +119,7 @@ def check_boundedness(sym: AffineSymbol) -> BoundednessReport:
         if abs(pairing) > tol * bnorm:
             bounded = False
             witness = vh[i].conj()
+            witness.setflags(write=False)  # a symbol keeps its report
             break
     compact = norm_a < 1 - tol
     return BoundednessReport(bounded, compact, norm_a, iso_dim, witness)
@@ -125,4 +142,6 @@ def fixed_point(sym: AffineSymbol) -> np.ndarray:
         raise NoFixedPointError(f"(I - A) x = b is inconsistent (residual {residual:.3e})")
     if float(np.abs(xi.view(float)).max(initial=0.0)) / scale > np.finfo(float).max:
         raise NumericalFailureError("the fixed point has an entry past the float range")
-    return (xi.view(float) / scale).view(complex)
+    xi = (xi.view(float) / scale).view(complex)
+    xi.setflags(write=False)  # a symbol keeps its fixed point
+    return xi

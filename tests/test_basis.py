@@ -8,7 +8,6 @@ import pytest
 from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import (
     graded_basis,
-    monomial_norm,
     monomial_norm_sq_int,
     multi_indices,
 )
@@ -37,7 +36,10 @@ def test_monomial_norms_are_exact_integers():
     assert monomial_norm_sq_int((1,)) == 2
     assert monomial_norm_sq_int((2, 1)) == 2 ** 3 * 2
     assert monomial_norm_sq_int((3, 2)) == 2 ** 5 * 6 * 2
-    assert monomial_norm((2, 1)) == pytest.approx(np.sqrt(16.0))
+    basis = graded_basis(2, 5)
+    assert basis.norms[basis.index_of[(2, 1)]] == pytest.approx(np.sqrt(16.0))
+    # each norm is the square root of the exact integer, rounded once
+    assert basis.norms.tolist() == [math.sqrt(monomial_norm_sq_int(a)) for a in basis.indices]
 
 
 def test_graded_basis_lookup_roundtrip():
@@ -51,6 +53,10 @@ def test_graded_basis_lookup_roundtrip():
 def test_graded_basis_budget():
     with pytest.raises(BudgetError):
         graded_basis(6, 60)
+    # 2^150 150! is the first squared norm past 2^1022; the error names its degree
+    graded_basis(2, 149)
+    with pytest.raises(BudgetError, match=r"\|alpha\|=150 exceeds float range"):
+        graded_basis(2, 200)
 
 
 def test_dickson_partition_covers_and_dominates():

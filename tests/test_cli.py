@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 import fockdyn
+import fockdyn.fockmat.operator
+import fockdyn.spectral
 import fockdyn.suite
+import fockdyn.symbol
 from fockdyn.cli import main, render_report
 from fockdyn.fockmat.enumeration import ZERO_SINGULAR_TOL, _best_first, approx_numbers, singular_data
 from fockdyn.io import Rows, dump_approx
@@ -848,3 +851,63 @@ def test_module_entry_point_writes_the_same_report(tmp_path, capsys, fmt):
         assert proc.stdout == json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
     else:
         assert proc.stdout.count("\n  -\n") == 2000
+
+
+def test_each_command_analyzes_its_symbol_once(tmp_path, monkeypatch):
+    calls = {"check_boundedness": 0, "eigen_decompose": 0}
+    for module, name in ((fockdyn.symbol, "check_boundedness"), (fockdyn.spectral, "eigen_decompose")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    function = {"coefficients": [{"alpha": [0, 0], "value": 1.0}, {"alpha": [1, 1], "value": 2.0}]}
+    cyclic = write_json(tmp_path / "cyclic.json", dict(SYMBOL_CYCLIC, function=function))
+    d3 = write_json(tmp_path / "d3.json", {
+        "dimension": 3, "A": [[0.5, 0.1, 0], [0, 0.4, 0.1], [0.1, 0, 0.3]], "b": [0.1, 0.2, 0.3],
+    })
+    for args in (
+        ["analyze", cyclic],
+        ["cyclic-vector", cyclic, "--degree", "3"],
+        ["approx", d3, "--top", "10", "--oracle", "--oracle-method", "reduced"],
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main([*args, "--output", str(tmp_path / "out.json")]) == 0
+        assert calls["check_boundedness"] == 1 and calls["eigen_decompose"] <= 1, (args, calls)
+
+
+def test_grid_oracle_takes_the_cheaper_svd_route(tmp_path, monkeypatch):
+    # the cutoff moved below m = 120 (d = 2, degree 14): 30 values make the
+    # dense SVD the cheaper route, 5 leave Lanczos on the grid action
+    path = write_json(tmp_path / "sym.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
+    monkeypatch.setattr(fockdyn.fockmat.operator, "DENSE_SVD_CUTOFF", 0)
+    routes = []
+    for name in ("assemble_truncated", "grid_operator"):
+        def spy(*args, _original=getattr(fockdyn.fockmat.operator, name), _name=name):
+            routes.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(fockdyn.fockmat.operator, name, spy)
+    for top, route in (("30", "assemble_truncated"), ("5", "grid_operator")):
+        routes.clear()
+        code, doc = run_json(tmp_path, [
+            "approx", path, "--top", top, "--oracle", "--oracle-method", "grid", "--oracle-degree", "14",
+        ])
+        assert code == 0 and routes == [route]
+        assert doc["oracle"]["max_rel_delta"] < 1e-10
+
+
+def test_svd_over_the_operations_budget_exits_three_at_once(tmp_path, capsys):
+    # --top 2000 needs degree 95 (m = 4,656): the dense SVD, the cheaper route,
+    # would take about a minute and a half, and Lanczos longer.  At degree 140
+    # (m = 10,011) the dense matrix is over the byte budget, and Lanczos for
+    # 1,000 values over the operations budget.
+    path = write_json(tmp_path / "sym.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
+    for flags in (["--top", "2000"], ["--top", "1000", "--oracle-degree", "140"]):
+        start = time.perf_counter()
+        code = main(["approx", path, *flags, "--oracle", "--oracle-method", "grid"])
+        assert code == 3 and time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("fockdyn: budget exceeded: ") and "SVD budget" in err
+        assert err.count("\n") == 1
+

@@ -10,6 +10,7 @@ from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import graded_basis, multi_indices
 from fockdyn.fockmat.enumeration import (
     _best_first,
+    _line_factor,
     approx_numbers,
     enumerate_lambda_desc,
     reduced_oracle_singular_values,
@@ -325,3 +326,19 @@ def test_approx_numbers_rank_deficient_linear_part():
     rep = approx_numbers(sym, 4, oracle="reduced")
     assert rep.alphas[1] == (0,) * 4
     assert rep.max_rel_delta < 1e-8
+
+
+@pytest.mark.parametrize(
+    "lam, c, n",
+    [(0.0, 0.3 - 0.2j, 6), (0.6, 0.4j, 0), (0.6, 0.4j, 1), (-0.7, 0.5, 2), (0.3, 1.5, 3),
+     (0.8, -0.4 + 0.1j, 25), (0.5, 5000.0, 40)],
+    ids=["zero-lambda", "n0", "n1", "n2", "n3", "table", "past-the-table-guard"],
+)
+def test_line_factor_matches_the_degree_recursion(lam, c, n):
+    # the kernel on z^0..z^n against the dense assembly of the 1 x 1 symbol:
+    # Horner sweeps for lambda = 0, for extents up to 3 and for |c| past the
+    # table's 2^1000 guard (2^(499/40 - 0.5) < 5000 at n = 40), a table otherwise
+    got = _line_factor(lam, c, n)
+    want = assemble_truncated(AffineSymbol([[lam]], [c]), n)
+    assert got.shape == want.shape == (n + 1, n + 1)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

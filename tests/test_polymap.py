@@ -108,6 +108,13 @@ def test_compose_affine_far_apart_terms():
 def test_full_polynomial_shares_one_box():
     full = {a: 1.0 for a in itertools.product(range(9), repeat=3) if sum(a) <= 8}
     assert len(_clusters(full)) == 1
+    # every monomial of degree <= 200 in two variables: 20,301 keys, one box,
+    # grouped at once rather than key by key
+    dense = {(i, j): 1.0 for i in range(201) for j in range(201 - i)}
+    assert _clusters(dense) == [list(dense)]
+    # sparse far-apart terms still split, as the greedy grouping makes them
+    sparse = {(60, 0, 0): 1.0, (0, 60, 0): 1.0, (0, 0, 60): 1.0}
+    assert _clusters(sparse) == [[(60, 0, 0), (0, 60, 0)], [(0, 0, 60)]]
 
 
 def test_compose_affine_identity_map():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import fockdyn.spectral
+import fockdyn.symbol
 from fockdyn.errors import InvalidInputError, NoFixedPointError
 from fockdyn.symbol import AffineSymbol, check_boundedness, fixed_point
 
@@ -79,3 +81,40 @@ def test_iterates_converge_to_fixed_point():
     for _ in range(80):
         z = sym.a @ z + sym.b
     assert np.allclose(z, xi, atol=1e-12)
+
+
+def test_each_analysis_runs_once_per_symbol(monkeypatch):
+    calls = {"check_boundedness": 0, "fixed_point": 0, "eigen_decompose": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fockdyn.symbol, "check_boundedness")
+    counted(fockdyn.symbol, "fixed_point")
+    counted(fockdyn.spectral, "eigen_decompose")
+    first = AffineSymbol([[0.5, 0.1], [0.0, 0.25]], [0.2, -0.1])
+    second = AffineSymbol([[0.9, 0.0], [0.0, -0.5j]], [0.2, -0.1])
+    for _ in range(3):
+        reports = [(s.boundedness, s.xi, s.spectrum) for s in (first, second)]
+    assert calls == {"check_boundedness": 2, "fixed_point": 2, "eigen_decompose": 2}
+    # two symbols share nothing
+    (rep1, xi1, spec1), (rep2, xi2, spec2) = reports
+    assert rep1.operator_norm_of_a != rep2.operator_norm_of_a
+    assert not np.array_equal(xi1, xi2) and spec1 != spec2
+    assert spec2.eigenvalues[0].value == pytest.approx(0.9)
+    # what a symbol keeps is read-only
+    assert not xi1.flags.writeable
+    unbounded = AffineSymbol([[1.0]], [0.5])
+    assert not unbounded.boundedness.violation_witness.flags.writeable
+    # a failure is kept nowhere: it raises again on every use
+    no_fixed_point = AffineSymbol([[1.0, 0.0], [0.0, 0.5]], [1.0, 0.0])
+    for _ in range(2):
+        with pytest.raises(NoFixedPointError):
+            no_fixed_point.xi
+    assert calls["fixed_point"] == 4
