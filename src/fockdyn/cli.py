@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, suite
 from .classify import DEFAULT_SEARCH_HEIGHT, classify_cyclicity, cyclic_vector_test
 from .errors import BudgetError, InvalidInputError, NoFixedPointError, NumericalFailureError
-from .fockmat.basis import multi_indices
+from .fockmat.basis import check_basis_size, multi_indices
 from .fockmat.enumeration import approx_numbers
 from .fockmat.experiments import kronecker_density_demo, orbit_krylov_rank
 from .fockmat.operator import truncated_spectrum
@@ -71,12 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, metavar="COMMAND")
 
+    def seed(text: str) -> int:  # argparse reports a ValueError as "invalid seed value: 'x'"
+        value = int(text)
+        if value < 0:  # numpy's generators take none
+            raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+        return value
+
     def add_command(name, help_text, needs_input=True):
         sp = sub.add_parser(name, help=help_text, description=help_text)
         if needs_input:
             sp.add_argument("input", help="path to the JSON input file")
         sp.add_argument(
-            "--seed", type=int, default=0, help="seed for any randomized step"
+            "--seed", type=seed, default=0, help="nonnegative seed for any randomized step"
         )
         sp.add_argument(
             "--tol", type=float, default=None, help="override the symbol tolerance"
@@ -270,6 +276,7 @@ def _cmd_orbit_rank(ns: argparse.Namespace):
     sym = _symbol_from_doc(doc, ns)
     f_coeffs = _function_from_doc(doc, sym.dimension)
     if f_coeffs is None:
+        check_basis_size(sym.dimension, ns.degree)
         rng = np.random.default_rng(ns.seed)
         f_coeffs = {
             alpha: complex(rng.normal(), rng.normal())

@@ -69,13 +69,18 @@ class GradedBasis:
         return slice(lo, hi)
 
 
-def graded_basis(d: int, max_degree: int) -> GradedBasis:
-    size = math.comb(max_degree + d, d)
+def check_basis_size(d: int, max_degree: int) -> None:
+    """Refuse a basis of degree max_degree over the budget before building any of it."""
+    size = math.comb(max(max_degree, 0) + d, d)
     if size > BASIS_SIZE_BUDGET:
         raise BudgetError(
             f"basis size {size} exceeds budget {BASIS_SIZE_BUDGET} "
             f"(d={d}, max_degree={max_degree})"
         )
+
+
+def graded_basis(d: int, max_degree: int) -> GradedBasis:
+    check_basis_size(d, max_degree)
     fact = [math.factorial(k) for k in range(max_degree + 1)]
     if (fact[max_degree] << max_degree).bit_length() > 1022:  # the largest, at (N, 0, ..., 0)
         top = next(k for k, f in enumerate(fact) if (f << k).bit_length() > 1022)

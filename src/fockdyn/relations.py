@@ -5,7 +5,9 @@ integer vector alpha with lambda^alpha = 1.  Two engines:
 
 * exact: eigenvalues given in exact polar form (rational or tagged-irrational
   modulus, rational-multiple-of-pi or tagged-generic argument); the decision
-  is a lattice computation and is conclusive either way.
+  is a lattice computation and is conclusive either way.  Moduli enter
+  through their valuations over a coprime base built from gcds, never
+  through a factorization into primes.
 * numeric: floating eigenvalues; exhaustive bounded search that can only ever
   certify a relation or report "none up to this height".
 """
@@ -21,8 +23,8 @@ import numpy as np
 
 from .errors import BudgetError, InvalidInputError, NumericalFailureError
 
-# bits of the integers factorize accepts; io caps exact numerators and
-# denominators at it, the size the certificate arithmetic is tested at
+# io caps exact numerators and denominators at this many bits, the size the
+# coprime base and the certificate arithmetic are tested at
 FRACTION_BITS = 63
 _EPS = float(np.finfo(float).eps)
 # candidates the numeric scan may test.  A scan of the whole budget takes
@@ -97,74 +99,6 @@ class ExactPolarSpec:
 
 
 # ---------------------------------------------------------------------------
-# integer factorization (deterministic for 64-bit inputs)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic witness set for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise InvalidInputError(f"factorization budget exhausted for {n}")
-
-
-def factorize(n: int) -> dict:
-    """Prime factorization of a positive integer up to 64 bits."""
-    if n <= 0:
-        raise InvalidInputError(f"cannot factor nonpositive {n}")
-    if n.bit_length() > FRACTION_BITS:
-        raise InvalidInputError(f"{n} exceeds the 64-bit factorization budget")
-    out: dict = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # integer kernel via exact column reduction
 
 
@@ -216,32 +150,54 @@ def integer_kernel(rows: list, n: int) -> list:
 class ValuationLattice:
     """Constraint matrix for |lambda^alpha| = 1 and its integer kernel."""
 
-    matrix: tuple  # rows: prime valuations first, then log-tag indicators
+    matrix: tuple  # rows: coprime-base valuations first, then log-tag indicators
     kernel_basis: tuple
+
+
+def coprime_base(numbers) -> list:
+    """The pairwise coprime integers > 1, ascending, of which every number in
+    numbers is a product of powers.  Factor refinement (Bach, Driscoll and
+    Shallit 1993) by gcds alone: two numbers that share a factor g give way
+    to g and their cofactors until no two share one.  The product of the
+    numbers in play drops at each split, so the loop ends."""
+    base: list = []
+    work = [n for n in numbers if n > 1]
+    while work:
+        n = work.pop()
+        for i, m in enumerate(base):
+            g = math.gcd(n, m)
+            if g > 1:
+                del base[i]
+                work.extend(x for x in (g, m // g, n // g) if x > 1)
+                break
+        else:
+            base.append(n)
+    return sorted(base)
+
+
+def _valuation(n: int, q: int) -> int:
+    """The largest k with q^k dividing n > 0 (q > 1, so k < n.bit_length())."""
+    return next(k for k in range(n.bit_length()) if n % q ** (k + 1))
 
 
 def modulus_kernel(spec: ExactPolarSpec) -> ValuationLattice:
     """Integer kernel of the modulus constraints Sum_j alpha_j log|lambda_j| = 0.
 
-    Rational moduli contribute one row per prime (their valuations); each
-    log-tag contributes an indicator row (its total coefficient must vanish).
+    Rational moduli contribute one row per element q of the coprime base of
+    their numerators and denominators (the valuations at q, which are
+    unique as the base is pairwise coprime); each log-tag contributes an
+    indicator row (its total coefficient must vanish).  Where every q is
+    prime these are the prime valuations.
     """
     d = len(spec)
-    primes: set = set()
-    vals = []
-    for eig in spec.eigenvalues:
-        if eig.modulus is not None:
-            num = factorize(eig.modulus.numerator)
-            den = factorize(eig.modulus.denominator)
-            v = {p: num.get(p, 0) - den.get(p, 0) for p in set(num) | set(den)}
-            primes.update(v)
-            vals.append(v)
-        else:
-            vals.append(None)
+    moduli = [e.modulus for e in spec.eigenvalues]
+    base = coprime_base([n for m in moduli if m is not None for n in (m.numerator, m.denominator)])
+    rows = [
+        tuple(0 if m is None else _valuation(m.numerator, q) - _valuation(m.denominator, q)
+              for m in moduli)
+        for q in base
+    ]
     tags = {e.modulus_log_tag for e in spec.eigenvalues if e.modulus_log_tag}
-    rows = []
-    for p in sorted(primes):
-        rows.append(tuple(0 if v is None else v.get(p, 0) for v in vals))
     for t in sorted(tags):
         rows.append(tuple(1 if e.modulus_log_tag == t else 0 for e in spec.eigenvalues))
     kernel = integer_kernel([list(r) for r in rows], d)

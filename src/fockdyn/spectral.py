@@ -2,7 +2,8 @@
 degree-one polynomial basis adapted to the symbol.
 
 Eigenvalues are computed numerically, clustered at a caller-chosen radius,
-and block sizes are read off rank drops of powers of (A - lambda I).
+and block sizes are read off rank drops of powers of (A - lambda I).  The
+linear forms take one block size per eigenvalue, as every cyclic symbol has.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .symbol import AffineSymbol
 
 # relative rank threshold of the Jordan profile and of the chain nullspaces
@@ -143,50 +144,26 @@ def _nullspace(mat: np.ndarray, threshold: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _chain_tops(p: np.ndarray, sizes: list, threshold: float) -> list:
-    """Jordan chains for the (single) eigenvalue whose shifted matrix is p.
-
-    Works down from the largest grade; at grade k picks vectors of ker(p^k)
-    independent modulo ker(p^{k-1}) and the descended images of higher
-    chains, then completes each chain downward.  Returns chains ordered
-    eigenvector first.
-    """
+def _chains(p: np.ndarray, size: int, count: int, threshold: float) -> list:
+    """The count Jordan chains of length size, eigenvector first, of the
+    eigenvalue whose shifted matrix is p and whose blocks all have that size:
+    the leading right singular vectors of ker(p^size) projected off
+    ker(p^(size-1)), each descended by p and scaled to a unit eigenvector."""
     d = p.shape[0]
-    smax = max(sizes)
-    null = {0: np.zeros((d, 0))}
     pk = np.eye(d)
-    for k in range(1, smax + 1):
+    for _ in range(size - 1):
         pk = pk @ p
-        null[k] = _nullspace(pk, threshold)
-    chains = []  # (grade, top vector)
-    level: list = []  # per created chain: its vector descended to the current grade
-    for k in range(smax, 0, -1):
-        need = sizes.count(k)
-        if need:
-            pieces = [null[k - 1]] + [v.reshape(-1, 1) for v in level]
-            obs = np.hstack(pieces)
-            if obs.shape[1]:
-                q, _ = np.linalg.qr(obs)
-            else:
-                q = np.zeros((d, 0))
-            b = null[k]
-            c = b - q @ (q.conj().T @ b)
-            _, s_c, vh_c = np.linalg.svd(c, full_matrices=False)
-            if s_c.size < need or s_c[need - 1] < 1e-8:
-                raise NumericalFailureError("could not separate Jordan chain tops")
-            for i in range(need):
-                top = b @ vh_c[i].conj()
-                chains.append((k, top))
-                level.append(top)
-        level = [p @ v for v in level]
+    q = np.linalg.qr(_nullspace(pk, threshold))[0] if size > 1 else np.zeros((d, 0))
+    b = _nullspace(pk @ p, threshold)
+    _, s_c, vh_c = np.linalg.svd(b - q @ (q.conj().T @ b), full_matrices=False)
+    if s_c.size < count or s_c[count - 1] < 1e-8:
+        raise NumericalFailureError("could not separate Jordan chain tops")
     out = []
-    for grade, top in chains:
-        vec = top
-        chain = [vec]
-        for _ in range(grade - 1):
-            vec = p @ vec
-            chain.append(vec)
-        chain.reverse()  # eigenvector first
+    for i in range(count):
+        chain = [b @ vh_c[i].conj()]
+        for _ in range(size - 1):
+            chain.append(p @ chain[-1])
+        chain.reverse()
         scale = np.linalg.norm(chain[0])
         if scale < 1e-300:
             raise NumericalFailureError("degenerate Jordan chain")
@@ -199,7 +176,8 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
     Jordan chains of A^T, so that composing with the symbol multiplies each
     L_j by its eigenvalue, plus L_{j-1} on chain continuation rows.
 
-    Chain residuals above sqrt(tol) raise, naming the residual.
+    Chain residuals above sqrt(tol) raise, naming the residual; so do Jordan
+    blocks of several sizes at one eigenvalue, which no cyclic symbol has.
     """
     xi, spec = sym.xi, sym.spectrum
     m = sym.a.T.copy()
@@ -210,7 +188,10 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
     for info in spec.eigenvalues:
         p = m - info.value * np.eye(sym.dimension)
         threshold = RANK_TOL * norm_m + 2 * info.spread
-        for chain in _chain_tops(p, list(info.block_sizes), threshold):
+        if len(set(info.block_sizes)) > 1:
+            raise InvalidInputError(
+                f"eigenvalue {info.value:.6g} has Jordan blocks of sizes {info.block_sizes}")
+        for chain in _chains(p, info.block_sizes[0], info.geometric_mult, threshold):
             for pos, vec in enumerate(chain):
                 rows.append(vec)
                 flags.append(pos > 0)

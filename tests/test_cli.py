@@ -184,7 +184,7 @@ def test_demo_kronecker_budget_exits_three_at_once(tmp_path, capsys):
     assert err.count("fockdyn: budget exceeded: ") == 2 and err.count("\n") == 2
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main([]) == 1
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -193,9 +193,21 @@ def test_usage_errors_exit_one(capsys):
         main(["spectrum"])  # missing required input and degree
     assert err.value.code == 1
     capsys.readouterr()
+    # numpy's generators refuse negative seeds; the parser refuses them first
+    path = write_json(tmp_path / "diag.json", {"dimension": 1, "A": [[0.5]], "b": [0]})
+    for args in (["orbit-rank", path, "--degree", "2"], ["suite"]):
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--seed", "-1"])
+        assert err.value.code == 1
+        out, text = capsys.readouterr()
+        assert out == "" and "Traceback" not in text
+        assert [line for line in text.splitlines() if "error" in line] == [
+            f"fockdyn {args[0]}: error: argument --seed: seed must be nonnegative, got -1"
+        ]
+        assert text.endswith("got -1\n")
 
 
-def test_invalid_input_exits_two(tmp_path):
+def test_invalid_input_exits_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["analyze", missing]) == 2
     bad = tmp_path / "bad.json"
@@ -205,6 +217,12 @@ def test_invalid_input_exits_two(tmp_path):
         tmp_path / "short.json", {"dimension": 2, "A": [[1, 0], [0, 1]], "b": [0]}
     )
     assert main(["analyze", short]) == 2
+    # an orbit with no function draws nothing for a negative degree
+    diag = write_json(tmp_path / "diag.json", {"dimension": 1, "A": [[0.5]], "b": [0]})
+    capsys.readouterr()
+    assert main(["orbit-rank", diag, "--degree", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: invalid input: invalid basis parameters") and err.count("\n") == 1
 
 
 def test_budget_exits_three(tmp_path):
@@ -249,13 +267,17 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     # diagonal blocks would take 6.3e10 operations (its dense matrix, 23.5
     # GiB); the grid oracle's 10^8-entry grid in eight variables would take
     # 1.5 GiB a copy; one orbit step on the 11,628-row block of degree 14 in
-    # six variables is within the orbit budget, but its build would hold 11 GiB
+    # six variables is within the orbit budget, but its build would hold 11
+    # GiB; an orbit with no function at degree 10^5 in two variables would
+    # draw 5e9 random coefficients before its basis was refused
     sym3 = {"dimension": 3, "A": [[0.5, 0, 0], [0, 0.4, 0], [0, 0, 0.3]], "b": [0, 0, 0]}
     spectrum = write_json(tmp_path / "sym3.json", sym3)
     sym8 = {"dimension": 8, "A": (0.5 * np.eye(8)).tolist(), "b": [0] * 8}
     approx = write_json(tmp_path / "sym8.json", sym8)
     sym6 = {"dimension": 6, "A": (0.5 * np.eye(6)).tolist(), "b": [0] * 6}
     orbit = write_json(tmp_path / "sym6.json", sym6)
+    sym2 = {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0, 0]}
+    random_orbit = write_json(tmp_path / "sym2.json", sym2)
     for args, budget in (
         (["spectrum", spectrum, "--degree", "60"], "eigensolver budget"),
         (
@@ -263,6 +285,7 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
             "dense budget",
         ),
         (["orbit-rank", orbit, "--degree", "14", "--steps", "1"], "dense budget"),
+        (["orbit-rank", random_orbit, "--degree", "100000"], "exceeds budget 50000"),
     ):
         tracemalloc.start()
         try:
@@ -272,7 +295,8 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
             tracemalloc.stop()
         assert code == 3
         assert peak < 200 * 2**20
-        assert budget in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert budget in err and err.count("\n") == 1
 
 
 def test_approx_report_budget_exits_three_before_enumerating(tmp_path, capsys):

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fockdyn import relations
 from fockdyn.errors import BudgetError, InvalidInputError, NumericalFailureError
 from fockdyn.relations import (
     ExactPolarSpec,
@@ -17,6 +19,7 @@ from fockdyn.relations import (
     RELATION_CANDIDATE_BUDGET,
     RELATION_TOL,
     _verify_certificate,
+    coprime_base,
     exact_relation_decide,
     modulus_kernel,
     numeric_relation_search,
@@ -332,7 +335,7 @@ def test_certificate_verification_forms_no_large_power():
     # no coefficient in the box closes the phase, so the fallback scales the
     # kernel vector (1, -40, 0) by 2 (2^61 - 1); the product of the moduli
     # raised to those exponents ran past 4 GiB, their valuations cancel in
-    # one integer dot product per prime
+    # one integer dot product per element of the coprime base
     p = 2**61 - 1
     spec = ExactPolarSpec((
         PolarEigenvalue(Fraction(1, 2**40), None, Fraction(3, p), None),
@@ -360,3 +363,79 @@ def test_certificate_search_beyond_int64():
         PolarEigenvalue(Fraction(1), None, Fraction(1, 2), None),
     ))
     assert exact_relation_decide(spec).alpha == (0, 0, -4)
+
+
+# ---------------------------------------------------------------------------
+# coprime base of the moduli
+
+
+def test_coprime_base_is_pairwise_coprime_and_generates_every_input():
+    rng = random.Random(0)
+    atoms = [2, 3, 5, 7, 11, 13, 2**31 - 1, 2**32 - 5, 2**61 - 1,
+             3 * (2**31 - 1), 7 * 11**3, 1001, 12, 18]
+    for _ in range(300):
+        numbers = [
+            math.prod(rng.choice(atoms) ** rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        base = coprime_base(numbers)
+        assert base == sorted(set(base)) and all(q > 1 for q in base)
+        assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(base, 2))
+        assert all(any(n % q == 0 for n in numbers) for q in base)
+        for n in numbers:
+            for q in base:
+                while n % q == 0:
+                    n //= q
+            assert n == 1
+    assert coprime_base([12, 18]) == [2, 3]
+    assert coprime_base([3 * (2**31 - 1), 7 * 11**3, 3]) == [3, 7 * 11**3, 2**31 - 1]
+
+
+def trial_division_primes(numbers) -> list:
+    """The prime factors of numbers, by trial division."""
+    primes = set()
+    for n in numbers:
+        f = 2
+        while f * f <= n:
+            while n % f == 0:
+                primes.add(f)
+                n //= f
+            f += 1
+        if n > 1:
+            primes.add(n)
+    return sorted(primes)
+
+
+def test_composite_coprime_base_matches_prime_valuations(monkeypatch):
+    # 3 (2^31 - 1) and 7 * 11^3 enter the base whole: 9317 = 7 * 11^3 is
+    # never split, as no other modulus separates 7 from 11
+    p = 2**31 - 1
+    spec = ExactPolarSpec((
+        PolarEigenvalue(Fraction(3 * p, 7 * 11**3), None, Fraction(1, 3), None),
+        PolarEigenvalue(Fraction(3 * p, 7 * 11**3), None, Fraction(1, 7), None),
+        PolarEigenvalue(Fraction(7 * 11**3), None, None, "t1"),
+        PolarEigenvalue(Fraction(1, 3), None, Fraction(1, 2), None),
+    ))
+    assert len(modulus_kernel(spec).matrix) == 3
+    result = exact_relation_decide(spec)
+    monkeypatch.setattr(relations, "coprime_base", trial_division_primes)
+    prime_lattice = modulus_kernel(spec)
+    assert len(prime_lattice.matrix) == 4
+    reference = exact_relation_decide(spec)
+    assert result.status is reference.status is RelationStatus.FOUND
+    assert result.alpha == reference.alpha == (-21, 21, 0, 0)
+    _verify_certificate(spec, prime_lattice, result.alpha)
+    moduli = [e.modulus ** a for e, a in zip(spec.eigenvalues, result.alpha) if a]
+    assert math.prod(moduli) == 1
+
+
+def test_semiprime_modulus_is_one_base_element():
+    # (2^31 - 1)(2^32 - 5) has 63 bits; no factor of it is ever searched for
+    n = (2**31 - 1) * (2**32 - 5)
+    assert n.bit_length() == 63
+    spec = ExactPolarSpec((
+        PolarEigenvalue(Fraction(1, n), None, Fraction(1, 3), None),
+        rational_polar(1, 2),
+    ))
+    assert modulus_kernel(spec).matrix == ((0, -1), (-1, 0))
+    assert exact_relation_decide(spec).status is RelationStatus.PROVEN_NONE

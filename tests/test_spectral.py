@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fockdyn.errors import InvalidInputError
 from fockdyn.spectral import (
     eigen_decompose,
     geometric_eigenvalue_list,
@@ -92,3 +93,38 @@ def test_linear_forms_on_jordan_chain():
         l1w = basis.rows[1] @ (w - basis.xi)
         assert abs(l0w - 0.5 * l0z) < 1e-10
         assert abs(l1w - (0.5 * l1z + l0z)) < 1e-10
+
+
+def assert_functional_equation(sym, basis):
+    """L_j(Az + b) = lambda_j L_j(z) + L_{j-1}(z) on chain rows, at random z."""
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        z = rng.normal(size=sym.dimension) + 1j * rng.normal(size=sym.dimension)
+        lz = basis.rows @ (z - basis.xi)
+        lw = basis.rows @ (sym.a @ z + sym.b - basis.xi)
+        expect = np.array(basis.eigenvalues) * lz
+        expect[1:] += np.where(basis.chain_flags[1:], lz[:-1], 0)
+        assert np.abs(lw - expect).max() < 1e-10
+
+
+def test_linear_forms_on_a_size_three_block():
+    sym = AffineSymbol([[0.5, 0.25, 0], [0, 0.5, 0.25], [0, 0, 0.5]], [0.1, -0.2, 0.3])
+    basis = linear_form_basis(sym)
+    assert basis.chain_flags == (False, True, True)
+    assert abs(np.linalg.norm(basis.rows[0]) - 1) < 1e-12
+    assert_functional_equation(sym, basis)
+
+
+def test_linear_forms_on_a_repeated_semisimple_eigenvalue():
+    sym = AffineSymbol(np.diag([0.3, 0.3, 0.5]), [0.2, 0.1, -0.1])
+    basis = linear_form_basis(sym)
+    assert basis.chain_flags == (False, False, False)
+    assert sorted(basis.eigenvalues, key=abs) == pytest.approx([0.3, 0.3, 0.5])
+    assert_functional_equation(sym, basis)
+
+
+def test_linear_forms_refuse_mixed_block_sizes():
+    sym = AffineSymbol([[0.5, 1, 0], [0, 0.5, 0], [0, 0, 0.5]], [0, 0, 0])
+    assert sym.spectrum.eigenvalues[0].block_sizes == (2, 1)
+    with pytest.raises(InvalidInputError, match=r"sizes \(2, 1\)"):
+        linear_form_basis(sym)
