@@ -1,7 +1,7 @@
 """Computational core, one submodule per concern; names are imported from
 the submodule that defines them:
 
-* basis: the graded monomial basis and its exact norms
+* basis: the graded basis and the monomial norms of its two converting callers
 * operator: truncated matrices, their spectra and singular values, and the
   matrix-free action on the coefficient grid
 * enumeration: lattice-power enumeration and the closed-form approximation

@@ -1,8 +1,9 @@
 """Graded monomial basis of the polynomial subspace of the Fock space.
 
 Multi-indices are plain tuples of nonnegative ints, ordered by total degree
-first and lexicographically within a degree.  Norms come from the exact
-integer identity ||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!).
+first and lexicographically within a degree.  Truncations act on the
+orthonormal e_alpha = z^alpha / ||z^alpha|| and need no norms; monomial_norms,
+from ||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!), serves the converting callers.
 """
 
 from __future__ import annotations
@@ -41,11 +42,7 @@ def monomial_norm_sq_int(alpha) -> int:
     """Exact integer 2^{|alpha|} * prod(alpha_j!)."""
     if any(a < 0 for a in alpha):
         raise InvalidInputError(f"negative entry in multi-index {alpha}")
-    total = sum(alpha)
-    out = 1 << total
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
+    return math.prod(map(math.factorial, alpha)) << sum(alpha)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +53,6 @@ class GradedBasis:
     max_degree: int
     indices: tuple  # multi-indices in graded lexicographic order
     index_of: dict  # inverse of indices
-    norms: np.ndarray  # ||z^alpha|| per position
 
     @property
     def size(self) -> int:
@@ -64,14 +60,14 @@ class GradedBasis:
 
     def degree_slice(self, n: int) -> slice:
         """Positions of the degree-n block (contiguous by construction)."""
-        lo = math.comb(n + self.d - 1, self.d) if n > 0 else 0
-        hi = math.comb(n + self.d, self.d)
-        return slice(lo, hi)
+        return slice(math.comb(n + self.d - 1, self.d), math.comb(n + self.d, self.d))
 
 
 def check_basis_size(d: int, max_degree: int) -> None:
     """Refuse a basis of degree max_degree over the budget before building any of it."""
-    size = math.comb(max(max_degree, 0) + d, d)
+    if d < 1 or max_degree < 0:
+        raise InvalidInputError(f"invalid basis parameters d={d}, max_degree={max_degree}")
+    size = math.comb(max_degree + d, d)
     if size > BASIS_SIZE_BUDGET:
         raise BudgetError(
             f"basis size {size} exceeds budget {BASIS_SIZE_BUDGET} "
@@ -81,13 +77,14 @@ def check_basis_size(d: int, max_degree: int) -> None:
 
 def graded_basis(d: int, max_degree: int) -> GradedBasis:
     check_basis_size(d, max_degree)
-    fact = [math.factorial(k) for k in range(max_degree + 1)]
-    if (fact[max_degree] << max_degree).bit_length() > 1022:  # the largest, at (N, 0, ..., 0)
-        top = next(k for k, f in enumerate(fact) if (f << k).bit_length() > 1022)
-        raise BudgetError(f"monomial norm for |alpha|={top} exceeds float range")
     idx = multi_indices(d, max_degree)
-    norms = np.sqrt([float(math.prod([fact[k] for k in a]) << sum(a)) for a in idx])
-    index_of = {a: i for i, a in enumerate(idx)}
-    basis = GradedBasis(d, max_degree, tuple(idx), index_of, norms)
-    basis.norms.setflags(write=False)
-    return basis
+    return GradedBasis(d, max_degree, tuple(idx), {a: i for i, a in enumerate(idx)})
+
+
+def monomial_norms(indices, degree: int) -> np.ndarray:
+    """||z^alpha|| per multi-index, for the grid operator's scatter and gather and the orbit's
+    input vector; degree, the caller's, is refused past 149, where 2^N N! passes 2^1022."""
+    if degree > 149:
+        raise BudgetError(f"monomial norms of degree {degree} exceed float range "
+                          "(degree 149 is the last)")
+    return np.sqrt([float(monomial_norm_sq_int(a)) for a in indices])

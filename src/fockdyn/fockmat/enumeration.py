@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from ..errors import BudgetError, InvalidInputError
-from ..polymap import _compose_grid, affine_stages, dense_grid
+from ..polymap import dense_grid
 from ..symbol import AffineSymbol, unit_scaled
-from .basis import graded_basis
+from .basis import check_basis_size
 from .operator import top_singular_values, truncated_singular_values
 
 # numbers an enumeration may return, k values and k d exponents: `approx
@@ -160,12 +160,19 @@ def reduced_oracle_singular_values(
 
 
 def _line_factor(lam: float, c: complex, n: int) -> np.ndarray:
-    """The orthonormal degree-<=n truncation of f -> f(lam z + c): the kernel on z^0..z^n."""
-    norms = graded_basis(1, n).norms
-    line = dense_grid((n + 1, n + 1))
-    np.fill_diagonal(line, 1.0)  # column j holds z^j
-    image = _compose_grid(line, affine_stages(np.array([[lam]]), np.array([c])), n)
-    return image * (norms[:, None] / norms[None, :])
+    """The orthonormal degree-<=n truncation of f -> f(lam z + c), _degree_columns at d = 1: as z
+    maps e_i to sqrt(2 (i + 1)) e_{i+1}, column j is (lam z + c) times column j-1 over sqrt(2j)."""
+    check_basis_size(1, n)
+    deg = np.arange(1.0, n + 1)
+    # per-column factors, so that no rounding repeats down a path: gain[j-1, i] = lam sqrt((i+1)/j)
+    step, gain = c / np.sqrt(2.0 * deg), lam * np.sqrt(deg / deg[:, None])
+    cols = dense_grid((n + 1, n + 1))  # row j holds the column of e_j
+    cols[0, 0] = 1.0
+    for j in range(1, n + 1):
+        p = cols[j - 1, :j]
+        np.multiply(p, step[j - 1], out=cols[j, :j])
+        cols[j, 1 : j + 1] += gain[j - 1, :j] * p
+    return cols.T
 
 
 @dataclasses.dataclass(frozen=True)

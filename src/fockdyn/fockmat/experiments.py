@@ -12,7 +12,7 @@ from ..errors import BudgetError, InvalidInputError
 from ..polymap import check_dense_bytes, compose_affine, poly_clean, poly_degree
 from ..spectral import LinearFormBasis
 from ..symbol import AffineSymbol
-from .basis import graded_basis, monomial_norm_sq_int
+from .basis import graded_basis, monomial_norm_sq_int, monomial_norms
 from .operator import _assemble_matrix, _degree_columns
 
 RANK_REL_TOL = 1e-8
@@ -30,13 +30,13 @@ KRONECKER_OPERATIONS_BUDGET = 10**7
 
 
 def _coeff_vector(f_coeffs, basis) -> np.ndarray:
+    """Orthonormal coordinates of f, given in monomial coefficients."""
     vec = np.zeros(basis.size, dtype=complex)
-    for alpha, c in f_coeffs.items():
+    for (alpha, c), norm in zip(f_coeffs.items(), monomial_norms(f_coeffs, poly_degree(f_coeffs))):
         if alpha not in basis.index_of:
-            raise InvalidInputError(
-                f"coefficient index {alpha} outside degree-{basis.max_degree} basis"
-            )
-        vec[basis.index_of[alpha]] = c * basis.norms[basis.index_of[alpha]]
+            raise InvalidInputError(f"coefficient index {alpha} outside "
+                                    f"degree-{basis.max_degree} basis")
+        vec[basis.index_of[alpha]] = c * norm
     return vec
 
 

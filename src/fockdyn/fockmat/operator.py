@@ -2,20 +2,17 @@
 
 Polynomials of degree <= N form an invariant subspace (an affine substitution
 never raises total degree), so the assembled matrix is the exact restriction
-of the operator -- the only error is floating rounding of the entries.  In
-graded order it is block upper triangular: diagonal block k is A acting on
-the forms of degree k, and b only fills blocks above it.
+of the operator -- the only error is floating rounding of the entries.  It acts
+on the orthonormal e_alpha = z^alpha / ||z^alpha||; in graded order it is block
+upper triangular: diagonal block k is A acting on the forms of degree k, and b
+only fills blocks above it.
 
-Two realizations are provided: a dense assembly for moderate basis sizes
-(assemble_truncated returns the plain ndarray), and a matrix-free action on
-the full coefficient grid (grid_operator, a scipy LinearOperator, used for
-singular value computation at degrees where the dense matrix is too large).
-The matrix-free action runs polymap._compose_grid, the substitution kernel
-that polymap.compose_affine and the reduced oracle's one-variable factors
-also use, on a batch of one; _degree_columns builds the dense matrix, or its
-diagonal blocks, a degree of columns at a time.  top_singular_values takes
-the cheaper of a dense SVD and Lanczos on the grid action, within one
-operations budget.
+_degree_columns builds the dense matrix, or its diagonal blocks, a degree of
+columns at a time, in orthonormal coordinates throughout.  grid_operator, the
+matrix-free action on the full coefficient grid, runs polymap._compose_grid on
+a batch of one between a scatter and a gather by the monomial norms, which cap
+its degree at 149.  top_singular_values takes the cheaper of a dense SVD and
+Lanczos on the grid action, within one operations budget.
 """
 
 from __future__ import annotations
@@ -31,14 +28,16 @@ from ..polymap import (
     DENSE_BYTES_BUDGET, _compose_grid, affine_stages, check_dense_bytes, dense_grid
 )
 from ..symbol import AffineSymbol
-from .basis import GradedBasis, graded_basis
+from .basis import GradedBasis, check_basis_size, graded_basis, monomial_norms
 
 DENSE_SVD_CUTOFF = 1200
 
 # Operations of the SVD routes, about 1 ns each on a 2-vCPU Xeon: dense m^3 (4.3 s at
-# m = 1,770, 29 s at m = 3,003), Lanczos for k values 32 m k^2 (3.9 s at m = 1,770 and
-# k = 250, 17 s at m = 3,003 and k = 450); the two meet near k = 0.18 m.
-LANCZOS_COST = 32
+# m = 1,770, 29 s at m = 3,003); Lanczos for k values 16 k (n+1)^d n s, s the stages of a
+# matvec pair (its own, the adjoint's and one kernel factor per variable), each n passes
+# over the (n+1)^d grid.  A pair took 0.4 ns (diagonal A, d=2, n=100) to 10 ns (dense A,
+# d=3, n=58) per grid entry and pass, and svds took 3.1-3.6 pairs per value at k = 30.
+LANCZOS_COST = 16
 SVD_OPERATIONS_BUDGET = 30_000_000_000
 
 # Cap on sum n_k^3 over the n_k x n_k diagonal blocks of a spectrum; its edges
@@ -52,48 +51,50 @@ def _require_bounded(sym: AffineSymbol) -> None:
 
 
 def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
-    """Yield, for k = 0..N, the matrix columns of the degree-k monomials.
+    """Yield, for k = 0..N, the matrix columns of the degree-k basis functions.
 
     Those whose first exponent is on z_f are one graded-lex slice, z_f times the
-    first monomials of degree k-1: their images are those columns times (Az + b)_f,
-    a b_f term and a shifted add per variable.  Rows: all m with shift, else the
-    degree-k ones and no b term, which gives the diagonal block of degree k."""
-    d, m, norms = basis.d, basis.size, basis.norms
-    a, b = sym.a.tolist(), sym.b.tolist()
-    below = basis.degree_slice(basis.max_degree).start
-    # up[v][i]: position of z_v z^alpha for the i-th alpha, of degree < N
-    up = [
-        np.array([basis.index_of[x[:v] + (x[v] + 1,) + x[v + 1 :]] for x in basis.indices[:below]])
-        for v in range(d)
-    ]
-    prev, prev_lo = np.eye(m if shift else 1, 1, dtype=complex), 0
-    yield prev * norms[: len(prev), None]
+    first ones of degree k-1: as z_v maps e_gamma to sqrt(2 (gamma_v + 1)) e_{gamma + e_v},
+    the column of e_{beta + e_f} is (Az + b)_f times that of e_beta over sqrt(2 (beta_f + 1)),
+    a b_f term and a shifted add per variable.  Rows: those of degree <= k with shift,
+    else the degree-k ones and no b term, which gives the diagonal block of degree k."""
+    d, a, b = basis.d, sym.a.tolist(), sym.b.tolist()
+    below = basis.indices[: basis.degree_slice(basis.max_degree).start]
+    # up[v][i] and rise[v][i]: position of gamma + e_v and sqrt(2 (gamma_v + 1)), gamma = below[i]
+    up = [np.array([basis.index_of[x[:v] + (x[v] + 1,) + x[v + 1 :]] for x in below])
+          for v in range(d)]
+    rise = np.sqrt(2.0 * np.array(below).reshape(-1, d).T + 2.0)
+    prev = np.ones((1, 1), dtype=complex)
+    yield prev
     for k in range(1, basis.max_degree + 1):
-        rows = basis.degree_slice(k)
-        lo, hi = (0, m) if shift else (rows.start, rows.stop)
-        src = min(prev_lo + len(prev), below)  # z_v raises the parent rows below N
-        dst = [u[prev_lo:src] - lo for u in up]
-        cols = np.zeros((hi - lo, rows.stop - rows.start), dtype=complex)
+        rows, parents = basis.degree_slice(k), basis.degree_slice(k - 1)
+        lo, src = (0, slice(0, parents.stop)) if shift else (rows.start, parents)
+        dst, gain = [u[src] - lo for u in up], rise[:, src]
+        cols = np.zeros((rows.stop - lo, rows.stop - rows.start), dtype=complex)
         start = 0
         for f in reversed(range(d)):
             width = math.comb(k - 2 + d - f, d - 1 - f)
-            out, p = cols[:, start : start + width], prev[:, :width]
+            out = cols[:, start : start + width]
+            p = prev[:, :width] / rise[f, parents.start : parents.start + width]
             start += width
             if shift:
-                out[:] = b[f] * p
+                out[: parents.stop] = b[f] * p
             for v in range(d):
                 if a[f][v] != 0:
-                    out[dst[v]] += a[f][v] * p[: src - prev_lo]
-        yield cols * (norms[lo:hi, None] / norms[None, rows])
-        prev, prev_lo = cols, lo
+                    out[dst[v]] += (a[f][v] * gain[v])[:, None] * p
+        yield cols
+        prev = cols
 
 
 def _assemble_matrix(sym: AffineSymbol, basis: GradedBasis) -> np.ndarray:
     """Exact restriction matrix, no boundedness requirement (internal)."""
     m = basis.size
-    # the column blocks, their concatenation and the float norm ratios
+    # the matrix, the column blocks of the recursion and their temporaries
     check_dense_bytes(40 * m * m, f"a dense {m} x {m} truncated matrix")
-    return np.concatenate(list(_degree_columns(sym, basis, shift=True)), axis=1)
+    mat = np.zeros((m, m), dtype=complex)
+    for k, cols in enumerate(_degree_columns(sym, basis, shift=True)):
+        mat[: len(cols), basis.degree_slice(k)] = cols
+    return mat
 
 
 def assemble_truncated(sym: AffineSymbol, n: int) -> np.ndarray:
@@ -123,8 +124,7 @@ def truncated_singular_values(matrix: np.ndarray, k: int) -> np.ndarray:
     """Top-k singular values of a truncated matrix, descending."""
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
-    s = scipy.linalg.svdvals(matrix)
-    return s[: min(k, s.size)]
+    return scipy.linalg.svdvals(matrix)[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +132,20 @@ def truncated_singular_values(matrix: np.ndarray, k: int) -> np.ndarray:
 
 
 def _multiply_kernel_series(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Box-truncated product with exp(<z, b>/2) = prod_j exp(conj(b_j) z_j / 2)."""
+    """Box-truncated product with exp(<z, b>/2) = prod_j exp(conj(b_j) z_j / 2): along axis j,
+    the lower-triangular Toeplitz matrix of the series (conj(b_j) / 2)^m / m!."""
     n = t.shape[0] - 1
     for j, bj in enumerate(b):
-        w = np.conj(bj) / 2.0
-        if w == 0:
-            continue
-        coeffs = np.empty(n + 1, dtype=complex)
-        coeffs[0] = 1.0
-        for m in range(1, n + 1):
-            coeffs[m] = coeffs[m - 1] * w / m
-        out = coeffs[0] * t
-        src = [slice(None)] * t.ndim
-        dst = [slice(None)] * t.ndim
-        for m in range(1, n + 1):
-            src[j] = slice(0, n + 1 - m)
-            dst[j] = slice(m, None)
-            out[tuple(dst)] += coeffs[m] * t[tuple(src)]
-        t = out
+        if bj != 0:
+            series = np.cumprod(np.r_[1.0, np.conj(bj) / 2.0 / np.arange(1, n + 1)])
+            factor = scipy.linalg.toeplitz(series, np.zeros(n + 1))
+            t = np.moveaxis(np.tensordot(factor, t, axes=(1, j)), 0, j)
     return t
+
+
+def _grid_stages(sym: AffineSymbol) -> tuple:
+    """Substitution stages of the grid matvec and of its adjoint."""
+    return affine_stages(sym.a, sym.b), affine_stages(sym.a.conj().T, np.zeros_like(sym.b))
 
 
 def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperator:
@@ -162,22 +157,22 @@ def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperat
     """
     _require_bounded(sym)
     basis = graded_basis(sym.dimension, n)
+    norms = monomial_norms(basis.indices, n)
     index = tuple(np.array(basis.indices).T) + (0,)
-    stages = affine_stages(sym.a, sym.b)
-    adjoint_stages = affine_stages(sym.a.conj().T, np.zeros_like(sym.b))
+    stages, adjoint_stages = _grid_stages(sym)
 
     def scatter(x):
         # a batch of one; scipy hands matmat columns over as (m, 1) blocks
         grid = dense_grid((n + 1,) * sym.dimension + (1,))
-        grid[index] = np.asarray(x, dtype=complex).reshape(-1) / basis.norms
+        grid[index] = np.asarray(x, dtype=complex).reshape(-1) / norms
         return grid
 
     def matvec(x):
-        return _compose_grid(scatter(x), stages, n)[index] * basis.norms
+        return _compose_grid(scatter(x), stages, n)[index] * norms
 
     def rmatvec(x):
         grid = _compose_grid(scatter(x), adjoint_stages, n)
-        return _multiply_kernel_series(grid, sym.b)[index] * basis.norms
+        return _multiply_kernel_series(grid, sym.b)[index] * norms
 
     return scipy.sparse.linalg.LinearOperator(
         (basis.size, basis.size), matvec=matvec, rmatvec=rmatvec, dtype=complex
@@ -192,21 +187,20 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     """
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
-    m = math.comb(n + sym.dimension, sym.dimension)
-    cheaper = m * m <= LANCZOS_COST * k * k and 40 * m * m <= DENSE_BYTES_BUDGET
+    d = sym.dimension
+    check_basis_size(d, n)
+    m = math.comb(n + d, d)
+    passes = n * (sum(len(rows) for _, rows in _grid_stages(sym)) + d)
+    lanczos = LANCZOS_COST * k * (n + 1) ** d * passes
+    cheaper = m**3 <= lanczos and 40 * m * m <= DENSE_BYTES_BUDGET
     dense = m <= DENSE_SVD_CUTOFF or cheaper  # k >= m - 1 (past Lanczos) is cheaper or over budget
-    op = None if dense else grid_operator(sym, n)  # refuses a basis over budget first
-    work = m**3 if dense else LANCZOS_COST * m * k * k
+    work = m**3 if dense else lanczos
     if work > SVD_OPERATIONS_BUDGET:
         raise BudgetError(f"{k} of {m} singular values: {work:.2e} operations, over the SVD budget")
     if dense:
         return truncated_singular_values(assemble_truncated(sym, n), k)
+    op = grid_operator(sym, n)
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
-    s = scipy.sparse.linalg.svds(
-        op,
-        k=k,
-        v0=v0,
-        return_singular_vectors=False,
-        maxiter=max(2000, 40 * k),
-    )
+    s = scipy.sparse.linalg.svds(op, k, v0=v0, maxiter=max(2000, 40 * k),
+                                 return_singular_vectors=False)
     return np.sort(s)[::-1]

@@ -1,4 +1,4 @@
-"""Graded monomial basis, exact norms, and combinatorial helpers."""
+"""Graded monomial basis, monomial norms, and combinatorial helpers."""
 
 import math
 
@@ -9,6 +9,7 @@ from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import (
     graded_basis,
     monomial_norm_sq_int,
+    monomial_norms,
     multi_indices,
 )
 from fockdyn.fockmat.combinatorics import dickson_partition, unimodular_nodes
@@ -37,9 +38,10 @@ def test_monomial_norms_are_exact_integers():
     assert monomial_norm_sq_int((2, 1)) == 2 ** 3 * 2
     assert monomial_norm_sq_int((3, 2)) == 2 ** 5 * 6 * 2
     basis = graded_basis(2, 5)
-    assert basis.norms[basis.index_of[(2, 1)]] == pytest.approx(np.sqrt(16.0))
+    norms = monomial_norms(basis.indices, 5)
+    assert norms[basis.index_of[(2, 1)]] == pytest.approx(np.sqrt(16.0))
     # each norm is the square root of the exact integer, rounded once
-    assert basis.norms.tolist() == [math.sqrt(monomial_norm_sq_int(a)) for a in basis.indices]
+    assert norms.tolist() == [math.sqrt(monomial_norm_sq_int(a)) for a in basis.indices]
 
 
 def test_graded_basis_lookup_roundtrip():
@@ -53,10 +55,19 @@ def test_graded_basis_lookup_roundtrip():
 def test_graded_basis_budget():
     with pytest.raises(BudgetError):
         graded_basis(6, 60)
-    # 2^150 150! is the first squared norm past 2^1022; the error names its degree
-    graded_basis(2, 149)
-    with pytest.raises(BudgetError, match=r"\|alpha\|=150 exceeds float range"):
-        graded_basis(2, 200)
+    with pytest.raises(InvalidInputError, match="max_degree=-1"):
+        graded_basis(2, -1)
+    # the basis has no norms, so no float-range cap: degree 300 at d = 2 is 45,451 rows
+    assert graded_basis(2, 300).size == 45_451
+
+
+def test_monomial_norms_refuse_past_the_float_range():
+    # 2^150 150! is the first squared norm past 2^1022; the error names the caller's degree
+    assert (monomial_norm_sq_int((149, 0))).bit_length() <= 1022
+    assert (monomial_norm_sq_int((150, 0))).bit_length() > 1022
+    assert np.isfinite(monomial_norms([(149, 0), (0, 149)], 149)).all()
+    with pytest.raises(BudgetError, match=r"degree 200 exceed float range \(degree 149 is the last\)"):
+        monomial_norms([(0, 0)], 200)
 
 
 def test_dickson_partition_covers_and_dominates():

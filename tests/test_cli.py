@@ -266,7 +266,8 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     # a 39,711-row basis passes the row budget, but the eigenvalues of its
     # diagonal blocks would take 6.3e10 operations (its dense matrix, 23.5
     # GiB); the grid oracle's 10^8-entry grid in eight variables would take
-    # 1.5 GiB a copy; one orbit step on the 11,628-row block of degree 14 in
+    # 1.5 GiB a copy, and Lanczos on it 6.9e11 operations, which the SVD
+    # budget refuses before the grid's byte check is reached; one orbit step on the 11,628-row block of degree 14 in
     # six variables is within the orbit budget, but its build would hold 11
     # GiB; an orbit with no function at degree 10^5 in two variables would
     # draw 5e9 random coefficients before its basis was refused
@@ -282,7 +283,7 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
         (["spectrum", spectrum, "--degree", "60"], "eigensolver budget"),
         (
             ["approx", approx, "--top", "3", "--oracle-degree", "9", "--oracle-method", "grid"],
-            "dense budget",
+            "SVD budget",
         ),
         (["orbit-rank", orbit, "--degree", "14", "--steps", "1"], "dense budget"),
         (["orbit-rank", random_orbit, "--degree", "100000"], "exceeds budget 50000"),
@@ -935,3 +936,71 @@ def test_svd_over_the_operations_budget_exits_three_at_once(tmp_path, capsys):
         assert err.startswith("fockdyn: budget exceeded: ") and "SVD budget" in err
         assert err.count("\n") == 1
 
+
+
+def test_negative_truncation_degree_exits_two(tmp_path, capsys):
+    path = write_json(tmp_path / "sym.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
+    for args in (
+        ["spectrum", path, "--degree", "-1"],
+        ["approx", path, "--top", "3", "--oracle-degree", "-1", "--oracle-method", "grid"],
+        ["approx", path, "--top", "3", "--oracle-degree", "-1", "--oracle-method", "reduced"],
+    ):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("fockdyn: invalid input: invalid basis parameters") and err.count("\n") == 1
+    assert main(["spectrum", path, "--degree", "0"]) == 0
+
+
+# at d = 1 the truncations reach past degree 149, where 2^N N! leaves the float range
+SYMBOL_LINE = {"dimension": 1, "A": [[0.5]], "b": [0.1]}
+
+
+def test_line_truncations_past_degree_149(tmp_path):
+    path = write_json(tmp_path / "line.json", SYMBOL_LINE)
+    code, doc = run_json(tmp_path, ["spectrum", path, "--degree", "300"])
+    assert code == 0 and doc["basis_size"] == 301
+    got = [complex(e["re"], e["im"]) for e in doc["eigenvalues"]]
+    assert np.abs(np.array(got) - 0.5 ** np.arange(301)).max() <= 1e-15
+    # the auto degree of 138 values is 150 for both oracles
+    for method in ("grid", "reduced"):
+        code, doc = run_json(tmp_path, ["approx", path, "--top", "138", "--oracle", "--oracle-method", method])
+        assert code == 0 and doc["oracle"]["degree"] == 150
+        assert doc["oracle"]["max_rel_delta"] < 1e-10
+
+
+def test_grid_route_and_orbit_refuse_monomial_norms_past_degree_149(tmp_path, capsys):
+    # Lanczos on the grid action converts through monomial norms: degree 1300 (m = 1,301, past
+    # the dense cutoff) is refused in one line, where unscaled norms would give NaN
+    path = write_json(tmp_path / "line.json", SYMBOL_LINE)
+    args = ["approx", path, "--top", "1", "--oracle-degree", "1300", "--oracle-method", "grid"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "fockdyn: budget exceeded: monomial norms of degree 1300 exceed float range (degree 149 is the last)\n"
+    # an orbit of a file function converts the function's own monomials: degree 3 runs in a
+    # degree-200 truncation, a degree-160 function is refused
+    for top, code in ((3, 0), (160, 3)):
+        terms = [{"alpha": [0], "value": 1.0}, {"alpha": [top], "value": 0.5}]
+        fn = write_json(tmp_path / "fn.json", {"symbol": SYMBOL_LINE, "function": {"coefficients": terms}})
+        assert main(["orbit-rank", fn, "--degree", "200", "--steps", "5", "--projector-degree", "0"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "fockdyn: budget exceeded: monomial norms of degree 160 exceed float range (degree 149 is the last)\n"
+
+
+def test_grid_oracle_lanczos_budget_counts_the_grid(tmp_path, capsys):
+    # d = 3, auto degree 58: Lanczos on the 59^3 grid for 30 values ran for 165 s when the
+    # budget counted 1.04e9 operations on m = 35,990 rows; it is refused at once
+    z = [[0.28 - 0.15j, 0.26, -0.29j], [-0.24 + 0.30j, -0.12 + 0.25j, 0.31 - 0.19j], [-0.42j, -0.28 + 0.03j, 0.21 + 0.05j]]
+    b = [-1.92 + 0.58j, -0.29 - 0.32j, -0.84 + 1.88j]
+    doc = {
+        "dimension": 3,
+        "A": [[{"re": x.real, "im": x.imag} for x in map(complex, row)] for row in z],
+        "b": [{"re": x.real, "im": x.imag} for x in b],
+    }
+    path = write_json(tmp_path / "sym.json", doc)
+    start = time.perf_counter()
+    assert main(["approx", path, "--top", "30", "--oracle", "--oracle-method", "grid"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: budget exceeded: 30 of 35990 singular values") and "SVD budget" in err
+    assert err.count("\n") == 1

@@ -1,13 +1,15 @@
 """Truncated operator matrices, spectra, and approximation numbers."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from fockdyn.errors import BudgetError, InvalidInputError
-from fockdyn.fockmat.basis import graded_basis, multi_indices
+from fockdyn.fockmat.basis import graded_basis, monomial_norm_sq_int, multi_indices
 from fockdyn.fockmat.enumeration import (
     _best_first,
     _line_factor,
@@ -27,35 +29,40 @@ from fockdyn.fockmat.operator import (
 from fockdyn.symbol import AffineSymbol
 
 
-def column_loop_matrix(sym, basis):
-    """Reference: the truncated matrix built one column at a time.
+def column_loop_matrix(a, b, basis):
+    """Reference: the truncated matrix built one column at a time, exactly.
 
-    The column of z^alpha is its parent's (alpha less one on its first
-    nonzero axis) times b_k + sum_var a[k, var] z_var, each product by z_var
-    a scatter along an index table over the monomials of degree < N.
+    a and b hold Gaussian rationals as (re, im) pairs of Fractions.  The
+    image of z^alpha is its parent's (alpha less one on its first nonzero
+    axis) times (Az + b)_k, a dict of exact coefficients; entry (gamma,
+    alpha) of the orthonormal matrix is the z^gamma coefficient times
+    ||z^gamma|| / ||z^alpha||, the square root of an exact ratio of integers.
     """
-    d, m, n = basis.d, basis.size, basis.max_degree
-    tables = []
-    for k in range(d):
-        src, dst = [], []
-        for i, alpha in enumerate(basis.indices):
-            if sum(alpha) < n:
-                src.append(i)
-                dst.append(basis.index_of[alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]])
-        tables.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)))
-    cols = np.zeros((m, m), dtype=complex)
-    cols[0, 0] = 1.0
-    for i, alpha in enumerate(basis.indices[1:], start=1):
+    d = basis.d
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    images = [{(0,) * d: (Fraction(1), Fraction(0))}]
+    for alpha in basis.indices[1:]:
         k = next(j for j in range(d) if alpha[j] > 0)
-        pvec = cols[basis.index_of[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]]]
-        vec = sym.b[k] * pvec
-        for var in range(d):
-            coef = sym.a[k, var]
-            if coef != 0:
-                src, dst = tables[var]
-                vec[dst] += coef * pvec[src]
-        cols[i] = vec
-    return cols.T * (basis.norms[:, None] / basis.norms[None, :])
+        parent = images[basis.index_of[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]]]
+        image = {}
+        for gamma, c in parent.items():
+            terms = [(gamma, b[k])] + [
+                (gamma[:v] + (gamma[v] + 1,) + gamma[v + 1 :], a[k][v]) for v in range(d)
+            ]
+            for beta, coef in terms:
+                re, im = image.get(beta, (0, 0))
+                add = mul(c, coef)
+                image[beta] = (re + add[0], im + add[1])
+        images.append(image)
+    want = np.zeros((basis.size, basis.size), dtype=complex)
+    for j, (alpha, image) in enumerate(zip(basis.indices, images)):
+        for gamma, (re, im) in image.items():
+            ratio = math.sqrt(Fraction(monomial_norm_sq_int(gamma), monomial_norm_sq_int(alpha)))
+            want[basis.index_of[gamma], j] = complex(float(re), float(im)) * ratio
+    return want
 
 
 def matching_error(want, got) -> float:
@@ -111,21 +118,32 @@ def test_truncation_spectrum_unbounded_rejected():
 
 @pytest.mark.parametrize("d, n", [(1, 9), (2, 7), (3, 6), (4, 4)])
 def test_degree_recursion_matches_column_loop(d, n):
-    # non-diagonal A with one exact zero, which both builders skip, and b != 0
+    # non-diagonal A with one exact zero and b != 0, entries dyadic Gaussian
+    # rationals, so the float symbol is exactly the rational one
     rng = np.random.default_rng(d)
-    a = 0.4 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    a[0, d - 1] = 0 if d > 1 else a[0, 0]
-    sym = AffineSymbol(a, rng.normal(size=d) + 1j * rng.normal(size=d))
+
+    def draw(*shape):
+        return [Fraction(int(x), 16) for x in rng.integers(-6, 7, size=shape).ravel()]
+
+    re, im = draw(d, d), draw(d, d)
+    a = [[(re[i * d + j], im[i * d + j]) for j in range(d)] for i in range(d)]
+    if d > 1:
+        a[0][d - 1] = (Fraction(0), Fraction(0))
+    b = list(zip(draw(d), draw(d)))
+    sym = AffineSymbol(
+        [[complex(float(x), float(y)) for x, y in row] for row in a],
+        [complex(float(x), float(y)) for x, y in b],
+    )
     basis = graded_basis(d, n)
-    want = column_loop_matrix(sym, basis)
+    want = column_loop_matrix(a, b, basis)
     got = _assemble_matrix(sym, basis)
-    # bit for bit, the signs of zeros included
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # 4 ulps of the largest entry (0.53 at most over five draws per case)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
     blocks = list(_degree_columns(sym, basis, shift=False))
     assert len(blocks) == n + 1
     for k, block in enumerate(blocks):
         s = basis.degree_slice(k)
-        assert np.array_equal(block, want[s, s])
+        assert np.array_equal(block, got[s, s])
 
 
 @pytest.mark.parametrize(
@@ -335,10 +353,21 @@ def test_approx_numbers_rank_deficient_linear_part():
     ids=["zero-lambda", "n0", "n1", "n2", "n3", "table", "past-the-table-guard"],
 )
 def test_line_factor_matches_the_degree_recursion(lam, c, n):
-    # the kernel on z^0..z^n against the dense assembly of the 1 x 1 symbol:
-    # Horner sweeps for lambda = 0, for extents up to 3 and for |c| past the
-    # table's 2^1000 guard (2^(499/40 - 0.5) < 5000 at n = 40), a table otherwise
+    # the one-variable loop against the dense assembly of the 1 x 1 symbol:
+    # lambda = 0, degrees 0 to 3, a moderate symbol and a large |c|
     got = _line_factor(lam, c, n)
     want = assemble_truncated(AffineSymbol([[lam]], [c]), n)
     assert got.shape == want.shape == (n + 1, n + 1)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_line_factor_stays_finite_past_degree_149():
+    # built in orthonormal coordinates, every entry is one of the truncation,
+    # at most exp(|c|^2 / 4) here (about 2.9e34), where monomial norms overflow;
+    # 400 steps deep, each builder was within 1.5e-15 of the largest entry of a
+    # 50-digit reference
+    lam, c, n = 0.166, 17.72 + 1.84j, 400
+    got = _line_factor(lam, c, n)
+    want = assemble_truncated(AffineSymbol([[lam]], [c]), n)
+    assert np.isfinite(got).all() and np.abs(got).max() <= np.exp(abs(c) ** 2 / 4)
+    assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()

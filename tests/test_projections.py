@@ -269,7 +269,8 @@ def full_matrix_orbit_rank(sym, f, degree, steps, projector):
     mask = np.array([projector is None or sum(a) == projector for a in basis.indices])
     x = np.zeros(basis.size, dtype=complex)
     for alpha, c in f.items():
-        x[basis.index_of[alpha]] = c * basis.norms[basis.index_of[alpha]]
+        # orthonormal coordinates: c ||z^alpha||, ||z^alpha||^2 = 2^|alpha| alpha!
+        x[basis.index_of[alpha]] = c * math.sqrt(2 ** sum(alpha) * math.prod(map(math.factorial, alpha)))
     cols = []
     for _ in range(steps):
         x = x / np.linalg.norm(x)
