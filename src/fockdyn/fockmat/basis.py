@@ -42,7 +42,11 @@ def monomial_norm_sq_int(alpha) -> int:
     """Exact integer 2^{|alpha|} * prod(alpha_j!)."""
     if any(a < 0 for a in alpha):
         raise InvalidInputError(f"negative entry in multi-index {alpha}")
-    return math.prod(map(math.factorial, alpha)) << sum(alpha)
+    total = sum(alpha)
+    out = 1 << total
+    for a in alpha:
+        out *= math.factorial(a)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +64,9 @@ class GradedBasis:
 
     def degree_slice(self, n: int) -> slice:
         """Positions of the degree-n block (contiguous by construction)."""
-        return slice(math.comb(n + self.d - 1, self.d), math.comb(n + self.d, self.d))
+        lo = math.comb(n + self.d - 1, self.d) if n > 0 else 0
+        hi = math.comb(n + self.d, self.d)
+        return slice(lo, hi)
 
 
 def check_basis_size(d: int, max_degree: int) -> None:
@@ -81,9 +87,10 @@ def graded_basis(d: int, max_degree: int) -> GradedBasis:
     return GradedBasis(d, max_degree, tuple(idx), {a: i for i, a in enumerate(idx)})
 
 
-def monomial_norms(indices, degree: int) -> np.ndarray:
+def monomial_norms(indices) -> np.ndarray:
     """||z^alpha|| per multi-index, for the grid operator's scatter and gather and the orbit's
-    input vector; degree, the caller's, is refused past 149, where 2^N N! passes 2^1022."""
+    input vector; refused past degree 149, where 2^N N! passes 2^1022."""
+    degree = max(map(sum, indices), default=0)
     if degree > 149:
         raise BudgetError(f"monomial norms of degree {degree} exceed float range "
                           "(degree 149 is the last)")

@@ -32,10 +32,11 @@ KRONECKER_OPERATIONS_BUDGET = 10**7
 def _coeff_vector(f_coeffs, basis) -> np.ndarray:
     """Orthonormal coordinates of f, given in monomial coefficients."""
     vec = np.zeros(basis.size, dtype=complex)
-    for (alpha, c), norm in zip(f_coeffs.items(), monomial_norms(f_coeffs, poly_degree(f_coeffs))):
+    for (alpha, c), norm in zip(f_coeffs.items(), monomial_norms(f_coeffs)):
         if alpha not in basis.index_of:
-            raise InvalidInputError(f"coefficient index {alpha} outside "
-                                    f"degree-{basis.max_degree} basis")
+            raise InvalidInputError(
+                f"coefficient index {alpha} outside degree-{basis.max_degree} basis"
+            )
         vec[basis.index_of[alpha]] = c * norm
     return vec
 

@@ -33,11 +33,12 @@ from .basis import GradedBasis, check_basis_size, graded_basis, monomial_norms
 DENSE_SVD_CUTOFF = 1200
 
 # Operations of the SVD routes, about 1 ns each on a 2-vCPU Xeon: dense m^3 (4.3 s at
-# m = 1,770, 29 s at m = 3,003); Lanczos for k values 16 k (n+1)^d n s, s the stages of a
+# m = 1,770, 29 s at m = 3,003); Lanczos 64 max(k, 10) (n+1)^d n s, s the stages of a
 # matvec pair (its own, the adjoint's and one kernel factor per variable), each n passes
-# over the (n+1)^d grid.  A pair took 0.4 ns (diagonal A, d=2, n=100) to 10 ns (dense A,
-# d=3, n=58) per grid entry and pass, and svds took 3.1-3.6 pairs per value at k = 30.
-LANCZOS_COST = 16
+# over the (n+1)^d grid.  With a dense A, svds took 30-70 ns per grid entry, pass and
+# value at k = 10 and 30 (d = 2 and 3, n = 20-60), and as long for any k below 10.
+LANCZOS_COST = 64
+LANCZOS_MIN_VALUES = 10
 SVD_OPERATIONS_BUDGET = 30_000_000_000
 
 # Cap on sum n_k^3 over the n_k x n_k diagonal blocks of a spectrum; its edges
@@ -61,8 +62,10 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
     d, a, b = basis.d, sym.a.tolist(), sym.b.tolist()
     below = basis.indices[: basis.degree_slice(basis.max_degree).start]
     # up[v][i] and rise[v][i]: position of gamma + e_v and sqrt(2 (gamma_v + 1)), gamma = below[i]
-    up = [np.array([basis.index_of[x[:v] + (x[v] + 1,) + x[v + 1 :]] for x in below])
-          for v in range(d)]
+    up = [
+        np.array([basis.index_of[x[:v] + (x[v] + 1,) + x[v + 1 :]] for x in below])
+        for v in range(d)
+    ]
     rise = np.sqrt(2.0 * np.array(below).reshape(-1, d).T + 2.0)
     prev = np.ones((1, 1), dtype=complex)
     yield prev
@@ -124,7 +127,8 @@ def truncated_singular_values(matrix: np.ndarray, k: int) -> np.ndarray:
     """Top-k singular values of a truncated matrix, descending."""
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
-    return scipy.linalg.svdvals(matrix)[:k]
+    s = scipy.linalg.svdvals(matrix)
+    return s[: min(k, s.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +136,24 @@ def truncated_singular_values(matrix: np.ndarray, k: int) -> np.ndarray:
 
 
 def _multiply_kernel_series(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Box-truncated product with exp(<z, b>/2) = prod_j exp(conj(b_j) z_j / 2): along axis j,
-    the lower-triangular Toeplitz matrix of the series (conj(b_j) / 2)^m / m!."""
+    """Box-truncated product with exp(<z, b>/2) = prod_j exp(conj(b_j) z_j / 2)."""
     n = t.shape[0] - 1
     for j, bj in enumerate(b):
-        if bj != 0:
-            series = np.cumprod(np.r_[1.0, np.conj(bj) / 2.0 / np.arange(1, n + 1)])
-            factor = scipy.linalg.toeplitz(series, np.zeros(n + 1))
-            t = np.moveaxis(np.tensordot(factor, t, axes=(1, j)), 0, j)
+        w = np.conj(bj) / 2.0
+        if w == 0:
+            continue
+        coeffs = np.empty(n + 1, dtype=complex)
+        coeffs[0] = 1.0
+        for m in range(1, n + 1):
+            coeffs[m] = coeffs[m - 1] * w / m
+        out = coeffs[0] * t
+        src = [slice(None)] * t.ndim
+        dst = [slice(None)] * t.ndim
+        for m in range(1, n + 1):
+            src[j] = slice(0, n + 1 - m)
+            dst[j] = slice(m, None)
+            out[tuple(dst)] += coeffs[m] * t[tuple(src)]
+        t = out
     return t
 
 
@@ -157,7 +171,7 @@ def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperat
     """
     _require_bounded(sym)
     basis = graded_basis(sym.dimension, n)
-    norms = monomial_norms(basis.indices, n)
+    norms = monomial_norms(basis.indices)
     index = tuple(np.array(basis.indices).T) + (0,)
     stages, adjoint_stages = _grid_stages(sym)
 
@@ -191,7 +205,7 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     check_basis_size(d, n)
     m = math.comb(n + d, d)
     passes = n * (sum(len(rows) for _, rows in _grid_stages(sym)) + d)
-    lanczos = LANCZOS_COST * k * (n + 1) ** d * passes
+    lanczos = LANCZOS_COST * max(k, LANCZOS_MIN_VALUES) * (n + 1) ** d * passes
     cheaper = m**3 <= lanczos and 40 * m * m <= DENSE_BYTES_BUDGET
     dense = m <= DENSE_SVD_CUTOFF or cheaper  # k >= m - 1 (past Lanczos) is cheaper or over budget
     work = m**3 if dense else lanczos
@@ -201,6 +215,11 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
         return truncated_singular_values(assemble_truncated(sym, n), k)
     op = grid_operator(sym, n)
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
-    s = scipy.sparse.linalg.svds(op, k, v0=v0, maxiter=max(2000, 40 * k),
-                                 return_singular_vectors=False)
+    s = scipy.sparse.linalg.svds(
+        op,
+        k=k,
+        v0=v0,
+        return_singular_vectors=False,
+        maxiter=max(2000, 40 * k),
+    )
     return np.sort(s)[::-1]

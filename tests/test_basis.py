@@ -38,7 +38,7 @@ def test_monomial_norms_are_exact_integers():
     assert monomial_norm_sq_int((2, 1)) == 2 ** 3 * 2
     assert monomial_norm_sq_int((3, 2)) == 2 ** 5 * 6 * 2
     basis = graded_basis(2, 5)
-    norms = monomial_norms(basis.indices, 5)
+    norms = monomial_norms(basis.indices)
     assert norms[basis.index_of[(2, 1)]] == pytest.approx(np.sqrt(16.0))
     # each norm is the square root of the exact integer, rounded once
     assert norms.tolist() == [math.sqrt(monomial_norm_sq_int(a)) for a in basis.indices]
@@ -62,12 +62,12 @@ def test_graded_basis_budget():
 
 
 def test_monomial_norms_refuse_past_the_float_range():
-    # 2^150 150! is the first squared norm past 2^1022; the error names the caller's degree
+    # 2^150 150! is the first squared norm past 2^1022; the error names the largest degree
     assert (monomial_norm_sq_int((149, 0))).bit_length() <= 1022
     assert (monomial_norm_sq_int((150, 0))).bit_length() > 1022
-    assert np.isfinite(monomial_norms([(149, 0), (0, 149)], 149)).all()
-    with pytest.raises(BudgetError, match=r"degree 200 exceed float range \(degree 149 is the last\)"):
-        monomial_norms([(0, 0)], 200)
+    assert np.isfinite(monomial_norms([(149, 0), (0, 149)])).all()
+    with pytest.raises(BudgetError, match=r"degree 150 exceed float range \(degree 149 is the last\)"):
+        monomial_norms([(0, 0), (75, 75), (3, 4)])
 
 
 def test_dickson_partition_covers_and_dominates():

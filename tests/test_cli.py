@@ -300,6 +300,42 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
         assert budget in err and err.count("\n") == 1
 
 
+def test_grid_action_byte_budget_exits_three_before_allocating(tmp_path, capsys, monkeypatch):
+    # past the SVD budget, the 10^8-entry grid of eight variables at degree 9 is refused by
+    # its own byte check (1.5 GiB a copy) when Lanczos first applies the grid action
+    monkeypatch.setattr(fockdyn.fockmat.operator, "SVD_OPERATIONS_BUDGET", float("inf"))
+    sym8 = {"dimension": 8, "A": (0.5 * np.eye(8)).tolist(), "b": [0] * 8}
+    path = write_json(tmp_path / "sym8.json", sym8)
+    tracemalloc.start()
+    try:
+        code = main(["approx", path, "--top", "3", "--oracle-degree", "9", "--oracle-method", "grid"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 200 * 2**20
+    err = capsys.readouterr().err
+    assert "coefficient grid" in err and "dense budget" in err and err.count("\n") == 1
+
+
+def test_reduced_oracle_svd_budget_exits_three_before_allocating(tmp_path, capsys):
+    # the dense SVDs of degree-3,200 factors would take 3.3e10 operations at d = 1 (and
+    # 4e4 would hold 24 GiB a factor); two axes at degree 2,500 take 3.1e10 together
+    line = write_json(tmp_path / "line.json", SYMBOL_LINE)
+    plane = write_json(tmp_path / "plane.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
+    for path, degree in ((line, "40000"), (line, "3200"), (plane, "2500")):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["approx", path, "--top", "3", "--oracle-degree", degree, "--oracle-method", "reduced"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 20 * 2**20 and time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"fockdyn: budget exceeded: line factors of degree {degree}: ")
+        assert "SVD budget" in err and err.count("\n") == 1
+
+
 def test_approx_report_budget_exits_three_before_enumerating(tmp_path, capsys):
     # 10^6 terms of three exponents each are the budget's 4e6 numbers; one
     # term more, or 444,445 terms of eight exponents, is refused before the
@@ -902,7 +938,7 @@ def test_each_command_analyzes_its_symbol_once(tmp_path, monkeypatch):
 
 
 def test_grid_oracle_takes_the_cheaper_svd_route(tmp_path, monkeypatch):
-    # the cutoff moved below m = 120 (d = 2, degree 14): 30 values make the
+    # the cutoff moved below m = 861 (d = 2, degree 40): 30 values make the
     # dense SVD the cheaper route, 5 leave Lanczos on the grid action
     path = write_json(tmp_path / "sym.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
     monkeypatch.setattr(fockdyn.fockmat.operator, "DENSE_SVD_CUTOFF", 0)
@@ -916,7 +952,7 @@ def test_grid_oracle_takes_the_cheaper_svd_route(tmp_path, monkeypatch):
     for top, route in (("30", "assemble_truncated"), ("5", "grid_operator")):
         routes.clear()
         code, doc = run_json(tmp_path, [
-            "approx", path, "--top", top, "--oracle", "--oracle-method", "grid", "--oracle-degree", "14",
+            "approx", path, "--top", top, "--oracle", "--oracle-method", "grid", "--oracle-degree", "40",
         ])
         assert code == 0 and routes == [route]
         assert doc["oracle"]["max_rel_delta"] < 1e-10
@@ -961,21 +997,22 @@ def test_line_truncations_past_degree_149(tmp_path):
     assert code == 0 and doc["basis_size"] == 301
     got = [complex(e["re"], e["im"]) for e in doc["eigenvalues"]]
     assert np.abs(np.array(got) - 0.5 ** np.arange(301)).max() <= 1e-15
-    # the auto degree of 138 values is 150 for both oracles
-    for method in ("grid", "reduced"):
+    # the auto degree of 138 values is 150 for the grid oracle, 153 for the reduced one
+    for method, degree in (("grid", 150), ("reduced", 153)):
         code, doc = run_json(tmp_path, ["approx", path, "--top", "138", "--oracle", "--oracle-method", method])
-        assert code == 0 and doc["oracle"]["degree"] == 150
+        assert code == 0 and doc["oracle"]["degree"] == degree
         assert doc["oracle"]["max_rel_delta"] < 1e-10
 
 
 def test_grid_route_and_orbit_refuse_monomial_norms_past_degree_149(tmp_path, capsys):
-    # Lanczos on the grid action converts through monomial norms: degree 1300 (m = 1,301, past
-    # the dense cutoff) is refused in one line, where unscaled norms would give NaN
+    # Lanczos on the grid action converts through monomial norms: degree 2500 (m = 2,501, where
+    # Lanczos for one value is charged less than the dense SVD) is refused in one line, where
+    # unscaled norms would give NaN
     path = write_json(tmp_path / "line.json", SYMBOL_LINE)
-    args = ["approx", path, "--top", "1", "--oracle-degree", "1300", "--oracle-method", "grid"]
+    args = ["approx", path, "--top", "1", "--oracle-degree", "2500", "--oracle-method", "grid"]
     assert main(args) == 3
     err = capsys.readouterr().err
-    assert err == "fockdyn: budget exceeded: monomial norms of degree 1300 exceed float range (degree 149 is the last)\n"
+    assert err == "fockdyn: budget exceeded: monomial norms of degree 2500 exceed float range (degree 149 is the last)\n"
     # an orbit of a file function converts the function's own monomials: degree 3 runs in a
     # degree-200 truncation, a degree-160 function is refused
     for top, code in ((3, 0), (160, 3)):

@@ -307,6 +307,15 @@ def test_reduced_and_grid_oracles_agree():
     assert np.allclose(reduced[:3], grid, rtol=1e-12)
 
 
+def test_reduced_oracle_degree_covers_displaced_singular_functions():
+    # lambda = 0.898 and |w| = 34.8: the 11th singular function is e_10 displaced to w, whose
+    # degrees spread past the Poisson band of rate |w|^2 / 2 alone (degree 772 left 7.8e-3)
+    sym = AffineSymbol([[0.2282664159470281 - 0.8680901175391346j]],
+                       [-5.425988154397734 + 4.00257602173235j])
+    rep = approx_numbers(sym, 11, oracle="reduced")
+    assert rep.oracle_degree == 961 and rep.max_rel_delta < 1e-10
+
+
 @pytest.mark.parametrize(
     "a, b, n",
     [
