@@ -30,6 +30,7 @@ from .relations import (
     numeric_relation_search,
 )
 from .spectral import (
+    MERGE_DISTANCE,
     LinearFormBasis,
     SpectralData,
     geometric_eigenvalue_list,
@@ -227,7 +228,7 @@ def _classify_numeric(
     # duplicates at cluster resolution
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
-            if abs(lam[i] - lam[j]) <= 2 * spec.cluster_radius:
+            if abs(lam[i] - lam[j]) <= 2 * MERGE_DISTANCE:
                 return _not_cyclic(
                     "RELATION_FOUND",
                     "two numerically equal eigenvalues give the power "
@@ -307,8 +308,10 @@ def cyclic_vector_test(
     degree can only ever refute or partially support cyclicity of f; the
     report records the degree actually checked.
     """
+    if degree < 0:
+        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     d = sym.dimension
-    size = math.comb(max(degree, 0) + d, d)
+    size = math.comb(degree + d, d)
     if size > BASIS_SIZE_BUDGET:
         raise BudgetError(
             f"degree {degree} checks {size} coefficients, over the basis budget {BASIS_SIZE_BUDGET}"
@@ -321,8 +324,6 @@ def cyclic_vector_test(
             f"operator is not provably cyclic (status {verdict.status.value}); "
             "cyclic vectors exist only for cyclic operators"
         )
-    if degree < 0:
-        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     validate_coeffs(f_coeffs, d)
     if poly_degree(f_coeffs) > degree:
         raise InvalidInputError(

@@ -82,12 +82,14 @@ def enumerate_lambda_desc(lambdas, k: int) -> tuple:
     broken by graded lexicographic order on alpha.  Requires 0 < lambda_j < 1.
 
     With w = -log lambda, a threshold t grows by 2^(1/d) until k lattice
-    points have alpha . w <= t; all points under t + 16 d eps (1 + t), twice
-    a bound on the rounding of the sums and of -log of the values, are
-    generated at once, and their values multiply per-axis tables of x**a in
-    axis order, bit for bit the heap's.  The best-first heap runs instead
-    where values underflow (t > 700) or more than 4 k + 4096 points would be
-    generated (lambda_j within a few eps of 1).
+    points have alpha . w <= t.  It starts where at most k can: each such
+    alpha owns the cube alpha + [0, 1)^d inside the simplex of t + sum w, so
+    at most (t + sum w)^d / (d! prod w) of them lie below t.  All points under
+    t + 16 d eps (1 + t), twice a bound on the rounding of the sums and of
+    -log of the values, are generated at once, and their values multiply
+    per-axis tables of x**a in axis order, bit for bit the heap's.  The heap
+    runs instead where values underflow (t > 700) or more than 4 k + 4096
+    points would be generated (lambda_j within a few eps of 1).
     """
     lam = [float(x) for x in lambdas]
     if not lam:
@@ -98,21 +100,24 @@ def enumerate_lambda_desc(lambdas, k: int) -> tuple:
         raise InvalidInputError(f"k must be positive, got {k}")
     _check_budget(k, len(lam))
     w = [-math.log(x) for x in lam]
-    margin = 16 * len(w) * float(np.finfo(float).eps)
-    t = min(w)
+    d = len(w)
+    margin = 16 * d * float(np.finfo(float).eps)
+    # start at (k d! prod w)^(1/d) - sum w, in logarithms (d! overflows from d = 171)
+    log_root = (math.log(k) + math.lgamma(d + 1) + sum(map(math.log, w))) / d
+    t = max(min(w), math.exp(log_root) - sum(w))
     while True:
         grid = None if t > 700.0 else _lattice_below(w, t + margin * (1.0 + t), 4 * k + 4096)
         if grid is None:
             # alpha_j = k has k predecessors that pop first, so no top-k index reaches k
             pairs = _best_first(
-                lambda alpha: math.prod(x**a for x, a in zip(lam, alpha)), (k,) * len(lam), k
+                lambda alpha: math.prod(x**a for x, a in zip(lam, alpha)), (k,) * d, k
             )
             alphas, values = zip(*pairs)
             return tuple(zip(*alphas)), list(values)
         cols, total = grid
         if np.count_nonzero(total <= t) >= k:
             break
-        t *= 2.0 ** (1.0 / len(w))
+        t *= 2.0 ** (1.0 / d)
     values = np.ones(total.size)
     for x, c in zip(lam, cols):
         values = values * np.array([x**a for a in range(int(c.max()) + 1)])[c]

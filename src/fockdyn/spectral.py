@@ -1,22 +1,37 @@
 """Eigenstructure of the linear part: clusters, Jordan profile, and the
 degree-one polynomial basis adapted to the symbol.
 
-Eigenvalues are computed numerically, clustered at a caller-chosen radius,
-and block sizes are read off rank drops of powers of (A - lambda I).  The
-linear forms take one block size per eigenvalue, as every cyclic symbol has.
+Computed eigenvalues are clustered where they lie within MERGE_DISTANCE or
+where A - mu I at their midpoint mu is singular to within rounding.  One
+staircase per cluster then deflates the nullspaces of A^T - mu I in turn: the
+steps in nullity give the block sizes, and the top level gives the chain tops
+from which the linear forms descend.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .symbol import AffineSymbol
 
-# relative rank threshold of the Jordan profile and of the chain nullspaces
+# computed eigenvalues this close always form one cluster
+MERGE_DISTANCE = 1e-7
+# a pair farther apart joins when A - mu I at its midpoint mu has a singular
+# value at most SPLIT_TOL d ||A||, a backward error that rounding reaches: at
+# most 0.15 d eps ||A|| at the splits of conjugated 2- to 6-blocks, and
+# 8.5e3 d eps ||A|| between 0.5, 0.5001, 0.5002 with 0.3 above the diagonal
+SPLIT_TOL = 10 * float(np.finfo(float).eps)
+# relative rank threshold of the staircase
 RANK_TOL = 1e-10
+# each rank decision of the staircase must hold for every rank threshold
+# within this factor of RANK_TOL ||A||, from 1e-12 (a few thousand eps, above
+# the rounding of the SVD) to 1e-8 (about sqrt(eps), the split of a
+# rounded defective pair); a profile that hinges on the constant raises
+RANK_MARGIN = 100.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,21 +40,30 @@ class EigenvalueInfo:
     algebraic_mult: int
     geometric_mult: int
     block_sizes: tuple  # descending Jordan block sizes for this eigenvalue
-    spread: float  # max distance of cluster members from the representative
+    # orthonormal columns: the top staircase level of A^T - value I, beyond the
+    # level below it; they head the chains of the largest blocks
+    chain_tops: np.ndarray = dataclasses.field(compare=False, repr=False)
 
 
 @dataclasses.dataclass(frozen=True)
 class SpectralData:
     eigenvalues: tuple  # EigenvalueInfo, sorted by (-|value|, arg)
     diagonalizable: bool
-    cluster_radius: float
     clustering_warning: bool
 
 
-def _cluster(values: np.ndarray, radius: float) -> list:
-    """Single-linkage clusters of complex values at the given radius."""
-    n = values.size
-    parent = list(range(n))
+def _cluster(vals: list, m: np.ndarray, threshold: float) -> list:
+    """Single-linkage clusters of the computed eigenvalues of m: a pair joins
+    within MERGE_DISTANCE, or when m - mu I at its midpoint mu has a singular
+    value at most threshold and no third value lies nearer mu than the pair.
+
+    No SVD is taken where Henrici's bound clears threshold: with every
+    eigenvalue at least delta from mu, and dep the departure of m from
+    normality, sigma_min(m - mu I) >= delta / (n max(1, dep / delta)^(n-1))."""
+    n, v, parent = len(vals), np.asarray(vals), list(range(len(vals)))
+    fro2 = float(np.linalg.norm(m)) ** 2
+    # dep^2 = ||m||_F^2 - sum |lambda|^2, raised past the rounding of both sums
+    dep = math.sqrt(max(fro2 - sum(abs(x) ** 2 for x in vals), 0.0) + n * SPLIT_TOL * fro2)
 
     def find(i):
         while parent[i] != i:
@@ -49,77 +73,72 @@ def _cluster(values: np.ndarray, radius: float) -> list:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
+            half, mid = abs(vals[i] - vals[j]) / 2, (vals[i] + vals[j]) / 2
+            if half <= MERGE_DISTANCE / 2 or (
+                    math.log(half / n / threshold) <= (n - 1) * math.log(max(1.0, dep / half))
+                    and np.delete(np.abs(v - mid), [i, j]).min(initial=np.inf) >= half
+                    and np.linalg.svd(m - mid * np.eye(n), compute_uv=False)[-1] <= threshold):
                 parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    roots = [find(i) for i in range(n)]
+    return [[i for i in range(n) if roots[i] == r] for r in dict.fromkeys(roots)]
 
 
-def _numerical_rank(mat: np.ndarray, threshold: float) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.count_nonzero(s > threshold))
+def _staircase(p: np.ndarray, alg: int, tol: float, spread: float) -> tuple:
+    """Nullity steps of p, p^2, ... up to nullity alg, and the top level's new
+    directions as orthonormal columns.
+
+    Level i is the null space of (I - N N^H) p, N an orthonormal basis of
+    level i - 1: N plus R times the null space of R^H p R, R an orthonormal
+    complement of N.  Singular values up to tol + 2 spread count as zero, and
+    each decision must hold from tol / RANK_MARGIN to tol * RANK_MARGIN, bar
+    values within 2 spread, where a merged cluster's spread may put them."""
+    rest, image, steps = np.eye(p.shape[0], dtype=complex), p, []
+    while True:
+        _, s, vh = np.linalg.svd(image)
+        excess = [x - 2 * spread for x in s.tolist()]
+        rank = sum(x > tol for x in excess)
+        ratios = [x / tol for x in excess[:rank]] + [tol / x for x in excess[rank:] if x > 0]
+        margin = min(ratios, default=np.inf)
+        if margin < RANK_MARGIN:
+            raise NumericalFailureError(
+                f"Jordan structure is ill-determined: a rank decision clears its "
+                f"threshold by a factor {margin:.3g}, below {RANK_MARGIN:g}")
+        if rank == s.size:
+            return steps, None
+        new = rest @ vh[rank:].conj().T
+        steps.append(new.shape[1])
+        if sum(steps) >= alg:
+            return steps, new
+        rest = rest @ vh[:rank].conj().T
+        image = rest.conj().T @ p @ rest
 
 
-def eigen_decompose(a, cluster_radius: float = 1e-7) -> SpectralData:
-    """Cluster the spectrum of a and resolve each cluster's Jordan profile.
-
-    Rank decisions use threshold RANK_TOL * ||a||, widened by the cluster
-    spread (so a merged pair of nearby simple eigenvalues reads as two
-    one-blocks rather than a defective pair).
-    """
+def eigen_decompose(a) -> SpectralData:
+    """Cluster the spectrum of a and resolve each cluster's Jordan profile."""
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    norm_a = max(float(np.linalg.norm(a, 2)), 1e-300)
-    vals = np.linalg.eigvals(a)
-    clusters = _cluster(vals, cluster_radius)
-    reps = [complex(np.mean(vals[idx])) for idx in clusters]
-    warning = any(
-        abs(reps[i] - reps[j]) < 2 * cluster_radius
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-    )
+    norm, vals = max(float(np.linalg.norm(a, 2)), 1e-300), np.linalg.eigvals(a).tolist()
+    clusters = _cluster(vals, a.T, SPLIT_TOL * a.shape[0] * norm)
+    reps = [complex(np.mean([vals[i] for i in idx])) for idx in clusters]
+    warning = any(abs(x - y) < 2 * MERGE_DISTANCE for i, x in enumerate(reps) for y in reps[i + 1:])
     infos = []
     for idx, rep in zip(clusters, reps):
         alg = len(idx)
         spread = max(abs(vals[i] - rep) for i in idx)
-        p = a - rep * np.eye(d)
-        blocks_geq = []
-        r_prev = d
-        pk = np.eye(d)
-        for k in range(1, alg + 1):
-            pk = pk @ p
-            threshold = RANK_TOL * norm_a + (2 * spread) ** k
-            r_k = _numerical_rank(pk, threshold)
-            blocks_geq.append(r_prev - r_k)
-            r_prev = r_k
-            if r_k <= d - alg:
-                break
-        blocks_geq.append(0)
-        sizes = []
-        for k in range(len(blocks_geq) - 1):
-            sizes.extend([k + 1] * (blocks_geq[k] - blocks_geq[k + 1]))
-        sizes.sort(reverse=True)
-        if sum(sizes) != alg or not sizes:
-            raise NumericalFailureError(
-                f"Jordan profile inconsistent for eigenvalue {rep:.6g}: "
-                f"block sizes {sizes} vs algebraic multiplicity {alg}"
-            )
-        infos.append(
-            EigenvalueInfo(rep, alg, len(sizes), tuple(sizes), float(spread))
-        )
+        steps, tops = _staircase(a.T - rep * np.eye(a.shape[0]), alg, RANK_TOL * norm, spread)
+        # steps[k] blocks have size > k, so a level never adds more than the one below
+        if sum(steps) != alg or steps != sorted(steps, reverse=True):
+            raise NumericalFailureError(f"Jordan profile inconsistent for eigenvalue {rep:.6g}: "
+                                        f"nullity steps {steps} vs algebraic multiplicity {alg}")
+        sizes = tuple(sum(c > j for c in steps) for j in range(steps[0]))
+        infos.append(EigenvalueInfo(rep, alg, len(sizes), sizes, tops))
     infos.sort(key=lambda e: (-abs(e.value), np.angle(e.value) % (2 * np.pi)))
     diagonalizable = all(s == 1 for e in infos for s in e.block_sizes)
-    return SpectralData(tuple(infos), diagonalizable, cluster_radius, warning)
+    return SpectralData(tuple(infos), diagonalizable, warning)
 
 
 def geometric_eigenvalue_list(spec: SpectralData) -> list:
     """Eigenvalues repeated once per Jordan block (geometric multiplicity)."""
-    out = []
-    for e in spec.eigenvalues:
-        out.extend([e.value] * e.geometric_mult)
-    return out
+    return [e.value for e in spec.eigenvalues for _ in range(e.geometric_mult)]
 
 
 # ---------------------------------------------------------------------------
@@ -138,43 +157,12 @@ class LinearFormBasis:
     eigenvalues: tuple  # eigenvalue attached to each row
 
 
-def _nullspace(mat: np.ndarray, threshold: float) -> np.ndarray:
-    _, s, vh = np.linalg.svd(mat)
-    rank = int(np.count_nonzero(s > threshold))
-    return vh[rank:].conj().T
-
-
-def _chains(p: np.ndarray, size: int, count: int, threshold: float) -> list:
-    """The count Jordan chains of length size, eigenvector first, of the
-    eigenvalue whose shifted matrix is p and whose blocks all have that size:
-    the leading right singular vectors of ker(p^size) projected off
-    ker(p^(size-1)), each descended by p and scaled to a unit eigenvector."""
-    d = p.shape[0]
-    pk = np.eye(d)
-    for _ in range(size - 1):
-        pk = pk @ p
-    q = np.linalg.qr(_nullspace(pk, threshold))[0] if size > 1 else np.zeros((d, 0))
-    b = _nullspace(pk @ p, threshold)
-    _, s_c, vh_c = np.linalg.svd(b - q @ (q.conj().T @ b), full_matrices=False)
-    if s_c.size < count or s_c[count - 1] < 1e-8:
-        raise NumericalFailureError("could not separate Jordan chain tops")
-    out = []
-    for i in range(count):
-        chain = [b @ vh_c[i].conj()]
-        for _ in range(size - 1):
-            chain.append(p @ chain[-1])
-        chain.reverse()
-        scale = np.linalg.norm(chain[0])
-        if scale < 1e-300:
-            raise NumericalFailureError("degenerate Jordan chain")
-        out.append([v / scale for v in chain])
-    return out
-
-
 def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
     """Degree-one polynomials L_j = <row_j, z - xi> with row_j running through
     Jordan chains of A^T, so that composing with the symbol multiplies each
-    L_j by its eigenvalue, plus L_{j-1} on chain continuation rows.
+    L_j by its eigenvalue, plus L_{j-1} on chain continuation rows.  Each
+    chain descends from one of the spectrum's chain tops by A^T - lambda I and
+    is scaled to a unit eigenvector.
 
     Chain residuals above sqrt(tol) raise, naming the residual; so do Jordan
     blocks of several sizes at one eigenvalue, which no cyclic symbol has.
@@ -182,18 +170,21 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
     xi, spec = sym.xi, sym.spectrum
     m = sym.a.T.copy()
     norm_m = max(float(np.linalg.norm(m, 2)), 1e-300)
-    rows: list = []
-    flags: list = []
-    eigs: list = []
+    rows, flags, eigs = [], [], []
     for info in spec.eigenvalues:
-        p = m - info.value * np.eye(sym.dimension)
-        threshold = RANK_TOL * norm_m + 2 * info.spread
         if len(set(info.block_sizes)) > 1:
             raise InvalidInputError(
                 f"eigenvalue {info.value:.6g} has Jordan blocks of sizes {info.block_sizes}")
-        for chain in _chains(p, info.block_sizes[0], info.geometric_mult, threshold):
-            for pos, vec in enumerate(chain):
-                rows.append(vec)
+        p = m - info.value * np.eye(sym.dimension)
+        for top in info.chain_tops.T:
+            chain = [top]
+            for _ in range(info.block_sizes[0] - 1):
+                chain.append(p @ chain[-1])
+            scale = np.linalg.norm(chain[-1])
+            if scale < 1e-300:
+                raise NumericalFailureError("degenerate Jordan chain")
+            for pos, vec in enumerate(reversed(chain)):
+                rows.append(vec / scale)
                 flags.append(pos > 0)
                 eigs.append(info.value)
     r = np.array(rows)

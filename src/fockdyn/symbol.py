@@ -82,7 +82,7 @@ class AffineSymbol:
         return fixed_point(self)
 
     @functools.cached_property
-    def spectrum(self):  # at the default cluster radius; spectral imports this module
+    def spectrum(self):  # spectral imports this module
         from . import spectral
         return spectral.eigen_decompose(self.a)
 

@@ -19,6 +19,8 @@ from fockdyn.relations import ExactPolarSpec, PolarEigenvalue
 from fockdyn.spectral import linear_form_basis
 from fockdyn.symbol import AffineSymbol, fixed_point
 
+from matrices import conjugated, jordan_block
+
 
 def tagged_diagonal(lam, b=None, tag_prefix="r"):
     """Diagonal symbol with independence-tagged moduli and argument zero."""
@@ -59,6 +61,42 @@ def test_big_jordan_block_never_cyclic():
     verdict = classify_cyclicity(AffineSymbol(a, np.zeros(3)))
     assert verdict.status is CyclicityStatus.NOT_CYCLIC
     assert verdict.reasons[0].code == "BAD_JORDAN"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conjugated_three_block_never_cyclic(seed):
+    verdict = classify_cyclicity(AffineSymbol(conjugated(jordan_block(0.5, 3), seed), np.zeros(3)))
+    assert verdict.status is CyclicityStatus.NOT_CYCLIC
+    assert verdict.reasons[0].code == "BAD_JORDAN"
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_conjugated_close_pair_stays_undecided(seed):
+    verdict = classify_cyclicity(AffineSymbol(conjugated(np.diag([0.5, 0.5 + 1e-5, 0.2]), seed), np.zeros(3)))
+    assert verdict.status is CyclicityStatus.UNDECIDED
+    assert verdict.reasons[0].code == "SEARCH_EXHAUSTED"
+
+
+# distinct eigenvalues 1e-4 apart with 0.3 above the diagonal: A - mu I at
+# each midpoint has a singular value near 4e-12, far above rounding, so the
+# diagonal stays three simple eigenvalues and the verdict rests on the moduli
+TRIANGULAR = [[0.5, 0.3, 0.0], [0.0, 0.5001, 0.3], [0.0, 0.0, 0.5002]]
+
+
+def test_close_eigenvalues_of_a_triangular_matrix_stay_undecided():
+    verdict = classify_cyclicity(AffineSymbol(TRIANGULAR, np.zeros(3)))
+    assert verdict.status is CyclicityStatus.UNDECIDED
+    assert verdict.reasons[0].code == "SEARCH_EXHAUSTED"
+
+
+@pytest.mark.parametrize("a, moduli", [
+    (TRIANGULAR, [Fraction(1, 2), Fraction(5001, 10000), Fraction(2501, 5000)]),
+    ([[0.5, 0.3], [0.0, 0.500005]], [Fraction(1, 2), Fraction(100001, 200000)]),
+])
+def test_close_exact_eigenvalues_of_a_triangular_matrix_are_cyclic(a, moduli):
+    exact = ExactPolarSpec(tuple(PolarEigenvalue(q, None, Fraction(0), None) for q in moduli))
+    verdict = classify_cyclicity(AffineSymbol(a, np.zeros(len(a)), exact=exact))
+    assert verdict.status is CyclicityStatus.CYCLIC
 
 
 def test_two_jordan_blocks_never_cyclic():

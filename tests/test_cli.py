@@ -543,6 +543,21 @@ def test_grid_oracle_over_the_basis_budget_exits_three_at_once(tmp_path, capsys)
         assert err.startswith("fockdyn: budget exceeded: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_cyclic_vector_negative_degree_is_named(tmp_path, capsys, exact):
+    # the degree is checked before the verdict: without exact data the
+    # verdict is undecided, which once hid the degree behind "not provably cyclic"
+    sym = {"dimension": 1, "A": [[0.5]], "b": [0]}
+    if exact:
+        sym["exact"] = {"eigenvalues": [
+            {"modulus": {"num": 1, "den": 2}, "arg": {"pi_rational": {"num": 0, "den": 1}}}]}
+    doc = {"symbol": sym, "function": {"coefficients": [{"alpha": [1], "value": 1.0}]}}
+    path = write_json(tmp_path / "fn.json", doc)
+    assert main(["cyclic-vector", path, "--degree", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "degree must be nonnegative" in err and err.count("\n") == 1
+
+
 def test_cyclic_vector_over_the_basis_budget_exits_three_at_once(tmp_path, capsys):
     # degree 315 checks C(317, 2) = 50,086 coefficients, over the 50,000 of
     # BASIS_SIZE_BUDGET (degree 314 checks 49,770); degree 10^5 once ended

@@ -18,6 +18,8 @@ import pytest
 
 from fockdyn.cli import main
 
+from matrices import conjugated, jordan_block
+
 CASES = 100
 EXACT_CASES = 40
 
@@ -165,3 +167,27 @@ def test_exact_symbols_end_in_a_known_exit(tmp_path, capsys):
             assert err == "", (args, err)
         else:
             assert err.startswith("fockdyn: ") and err.count("\n") == 1, (args, err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conjugated_three_block_with_exact_data_is_bad_jordan(tmp_path, seed):
+    # a size-3 Jordan block at 0.5 conjugated by a Gaussian matrix and scaled
+    # to norm 0.9, with the triple eigenvalue given exactly: the Jordan
+    # structure alone decides, before any relation
+    a = conjugated(jordan_block(0.5, 3), seed)
+    r = Fraction(float(np.trace(a).real) / 3)
+    polar = {"modulus": {"num": r.numerator, "den": r.denominator}, "arg": {"pi_rational": {"num": 0, "den": 1}}}
+    symbol = {
+        "dimension": 3,
+        "A": [[complex_doc(z) for z in row] for row in a],
+        "b": [complex_doc(0j)] * 3,
+        "exact": {"eigenvalues": [polar] * 3},
+    }
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps({"symbol": symbol}))
+    out = tmp_path / "out.json"
+    assert main(["analyze", str(path), "--output", str(out)]) == 0
+    verdict = json.loads(out.read_text())["cyclicity"]
+    assert verdict["status"] == "not_cyclic"
+    assert [r["code"] for r in verdict["reasons"]] == ["BAD_JORDAN"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import fockdyn.fockmat.enumeration as enumeration
 from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import graded_basis, monomial_norm_sq_int, multi_indices
 from fockdyn.fockmat.enumeration import (
@@ -238,6 +239,47 @@ def test_threshold_enumeration_matches_heap(lambdas, k):
     assert len(alphas) == len(lambdas) and all(type(column) is tuple for column in alphas)
     assert all(type(a) is int for column in alphas for a in column)
     assert type(values) is list and all(type(v) is float for v in values)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap enumeration.<name> so that each call appends its arguments."""
+    calls, real = [], getattr(enumeration, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("d, k", [(1, 100_000), (2, 30_000), (3, 10_000), (4, 5_000), (5, 3_000), (6, 2_000)])
+def test_threshold_starts_at_the_volume_bound(monkeypatch, d, k):
+    # the first threshold lies far above min(w) and the output is the heap's
+    # (lambdas near 1, so that the values stay above the underflow line)
+    lambdas = list(np.random.default_rng(d).uniform(0.995, 0.999, d))
+    calls = count_calls(monkeypatch, "_lattice_below")
+    assert enumerate_lambda_desc(lambdas, k) == heap_lambda_desc(lambdas, k)
+    assert calls[0][1] > 4 * min(-math.log(x) for x in lambdas)
+
+
+def test_threshold_start_past_the_underflow_line_takes_the_heap(monkeypatch):
+    calls = count_calls(monkeypatch, "_best_first")
+    assert enumerate_lambda_desc([1e-200, 0.5], 3000) == heap_lambda_desc([1e-200, 0.5], 3000)
+    assert len(calls) == 1
+
+
+def test_threshold_start_in_two_hundred_dimensions():
+    # d! overflows a float at d = 171; the start is taken in logarithms
+    assert enumerate_lambda_desc([0.5] * 200, 5) == heap_lambda_desc([0.5] * 200, 5)
+
+
+def test_decide_sized_enumerations_take_few_passes(monkeypatch):
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        calls = count_calls(monkeypatch, "_lattice_below")
+        enumerate_lambda_desc(list(rng.uniform(0.6, 0.9, 3)), 4000)
+        assert len(calls) <= 3
 
 
 @pytest.mark.parametrize("lambdas, k", [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fockdyn.errors import InvalidInputError
+from fockdyn.errors import InvalidInputError, NumericalFailureError
 from fockdyn.spectral import (
     eigen_decompose,
     geometric_eigenvalue_list,
@@ -11,10 +11,15 @@ from fockdyn.spectral import (
 )
 from fockdyn.symbol import AffineSymbol
 
+from matrices import conjugated, jordan_block
+
 
 def planted_jordan(eigenvalue, size, conj):
-    j = np.eye(size, dtype=complex) * eigenvalue + np.diag(np.ones(size - 1), 1)
-    return conj @ j @ np.linalg.inv(conj)
+    return conj @ jordan_block(eigenvalue, size) @ np.linalg.inv(conj)
+
+
+def profile(a):
+    return sorted((e.block_sizes for e in eigen_decompose(a).eigenvalues), reverse=True)
 
 
 def test_distinct_eigenvalues_diagonalizable():
@@ -28,7 +33,7 @@ def test_planted_jordan_block_detected():
     rng = np.random.default_rng(0)
     p = rng.normal(size=(2, 2)) + 0.2 * rng.normal(size=(2, 2)) * 1j
     a = planted_jordan(0.5, 2, p)
-    spec = eigen_decompose(a, cluster_radius=1e-4)
+    spec = eigen_decompose(a)
     assert not spec.diagonalizable
     assert len(spec.eigenvalues) == 1
     info = spec.eigenvalues[0]
@@ -40,7 +45,7 @@ def test_planted_jordan_block_detected():
 def test_perturbed_double_eigenvalue_clusters():
     # a numerically split pair within the cluster radius is one eigenvalue
     a = np.diag([0.5, 0.5 + 3e-9]).astype(complex)
-    spec = eigen_decompose(a, cluster_radius=1e-7)
+    spec = eigen_decompose(a)
     assert len(spec.eigenvalues) == 1
     info = spec.eigenvalues[0]
     assert info.algebraic_mult == 2 and info.geometric_mult == 2
@@ -48,15 +53,59 @@ def test_perturbed_double_eigenvalue_clusters():
 
 
 def test_separate_eigenvalues_not_clustered():
-    spec = eigen_decompose(np.diag([0.5, 0.5001]), cluster_radius=1e-7)
+    spec = eigen_decompose(np.diag([0.5, 0.5001]))
     assert len(spec.eigenvalues) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conjugated_three_block_is_one_cluster(seed):
+    # eigvals splits the triple eigenvalue by 6.5e-7 to 1.2e-6, past
+    # MERGE_DISTANCE; A - mu I is singular to rounding at the midpoints
+    spec = eigen_decompose(conjugated(jordan_block(0.5, 3), seed))
+    assert [e.block_sizes for e in spec.eigenvalues] == [(3,)]
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_conjugated_close_pair_stays_apart(seed):
+    a = conjugated(np.diag([0.5, 0.5 + 1e-5, 0.2]), seed)
+    assert profile(a) == [(1,), (1,), (1,)]
+
+
+@pytest.mark.parametrize("third", [0.3, 0.505])
+def test_exact_two_block_beside_a_simple_eigenvalue(third):
+    a = np.diag([0.5, 0.5, third]) + np.diag([1.0, 0.0], 1)
+    assert profile(a) == [(2,), (1,)]
+
+
+def test_midpoint_on_a_third_eigenvalue_keeps_the_pair_apart():
+    # A - mu I is singular at the pair's midpoint 1/2 because 1/2 is an eigenvalue
+    assert profile(np.diag([2 / 3, 1 / 3, 1 / 2])) == [(1,), (1,), (1,)]
+
+
+def test_conjugated_four_block_reads_one_block():
+    assert profile(conjugated(jordan_block(0.5, 4), 4)) == [(4,)]
+
+
+@pytest.mark.parametrize("size", [5, 6])
+def test_conjugated_large_block_reads_one_block_or_raises(size):
+    try:
+        assert profile(conjugated(jordan_block(0.5, size), size)) == [(size,)]
+    except NumericalFailureError as exc:
+        assert "ill-determined" in str(exc)
+
+
+def test_rank_decision_within_the_margin_raises():
+    # kept singular values 1e-9 clear the threshold 5e-11 by a factor 20 only
+    a = np.diag([0.5, 0.5, 0.5]) + np.diag([1e-9, 1e-9], 1)
+    with pytest.raises(NumericalFailureError, match="factor 20"):
+        eigen_decompose(a)
 
 
 def test_geometric_eigenvalue_list_counts_blocks():
     rng = np.random.default_rng(1)
     p = rng.normal(size=(3, 3))
     a = planted_jordan(0.4, 3, p)
-    spec = eigen_decompose(a, cluster_radius=1e-3)
+    spec = eigen_decompose(a)
     lst = geometric_eigenvalue_list(spec)
     assert len(lst) == 1
     assert lst[0] == pytest.approx(0.4, abs=1e-4)
@@ -112,6 +161,13 @@ def test_linear_forms_on_a_size_three_block():
     basis = linear_form_basis(sym)
     assert basis.chain_flags == (False, True, True)
     assert abs(np.linalg.norm(basis.rows[0]) - 1) < 1e-12
+    assert_functional_equation(sym, basis)
+
+
+def test_linear_forms_on_a_conjugated_four_block():
+    sym = AffineSymbol(conjugated(jordan_block(0.5, 4), 4), [0.1, -0.2, 0.3, 0.0])
+    basis = linear_form_basis(sym)
+    assert basis.chain_flags == (False, True, True, True)
     assert_functional_equation(sym, basis)
 
 
