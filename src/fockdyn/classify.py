@@ -157,13 +157,14 @@ def classify_cyclicity(
     sym: AffineSymbol, search_height: int = DEFAULT_SEARCH_HEIGHT
 ) -> CyclicityVerdict:
     """Full cyclicity decision for the composition operator of the symbol."""
+    if search_height < 1:
+        raise InvalidInputError(f"height must be >= 1, got {search_height}")
     if not sym.boundedness.bounded:
         raise InvalidInputError("cyclicity is only defined for bounded operators here")
-    s = np.linalg.svd(sym.a, compute_uv=False)
-    if float(s[-1]) <= sym.tol:
+    smallest = float(sym.svd[1][-1])
+    if smallest <= sym.tol:
         return _not_cyclic(
-            "NOT_INVERTIBLE",
-            f"linear part is singular (smallest singular value {float(s[-1]):.3e})",
+            "NOT_INVERTIBLE", f"linear part is singular (smallest singular value {smallest:.3e})"
         )
     spec = sym.spectrum
     if not _jordan_acceptable(spec):

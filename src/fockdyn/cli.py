@@ -219,6 +219,8 @@ def _function_from_doc(doc, dimension: int):
 
 
 def _cmd_analyze(ns: argparse.Namespace):
+    if ns.height < 1:  # checked before any work: an unbounded symbol is never classified
+        raise InvalidInputError(f"height must be >= 1, got {ns.height}")
     sym = _load_symbol_input(ns)
     rep, spec = sym.boundedness, sym.spectrum
     payload = {

@@ -133,7 +133,7 @@ def reduced_oracle_singular_values(
 
     Singular values are unchanged when the operator is multiplied by the
     unitary composition with a rotation, so the symbol (A, b) may be traded
-    for (S, U* b) where A = U S V* is the singular value decomposition.  A
+    for (S, U* b) where A = U S V* is the symbol's singular value decomposition.  A
     diagonal linear part splits the operator into a tensor product of
     one-variable operators f -> f(lambda_j z + c_j), truncated by _line_factor;
     the k largest products of the per-axis singular values are merged with a
@@ -147,7 +147,7 @@ def reduced_oracle_singular_values(
         raise InvalidInputError("singular-value oracle requires a compact operator")
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
-    u, s, _ = np.linalg.svd(sym.a)
+    u, s, _ = sym.svd
     c = u.conj().T @ sym.b
     if axis_degree is None:
         # the j-th singular function of a factor is e_j displaced to w = c / (1 - lambda^2):
@@ -214,20 +214,16 @@ LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def singular_data(sym: AffineSymbol):
-    """(lambda, w, prefactor) of the closed-form approximation numbers,
-    with w = (I-B)^{-1} v."""
-    a, b = sym.a, sym.b
-    d = sym.dimension
-    aa = a @ a.conj().T
-    evals, evecs = np.linalg.eigh(aa)
-    evals = np.clip(evals, 0.0, None)
-    bmat = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    lam = np.sort(np.sqrt(evals))[::-1]
+    """(lambda, w, prefactor) of the closed form, from the symbol's SVD
+    A = U diag(lambda) V*: in the coordinates c = U* b, B = U diag(lambda) U*
+    is diagonal, and v = (I+B)^{-1} b and w = (I-B)^{-1} v have coordinates
+    v_j = c_j / (1 + lambda_j) and w_j = v_j / (1 - lambda_j)."""
+    u, lam, _ = sym.svd
     # v and w for b scaled by a power of two, whose squares cannot overflow;
     # the exponent scales back as a Python float, which overflows to inf
-    b, scale = unit_scaled(b)
-    v = np.linalg.solve(np.eye(d) + bmat, b)
-    w = np.linalg.solve(np.eye(d) - bmat, v)
+    b, scale = unit_scaled(sym.b)
+    v = u.conj().T @ b / (1.0 + lam)
+    w = v / (1.0 - lam)
     exponent = float(np.real(np.vdot(v, w)) / 2.0 - np.vdot(v, v).real / 4.0) / scale / scale
     # the closed-form sum prefactor / prod(1 - lambda_j) bounds every number
     # of a report; it is refused before exp or the sum can overflow
@@ -257,38 +253,27 @@ def approx_numbers(
     if not sym.boundedness.compact:
         raise InvalidInputError("approximation numbers require a compact operator")
     lam, w, prefactor = singular_data(sym)
-    if lam[0] <= ZERO_SINGULAR_TOL:
+    rank = int(np.count_nonzero(lam > ZERO_SINGULAR_TOL))  # lambda is nonincreasing
+    if not rank:
         raise InvalidInputError("linear part is zero; enumeration is degenerate")
-    keep = [j for j in range(lam.size) if lam[j] > ZERO_SINGULAR_TOL]
-    kept, values = enumerate_lambda_desc([lam[j] for j in keep], k)
-    alphas = [(0,) * len(values)] * sym.dimension
-    for j, column in zip(keep, kept):
-        alphas[j] = column
+    kept, values = enumerate_lambda_desc(lam[:rank], k)
+    alphas = kept + ((0,) * len(values),) * (lam.size - rank)
     values = [prefactor * v for v in values]
     total = prefactor * float(np.prod(1.0 / (1.0 - lam)))
     oracle_vals = used_degree = None
     if oracle == "grid":
         # the leading singular functions concentrate near a Gaussian centered
-        # at w; their monomial tails beyond the top index's degree carry
-        # Poisson-tail mass with rate |w|^2 / 2, which _oracle_pad covers
+        # at U w; their monomial tails beyond the top index's degree carry
+        # Poisson-tail mass with rate r = |w|^2 / 2, and a band of
+        # 12 + r + 6 sqrt(r) degrees past the top index covers it
         used_degree = oracle_degree
         if used_degree is None:
-            top_deg = int(np.sum(alphas, axis=0).max())
-            used_degree = top_deg + _oracle_pad(float(np.vdot(w, w).real) / 2.0)
+            r = float(np.vdot(w, w).real) / 2.0
+            used_degree = int(np.sum(alphas, axis=0).max()) + 12 + int(np.ceil(r + 6 * np.sqrt(r)))
         oracle_vals = tuple(map(float, top_singular_values(sym, used_degree, len(values))))
     elif oracle == "reduced":
-        sv, used_degree = reduced_oracle_singular_values(
-            sym, len(values), axis_degree=oracle_degree
-        )
+        sv, used_degree = reduced_oracle_singular_values(sym, len(values), oracle_degree)
         oracle_vals = tuple(sv)
     elif oracle is not None:
         raise InvalidInputError(f"unknown oracle method {oracle!r}")
-    return ApproxReport(
-        prefactor, tuple(alphas), values, total, oracle_vals, used_degree
-    )
-
-
-def _oracle_pad(rate: float) -> int:
-    """Degrees past the top index that the grid oracle's truncation adds: a safety
-    band over the Poisson tail of rate |w|^2 / 2."""
-    return 12 + int(np.ceil(rate + 6.0 * np.sqrt(rate)))
+    return ApproxReport(prefactor, alphas, values, total, oracle_vals, used_degree)

@@ -164,9 +164,9 @@ def load_symbol(doc) -> AffineSymbol:
     """Parse {"dimension": d, "A": ..., "b": ..., "tol"?, "exact"?}."""
     if not isinstance(doc, dict):
         raise InvalidInputError("symbol document must be an object")
-    if "dimension" not in doc or not isinstance(doc["dimension"], int):
+    d = doc.get("dimension")
+    if isinstance(d, bool) or not isinstance(d, int):
         raise InvalidInputError('symbol document needs an integer "dimension"')
-    d = doc["dimension"]
     if d < 1:
         raise InvalidInputError(f"dimension must be positive, got {d}")
     if "A" not in doc or "b" not in doc:

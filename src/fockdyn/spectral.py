@@ -169,7 +169,6 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
     """
     xi, spec = sym.xi, sym.spectrum
     m = sym.a.T.copy()
-    norm_m = max(float(np.linalg.norm(m, 2)), 1e-300)
     rows, flags, eigs = [], [], []
     for info in spec.eigenvalues:
         if len(set(info.block_sizes)) > 1:
@@ -188,13 +187,13 @@ def linear_form_basis(sym: AffineSymbol) -> LinearFormBasis:
                 flags.append(pos > 0)
                 eigs.append(info.value)
     r = np.array(rows)
-    tol_res = np.sqrt(sym.tol)
+    tol_res = np.sqrt(sym.tol) * (1 + float(sym.svd[1][0]))  # scaled by 1 + ||A||
     for j, (vec, flag, lam) in enumerate(zip(rows, flags, eigs)):
         expect = m @ vec - lam * vec
         if flag:
             expect = expect - rows[j - 1]
         residual = float(np.linalg.norm(expect))
-        if residual > tol_res * (1 + norm_m) * float(np.linalg.norm(vec)):
+        if residual > tol_res * float(np.linalg.norm(vec)):
             raise NumericalFailureError(f"Jordan chain residual {residual:.3e} on row {j}")
     s = np.linalg.svd(r, compute_uv=False)
     if s[-1] < 1e-12 * s[0]:

@@ -4,6 +4,9 @@ The induced composition operator f -> f(phi(.)) acts on the Fock space of
 entire functions square-integrable against the Gaussian weight
 exp(-|z|^2 / 2); the inner product convention is <z, w> = sum_j z_j conj(w_j)
 and the reproducing kernel is k_w(z) = exp(<z, w> / 2).
+
+A symbol keeps one SVD A = U diag(s) V*, which boundedness, invertibility, the
+linear forms and the approximation numbers with their reduced oracle all read.
 """
 
 from __future__ import annotations
@@ -71,8 +74,16 @@ class AffineSymbol:
     def dimension(self) -> int:
         return self.a.shape[0]
 
-    # One analysis per symbol, by the module-level function on first use and
-    # kept on the instance; a raise keeps nothing.
+    # One analysis per symbol, computed on first use (by the module-level
+    # function where there is one) and kept on the instance; a raise keeps nothing.
+    @functools.cached_property
+    def svd(self) -> tuple:
+        """(u, s, vh) with a = u diag(s) vh and s nonincreasing, read-only."""
+        factors = np.linalg.svd(self.a)
+        for x in factors:
+            x.setflags(write=False)
+        return factors
+
     @functools.cached_property
     def boundedness(self) -> BoundednessReport:
         return check_boundedness(self)
@@ -104,7 +115,7 @@ def check_boundedness(sym: AffineSymbol) -> BoundednessReport:
     vector v with singular value ~1 whose image fails orthogonality to b.
     """
     tol = sym.tol
-    u, s, vh = np.linalg.svd(sym.a)
+    u, s, vh = sym.svd
     norm_a = float(s[0]) if s.size else 0.0
     iso_dim = int(np.count_nonzero(s >= 1 - 10 * tol))
     bounded = norm_a <= 1 + tol

@@ -1,4 +1,5 @@
-"""Test matrices with a planted Jordan structure, shared by the test modules."""
+"""Test matrices with a planted Jordan structure or planted singular values,
+shared by the test modules."""
 
 import numpy as np
 
@@ -12,3 +13,12 @@ def conjugated(j, seed):
     p = np.random.default_rng(seed).normal(size=j.shape)
     a = p @ j @ np.linalg.inv(p)
     return 0.9 * a / np.linalg.norm(a, 2)
+
+
+def rotated(singular_values, seed):
+    """U diag(singular_values) V*, U and V the Q factors of complex Gaussian
+    matrices drawn from default_rng(seed), U first."""
+    rng = np.random.default_rng(seed)
+    d = len(singular_values)
+    u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for _ in "uv")
+    return u @ np.diag(singular_values) @ v.conj().T

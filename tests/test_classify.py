@@ -119,6 +119,10 @@ def test_single_two_block_is_acceptable():
 def test_unbounded_symbol_rejected():
     with pytest.raises(InvalidInputError, match="only defined for bounded operators"):
         classify_cyclicity(AffineSymbol([[2.0]], [0.0]))
+    # the height is checked first, whatever the symbol
+    for a in ([[2.0]], [[0.0]], [[0.5]]):
+        with pytest.raises(InvalidInputError, match="height must be >= 1, got 0"):
+            classify_cyclicity(AffineSymbol(a, [0.0]), search_height=0)
 
 
 def test_exact_relation_gives_not_cyclic():

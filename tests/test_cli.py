@@ -558,6 +558,21 @@ def test_cyclic_vector_negative_degree_is_named(tmp_path, capsys, exact):
     assert "degree must be nonnegative" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sym", [
+    {"dimension": 1, "A": [[1.0]], "b": [0.5]},  # unbounded: never classified
+    {"dimension": 2, "A": [[0.5, 0.0], [0.0, 0.0]], "b": [0, 0]},  # singular A
+    SYMBOL_CYCLIC,  # exact data
+    {"dimension": 2, "A": [[0.5, 0.0], [0.0, 0.3]], "b": [0.1, 0]},  # numeric, invertible
+], ids=["unbounded", "singular", "exact", "numeric"])
+def test_analyze_height_zero_is_refused_for_every_symbol(tmp_path, capsys, sym):
+    # once refused only where the relation search ran; the others exited 0
+    # and recorded the height in their provenance
+    path = write_json(tmp_path / "sym.json", sym)
+    assert main(["analyze", path, "--height", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "height must be >= 1, got 0" in err and err.count("\n") == 1
+
+
 def test_cyclic_vector_over_the_basis_budget_exits_three_at_once(tmp_path, capsys):
     # degree 315 checks C(317, 2) = 50,086 coefficients, over the 50,000 of
     # BASIS_SIZE_BUDGET (degree 314 checks 49,770); degree 10^5 once ended

@@ -54,6 +54,7 @@ def test_symbol_rejects_malformed_documents():
         {"dimension": 1, "A": [[{"re": 0.5, "bogus": 1}]], "b": [0.0]},
         {"dimension": 1, "A": [[{"re": "x"}]], "b": [0.0]},
         {"dimension": 1.5, "A": [[0.5]], "b": [0.0]},
+        {"dimension": True, "A": [[0.5]], "b": [0.1]},  # a bool is no integer
     ]
     for doc in bad_docs:
         with pytest.raises(InvalidInputError):

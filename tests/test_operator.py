@@ -29,6 +29,8 @@ from fockdyn.fockmat.operator import (
 )
 from fockdyn.symbol import AffineSymbol
 
+from matrices import rotated
+
 
 def column_loop_matrix(a, b, basis):
     """Reference: the truncated matrix built one column at a time, exactly.
@@ -395,6 +397,30 @@ def test_approx_numbers_rank_deficient_linear_part():
     rep = approx_numbers(sym, 4, oracle="reduced")
     assert rep.alphas[1] == (0,) * 4
     assert rep.max_rel_delta < 1e-8
+    # rotated, the zero stays zero: eigh(AA*) once read it as 2-9e-9 at 117 of
+    # seeds 0-199, and seed 0 put 7 of 400 terms on that phantom axis (first at
+    # index 349) with the reduced oracle 0.173 away
+    b = [0.1, 0.2, 0.0]
+    rep = approx_numbers(AffineSymbol(rotated([0.8, 0.05, 0.0], 0), b), 400, oracle="reduced")
+    assert not any(rep.alphas[2]) and rep.max_rel_delta < 1e-10
+    for seed in range(20):
+        lam = enumeration.singular_data(AffineSymbol(rotated([0.8, 0.05, 0.0], seed), b))[0]
+        assert np.count_nonzero(lam > enumeration.ZERO_SINGULAR_TOL) == 2
+
+
+@pytest.mark.parametrize("small", [1e-8, 1e-9, 1e-12])
+def test_approx_numbers_small_singular_value(small):
+    # a singular value far below sqrt(eps) keeps its relative accuracy: eigh(AA*)
+    # read 1e-9 with an error that left the reduced oracle 0.56 away
+    a, b = rotated([0.5, small], 0), np.array([0.1, 0.2])
+    rep = approx_numbers(AffineSymbol(a, b), 40, oracle="reduced")
+    u, lam, _ = np.linalg.svd(a)
+    v = u.conj().T @ b / (1 + lam)
+    prefactor = math.exp(np.vdot(v, v / (1 - lam)).real / 2 - np.vdot(v, v).real / 4)
+    want = sorted((prefactor * lam[0] ** i * lam[1] ** j for i in range(40) for j in range(40)),
+                  reverse=True)[:40]
+    assert np.allclose(rep.values, want, rtol=1e-12, atol=0)
+    assert rep.max_rel_delta < 1e-10
 
 
 @pytest.mark.parametrize(

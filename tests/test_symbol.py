@@ -5,7 +5,10 @@ import pytest
 
 import fockdyn.spectral
 import fockdyn.symbol
+from fockdyn.classify import classify_cyclicity
 from fockdyn.errors import InvalidInputError, NoFixedPointError
+from fockdyn.fockmat.enumeration import approx_numbers
+from fockdyn.spectral import linear_form_basis
 from fockdyn.symbol import AffineSymbol, check_boundedness, fixed_point
 
 
@@ -84,7 +87,7 @@ def test_iterates_converge_to_fixed_point():
 
 
 def test_each_analysis_runs_once_per_symbol(monkeypatch):
-    calls = {"check_boundedness": 0, "fixed_point": 0, "eigen_decompose": 0}
+    calls = {"check_boundedness": 0, "fixed_point": 0, "eigen_decompose": 0, "svd": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -98,18 +101,33 @@ def test_each_analysis_runs_once_per_symbol(monkeypatch):
     counted(fockdyn.symbol, "check_boundedness")
     counted(fockdyn.symbol, "fixed_point")
     counted(fockdyn.spectral, "eigen_decompose")
+    svd = np.linalg.svd
+
+    def svd_of_a(m, *args, **kwargs):
+        # the spectral staircase takes SVDs of other matrices
+        calls["svd"] += any(m is s.a for s in (first, second))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_of_a)
     first = AffineSymbol([[0.5, 0.1], [0.0, 0.25]], [0.2, -0.1])
     second = AffineSymbol([[0.9, 0.0], [0.0, -0.5j]], [0.2, -0.1])
     for _ in range(3):
-        reports = [(s.boundedness, s.xi, s.spectrum) for s in (first, second)]
-    assert calls == {"check_boundedness": 2, "fixed_point": 2, "eigen_decompose": 2}
+        reports = [(s.boundedness, s.xi, s.spectrum, s.svd) for s in (first, second)]
+        # every reader of the singular values takes them from the symbol
+        classify_cyclicity(first, search_height=2)
+        linear_form_basis(first)
+        approx_numbers(first, 3, oracle="reduced")
+    assert calls == {"check_boundedness": 2, "fixed_point": 2, "eigen_decompose": 2, "svd": 2}
     # two symbols share nothing
-    (rep1, xi1, spec1), (rep2, xi2, spec2) = reports
+    (rep1, xi1, spec1, svd1), (rep2, xi2, spec2, svd2) = reports
     assert rep1.operator_norm_of_a != rep2.operator_norm_of_a
     assert not np.array_equal(xi1, xi2) and spec1 != spec2
     assert spec2.eigenvalues[0].value == pytest.approx(0.9)
     # what a symbol keeps is read-only
     assert not xi1.flags.writeable
+    assert not any(x.flags.writeable for x in (*svd1, *svd2))
+    u, s, vh = svd1
+    assert np.allclose(u * s @ vh, first.a) and rep1.operator_norm_of_a == s[0]
     unbounded = AffineSymbol([[1.0]], [0.5])
     assert not unbounded.boundedness.violation_witness.flags.writeable
     # a failure is kept nowhere: it raises again on every use
