@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ..errors import BudgetError, InvalidInputError
+from ..errors import BudgetError, InvalidInputError, NumericalFailureError
 from ..polymap import check_dense_bytes, compose_affine, poly_clean, poly_degree
 from ..spectral import LinearFormBasis
 from ..symbol import AffineSymbol
@@ -81,12 +81,15 @@ def orbit_krylov_rank(
     if work > ORBIT_OPERATIONS_BUDGET:
         raise BudgetError(f"{steps} steps on a {n}-row block need {work:.2e} operations, "
                           f"over the {ORBIT_OPERATIONS_BUDGET:.1e} orbit budget")
-    if projector == degree:  # the last diagonal block, built beside block N-1
-        check_dense_bytes(88 * n * n, f"a dense {n} x {n} diagonal block")
-        for block in _degree_columns(sym, basis, shift=False):
-            pass
-    else:
-        block = _assemble_matrix(sym, basis)[lo:, lo:]
+    with np.errstate(over="ignore", invalid="ignore"):  # unbounded symbols reach here
+        if projector == degree:  # the last diagonal block, built beside block N-1
+            check_dense_bytes(88 * n * n, f"a dense {n} x {n} diagonal block")
+            for block in _degree_columns(sym, basis, shift=False):
+                pass
+        else:
+            block = _assemble_matrix(sym, basis)[lo:, lo:]
+    if not np.isfinite(block).all():
+        raise NumericalFailureError(f"the degree-{degree} truncation of C overflows")
     cols, x = [], x[lo:]
     for _ in range(steps):
         x = _unit(x)

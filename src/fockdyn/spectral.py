@@ -61,9 +61,10 @@ def _cluster(vals: list, m: np.ndarray, threshold: float) -> list:
     eigenvalue at least delta from mu, and dep the departure of m from
     normality, sigma_min(m - mu I) >= delta / (n max(1, dep / delta)^(n-1))."""
     n, v, parent = len(vals), np.asarray(vals), list(range(len(vals)))
-    fro2 = float(np.linalg.norm(m)) ** 2
-    # dep^2 = ||m||_F^2 - sum |lambda|^2, raised past the rounding of both sums
-    dep = math.sqrt(max(fro2 - sum(abs(x) ** 2 for x in vals), 0.0) + n * SPLIT_TOL * fro2)
+    fro = max(math.hypot(*np.abs(m).flat), 1e-300)
+    # dep^2 = ||m||_F^2 - sum |lambda|^2, raised past the rounding of both sums;
+    # taken relative to ||m||_F, so that no square overflows
+    dep = fro * math.sqrt(max(1.0 - sum((abs(x) / fro) ** 2 for x in vals), 0.0) + n * SPLIT_TOL)
 
     def find(i):
         while parent[i] != i:
@@ -113,10 +114,12 @@ def _staircase(p: np.ndarray, alg: int, tol: float, spread: float) -> tuple:
         image = rest.conj().T @ p @ rest
 
 
-def eigen_decompose(a) -> SpectralData:
-    """Cluster the spectrum of a and resolve each cluster's Jordan profile."""
+def eigen_decompose(a, norm: float | None = None) -> SpectralData:
+    """Cluster the spectrum of a and resolve each cluster's Jordan profile;
+    norm is ||a||_2 where the caller has it."""
     a = np.asarray(a, dtype=complex)
-    norm, vals = max(float(np.linalg.norm(a, 2)), 1e-300), np.linalg.eigvals(a).tolist()
+    norm = max(float(np.linalg.norm(a, 2)) if norm is None else norm, 1e-300)
+    vals = np.linalg.eigvals(a).tolist()
     clusters = _cluster(vals, a.T, SPLIT_TOL * a.shape[0] * norm)
     reps = [complex(np.mean([vals[i] for i in idx])) for idx in clusters]
     warning = any(abs(x - y) < 2 * MERGE_DISTANCE for i, x in enumerate(reps) for y in reps[i + 1:])

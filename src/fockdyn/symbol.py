@@ -95,7 +95,7 @@ class AffineSymbol:
     @functools.cached_property
     def spectrum(self):  # spectral imports this module
         from . import spectral
-        return spectral.eigen_decompose(self.a)
+        return spectral.eigen_decompose(self.a, float(self.svd[1][0]))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1071,3 +1071,70 @@ def test_grid_oracle_lanczos_budget_counts_the_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fockdyn: budget exceeded: 30 of 35990 singular values") and "SVD budget" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("first, second", [(400, 3), (3, 400)])
+def test_rewritten_report_equals_a_fresh_write(tmp_path, first, second):
+    # reports are written in place and cut to length: a shorter report over a
+    # longer one leaves none of the old bytes behind
+    path = write_json(tmp_path / "half.json", SYMBOL_HALF)
+    out, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+    assert main(["approx", path, "--top", str(first), "--output", str(out)]) == 0
+    assert main(["approx", path, "--top", str(second), "--output", str(out)]) == 0
+    assert main(["approx", path, "--top", str(second), "--output", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert len(json.loads(out.read_text())["terms"]) == second
+
+
+def test_text_report_over_a_json_report(tmp_path):
+    path = write_json(tmp_path / "sym.json", SYMBOL_CYCLIC)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["analyze", path, "--output", str(out)]) == 0
+    for target in (out, fresh):
+        assert main(["analyze", path, "--format", "text", "--output", str(target)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_output_to_the_null_device_exits_zero(tmp_path, capsys):
+    # /dev/null is not a regular file and is not cut to length
+    path = write_json(tmp_path / "sym.json", SYMBOL_CYCLIC)
+    assert main(["analyze", path, "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("target", [".", "missing/out.json"])
+def test_unwritable_output_exits_two_in_one_line(tmp_path, capsys, target):
+    path = write_json(tmp_path / "half.json", SYMBOL_HALF)
+    dest = tmp_path / target
+    assert main(["approx", path, "--output", str(dest)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"fockdyn: invalid input: cannot write {dest}: [Errno ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a, b", [([[1e200]], [0]), ([[1e155]], [1e155]), ([[1e300, 1e300], [1e300, 1e300]], [0, 0])])
+def test_analyze_huge_eigenvalues_ends_in_one_line(tmp_path, capsys, a, b):
+    # Henrici's departure from normality is taken relative to ||A||_F, so
+    # |lambda|^2 past the float range raises nothing
+    path = write_json(tmp_path / "huge.json", {"dimension": len(a), "A": a, "b": b})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", path])
+    out, err = capsys.readouterr()
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == "" and json.loads(out)["boundedness"]["bounded"] is False
+    else:
+        assert out == "" and err.startswith("fockdyn: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a, flags", [(1e30, ["--degree", "14", "--steps", "5"]), (1e200, ["--degree", "3"])])
+@pytest.mark.parametrize("projector", [[], ["--projector-degree", "0"]])
+def test_orbit_rank_overflowing_truncation_exits_two(tmp_path, capsys, a, flags, projector):
+    path = write_json(tmp_path / "big.json", {"dimension": 1, "A": [[a]], "b": [0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["orbit-rank", path, *flags, *projector]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fockdyn: unsupported input: the degree-{flags[1]} truncation of C overflows\n"

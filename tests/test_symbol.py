@@ -109,6 +109,14 @@ def test_each_analysis_runs_once_per_symbol(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd_of_a)
+    norm = np.linalg.norm
+
+    def norm_of_a(m, *args, **kwargs):
+        # a 2-norm of A is an SVD too: the spectrum reads s[0] from the symbol
+        calls["svd"] += any(m is s.a for s in (first, second)) and args[:1] == (2,)
+        return norm(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm_of_a)
     first = AffineSymbol([[0.5, 0.1], [0.0, 0.25]], [0.2, -0.1])
     second = AffineSymbol([[0.9, 0.0], [0.0, -0.5j]], [0.2, -0.1])
     for _ in range(3):
