@@ -7,12 +7,12 @@ on the orthonormal e_alpha = z^alpha / ||z^alpha||; in graded order it is block
 upper triangular: diagonal block k is A acting on the forms of degree k, and b
 only fills blocks above it.
 
-_degree_columns builds the dense matrix, or its diagonal blocks, a degree of
-columns at a time, in orthonormal coordinates throughout.  grid_operator, the
-matrix-free action on the full coefficient grid, runs polymap._compose_grid on
-a batch of one between a scatter and a gather by the monomial norms, which cap
-its degree at 149.  top_singular_values takes the cheaper of a dense SVD and
-Lanczos on the grid action, within one operations budget.
+_degree_columns builds the dense matrix, or its diagonal blocks, a degree of columns
+at a time, in orthonormal coordinates; truncated_spectrum runs its recursion on the
+eigenvalues of A alone.  grid_operator, the matrix-free action on the full coefficient
+grid, runs polymap._compose_grid on a batch of one between a scatter and a gather by
+the monomial norms, which cap its degree at 149.  top_singular_values takes the
+cheaper of a dense SVD and Lanczos on the grid action, within one operations budget.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ DENSE_SVD_CUTOFF = 1200
 LANCZOS_COST = 64
 LANCZOS_MIN_VALUES = 10
 SVD_OPERATIONS_BUDGET = 30_000_000_000
-
-# Cap on sum n_k^3 over the n_k x n_k diagonal blocks of a spectrum; its edges
-# d=3, N=34 and d=4, N=15 take 3.3 s and 1.6 s on a 2-vCPU Xeon.
-EIGVALS_OPERATIONS_BUDGET = 1_500_000_000
 
 
 def _require_bounded(sym: AffineSymbol) -> None:
@@ -111,15 +107,20 @@ def assemble_truncated(sym: AffineSymbol, n: int) -> np.ndarray:
 
 
 def truncated_spectrum(sym: AffineSymbol, n: int) -> np.ndarray:
-    """Eigenvalue multiset of the degree-<=n restriction, sorted by (-|w|, arg):
-    those of its diagonal blocks, with no m x m matrix formed."""
+    """Eigenvalue multiset of the degree-<=n restriction, sorted by (-|w|, arg): lambda^alpha over
+    |alpha| <= n, lambda the eigenvalues of A.  With A = Q T Q* (Schur), composing with Q is unitary
+    and keeps degrees, and the degree-k block of T is triangular in graded-lex order with diagonal
+    lambda^alpha, also for a defective A.  One multiply per value, recursing as _degree_columns."""
     _require_bounded(sym)
-    basis = graded_basis(sym.dimension, n)
-    work = sum((s.stop - s.start) ** 3 for s in map(basis.degree_slice, range(n + 1)))
-    if work > EIGVALS_OPERATIONS_BUDGET:
-        raise BudgetError(f"{n + 1} diagonal blocks need {work:.2e} operations, over "
-                          f"the {EIGVALS_OPERATIONS_BUDGET:.1e} eigensolver budget")
-    vals = np.concatenate([np.linalg.eigvals(c) for c in _degree_columns(sym, basis, False)])
+    d = sym.dimension
+    check_basis_size(d, n)
+    lam, vals = np.linalg.eigvals(sym.a), np.ones(math.comb(n + d, d), dtype=complex)
+    for k in range(1, n + 1):
+        lo, start = math.comb(k + d - 2, d), math.comb(k + d - 1, d)  # degrees k-1 and k
+        for f in reversed(range(d)):
+            width = math.comb(k - 2 + d - f, d - 1 - f)
+            vals[start : start + width] = lam[f] * vals[lo : lo + width]
+            start += width
     return vals[np.lexsort((np.angle(vals) % (2 * np.pi), -np.abs(vals)))]
 
 

@@ -117,7 +117,7 @@ def check_boundedness(sym: AffineSymbol) -> BoundednessReport:
     tol = sym.tol
     u, s, vh = sym.svd
     norm_a = float(s[0]) if s.size else 0.0
-    iso_dim = int(np.count_nonzero(s >= 1 - 10 * tol))
+    iso_dim = int(np.count_nonzero(np.abs(s - 1) <= 10 * tol))
     bounded = norm_a <= 1 + tol
     witness = None
     b, _ = unit_scaled(sym.b)  # the test below is homogeneous in b

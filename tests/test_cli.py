@@ -263,14 +263,15 @@ def test_large_search_height_is_undecided(tmp_path):
 
 
 def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
-    # a 39,711-row basis passes the row budget, but the eigenvalues of its
-    # diagonal blocks would take 6.3e10 operations (its dense matrix, 23.5
-    # GiB); the grid oracle's 10^8-entry grid in eight variables would take
-    # 1.5 GiB a copy, and Lanczos on it 6.9e11 operations, which the SVD
-    # budget refuses before the grid's byte check is reached; one orbit step on the 11,628-row block of degree 14 in
-    # six variables is within the orbit budget, but its build would hold 11
-    # GiB; an orbit with no function at degree 10^5 in two variables would
-    # draw 5e9 random coefficients before its basis was refused
+    # a spectrum of degree 65 in three variables (50,116 rows) is over the row
+    # budget, where degree 60 (39,711 rows, a dense matrix of 23.5 GiB) runs
+    # from the eigenvalues of A within the same memory bound; the grid
+    # oracle's 10^8-entry grid in eight variables would take 1.5 GiB a copy,
+    # and Lanczos on it 6.9e11 operations, which the SVD budget refuses before
+    # the grid's byte check is reached; one orbit step on the 11,628-row block
+    # of degree 14 in six variables is within the orbit budget, but its build
+    # would hold 11 GiB; an orbit with no function at degree 10^5 in two
+    # variables would draw 5e9 random coefficients before its basis was refused
     sym3 = {"dimension": 3, "A": [[0.5, 0, 0], [0, 0.4, 0], [0, 0, 0.3]], "b": [0, 0, 0]}
     spectrum = write_json(tmp_path / "sym3.json", sym3)
     sym8 = {"dimension": 8, "A": (0.5 * np.eye(8)).tolist(), "b": [0] * 8}
@@ -280,7 +281,7 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     sym2 = {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0, 0]}
     random_orbit = write_json(tmp_path / "sym2.json", sym2)
     for args, budget in (
-        (["spectrum", spectrum, "--degree", "60"], "eigensolver budget"),
+        (["spectrum", spectrum, "--degree", "65"], "exceeds budget 50000"),
         (
             ["approx", approx, "--top", "3", "--oracle-degree", "9", "--oracle-method", "grid"],
             "SVD budget",
@@ -298,6 +299,13 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
         assert peak < 200 * 2**20
         err = capsys.readouterr().err
         assert budget in err and err.count("\n") == 1
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", spectrum, "--degree", "60", "--output", str(tmp_path / "out.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 200 * 2**20
 
 
 def test_grid_action_byte_budget_exits_three_before_allocating(tmp_path, capsys, monkeypatch):
@@ -1032,6 +1040,17 @@ def test_line_truncations_past_degree_149(tmp_path):
         code, doc = run_json(tmp_path, ["approx", path, "--top", "138", "--oracle", "--oracle-method", method])
         assert code == 0 and doc["oracle"]["degree"] == degree
         assert doc["oracle"]["max_rel_delta"] < 1e-10
+
+
+def test_line_spectrum_at_the_basis_budget(tmp_path):
+    # 50,000 values, 0.5^j down to the last subnormal 2^-1074 and exactly 0 after it
+    path = write_json(tmp_path / "half.json", SYMBOL_HALF)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_json(tmp_path, ["spectrum", path, "--degree", "49999"])
+    assert code == 0 and doc["basis_size"] == 50_000
+    assert [e["re"] for e in doc["eigenvalues"]] == np.ldexp(1.0, -np.arange(50_000)).tolist()
+    assert not any(e["im"] for e in doc["eigenvalues"])
 
 
 def test_grid_route_and_orbit_refuse_monomial_norms_past_degree_149(tmp_path, capsys):

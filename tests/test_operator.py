@@ -81,6 +81,12 @@ def power_multiset(a, n):
     return np.prod(lam[None, :] ** np.array(multi_indices(len(lam), n)), axis=1)
 
 
+def block_eigenvalues(sym, n):
+    """Eigenvalues of each diagonal block of the assembled degree-<=n matrix."""
+    mat, cut = assemble_truncated(sym, n), graded_basis(sym.dimension, n).degree_slice
+    return np.concatenate([np.linalg.eigvals(mat[cut(k), cut(k)]) for k in range(n + 1)])
+
+
 def dense_contraction(seed, d, norm=0.8, radius=0.5):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -165,6 +171,7 @@ def test_block_spectrum_matches_full_eigenvalues(a, b, n):
     full = np.linalg.eigvals(assemble_truncated(sym, n))
     assert got.size == full.size == len(multi_indices(len(b), n))
     assert matching_error(full, got) <= 1e-12
+    assert matching_error(block_eigenvalues(sym, n), got) <= 1e-12
     assert matching_error(power_multiset(a, n), got) <= 1e-12
     # sorted by decreasing modulus, then by argument in [0, 2 pi)
     keys = list(zip(-np.abs(got), np.angle(got) % (2 * np.pi)))
@@ -172,19 +179,33 @@ def test_block_spectrum_matches_full_eigenvalues(a, b, n):
 
 
 def test_non_normal_spectrum_on_both_routes():
-    # a dense contraction far from normal: the diagonal blocks and the whole
-    # matrix both give the lambda^alpha multiset to 1e-10
+    # a dense contraction far from normal: the eigenvalues of the diagonal blocks
+    # and of the whole matrix both give the lambda^alpha multiset to 1e-10
     sym = dense_contraction(61, 3)
     want = power_multiset(sym.a, 8)
     assert matching_error(want, truncated_spectrum(sym, 8)) <= 1e-10
+    assert matching_error(want, block_eigenvalues(sym, 8)) <= 1e-10
     assert matching_error(want, np.linalg.eigvals(assemble_truncated(sym, 8))) <= 1e-10
 
 
-def test_eigensolver_budget():
-    # sum n_k^3 over the blocks: 1.40e9 at d=3, N=34, admitted; 1.69e9 at N=35
+def test_non_normal_spectra_match_the_power_multiset():
+    # dense contractions at degree 12 (455 values), where the eigensolvers of the
+    # diagonal blocks missed by up to 6.3e-12
+    for seed in range(80):
+        sym = dense_contraction(seed, 3)
+        assert matching_error(power_multiset(sym.a, 12), truncated_spectrum(sym, 12)) <= 1e-13, seed
+
+
+def test_spectrum_basis_budget():
+    # the 50,000-row basis budget is the only bound: d=3 runs to degree 64
     sym = AffineSymbol(np.diag([0.5, 0.4, 0.3]), np.zeros(3))
-    with pytest.raises(BudgetError, match="eigensolver budget"):
-        truncated_spectrum(sym, 35)
+    got = truncated_spectrum(sym, 64)
+    assert got.size == math.comb(67, 3) and not got.imag.any()
+    # positive reals: sorted by decreasing value, both multisets pair in order
+    want = np.sort(power_multiset(sym.a, 64).real)[::-1]
+    assert np.abs(got.real - want).max() <= 1e-15
+    with pytest.raises(BudgetError, match="exceeds budget 50000"):
+        truncated_spectrum(sym, 65)
 
 
 def test_enumerate_lambda_desc_orders_products():

@@ -56,6 +56,16 @@ def test_unitary_without_shift_bounded_not_compact():
     assert rep.isometric_subspace_dim == 2
 
 
+@pytest.mark.parametrize(
+    "a, dim",
+    [([[2.0]], 0), ([[1e200]], 0), ([[0.0, 1.0], [1.0, 0.0]], 2), (np.diag([1.0, 0.5]), 1)],
+    ids=["expansion", "huge", "swap", "half-isometry"],
+)
+def test_isometric_subspace_counts_singular_values_at_one(a, dim):
+    # expanding directions are not isometric
+    assert check_boundedness(AffineSymbol(a, np.zeros(len(a)))).isometric_subspace_dim == dim
+
+
 def test_partial_isometry_with_orthogonal_shift_is_bounded():
     # the isometric direction is e1; shifting along a direction orthogonal
     # to its image keeps the operator bounded
