@@ -90,6 +90,7 @@ def orbit_krylov_rank(
             block = _assemble_matrix(sym, basis)[lo:, lo:]
     if not np.isfinite(block).all():
         raise NumericalFailureError(f"the degree-{degree} truncation of C overflows")
+    block = np.asarray(block, dtype=complex)  # a real block would be cast at every step of the orbit
     cols, x = [], x[lo:]
     for _ in range(steps):
         x = _unit(x)

@@ -12,7 +12,9 @@ at a time, in orthonormal coordinates; truncated_spectrum runs its recursion on 
 eigenvalues of A alone.  grid_operator, the matrix-free action on the full coefficient
 grid, runs polymap._compose_grid on a batch of one between a scatter and a gather by
 the monomial norms, which cap its degree at 149.  top_singular_values takes the
-cheaper of a dense SVD and Lanczos on the grid action, within one operations budget.
+cheaper of a dense SVD and Lanczos on the grid action, within one operations budget,
+on _real_twin: a real bidiagonal symbol whose truncations are unitarily equivalent to
+the given one's.  A real A and b give real truncations, complex ones complex.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ DENSE_SVD_CUTOFF = 1200
 # m = 1,770, 29 s at m = 3,003); Lanczos 64 max(k, 10) (n+1)^d n s, s the stages of a
 # matvec pair (its own, the adjoint's and one kernel factor per variable), each n passes
 # over the (n+1)^d grid.  With a dense A, svds took 30-70 ns per grid entry, pass and
-# value at k = 10 and 30 (d = 2 and 3, n = 20-60), and as long for any k below 10.
+# value at k = 10 and 30 (d = 2 and 3, n = 20-60), and as long for any k below 10.  The
+# dense route runs on the real twin: svdvals took 21 ms at m = 378, 45 ms at m = 528 and 2.4 s
+# at m = 1,770 against 47 ms, 132 ms and 6.4 s complex (one core), so m^3 overcharges it 2-3x.
 LANCZOS_COST = 64
 LANCZOS_MIN_VALUES = 10
 SVD_OPERATIONS_BUDGET = 30_000_000_000
@@ -47,6 +51,11 @@ def _require_bounded(sym: AffineSymbol) -> None:
         raise InvalidInputError("symbol does not induce a bounded operator")
 
 
+def _entry_type(sym: AffineSymbol) -> type:
+    """float for a symbol with real A and b, whose truncations are real, else complex."""
+    return complex if sym.a.imag.any() or sym.b.imag.any() else float
+
+
 def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
     """Yield, for k = 0..N, the matrix columns of the degree-k basis functions.
 
@@ -55,7 +64,8 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
     the column of e_{beta + e_f} is (Az + b)_f times that of e_beta over sqrt(2 (beta_f + 1)),
     a b_f term and a shifted add per variable.  Rows: those of degree <= k with shift,
     else the degree-k ones and no b term, which gives the diagonal block of degree k."""
-    d, a, b = basis.d, sym.a.tolist(), sym.b.tolist()
+    d, dtype = basis.d, _entry_type(sym)
+    a, b = ((x if dtype is complex else x.real).tolist() for x in (sym.a, sym.b))
     below = basis.indices[: basis.degree_slice(basis.max_degree).start]
     # up[v][i] and rise[v][i]: position of gamma + e_v and sqrt(2 (gamma_v + 1)), gamma = below[i]
     up = [
@@ -63,13 +73,13 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
         for v in range(d)
     ]
     rise = np.sqrt(2.0 * np.array(below).reshape(-1, d).T + 2.0)
-    prev = np.ones((1, 1), dtype=complex)
+    prev = np.ones((1, 1), dtype=dtype)
     yield prev
     for k in range(1, basis.max_degree + 1):
         rows, parents = basis.degree_slice(k), basis.degree_slice(k - 1)
         lo, src = (0, slice(0, parents.stop)) if shift else (rows.start, parents)
         dst, gain = [u[src] - lo for u in up], rise[:, src]
-        cols = np.zeros((rows.stop - lo, rows.stop - rows.start), dtype=complex)
+        cols = np.zeros((rows.stop - lo, rows.stop - rows.start), dtype=dtype)
         start = 0
         for f in reversed(range(d)):
             width = math.comb(k - 2 + d - f, d - 1 - f)
@@ -90,7 +100,7 @@ def _assemble_matrix(sym: AffineSymbol, basis: GradedBasis) -> np.ndarray:
     m = basis.size
     # the matrix, the column blocks of the recursion and their temporaries
     check_dense_bytes(40 * m * m, f"a dense {m} x {m} truncated matrix")
-    mat = np.zeros((m, m), dtype=complex)
+    mat = np.zeros((m, m), dtype=_entry_type(sym))
     for k, cols in enumerate(_degree_columns(sym, basis, shift=True)):
         mat[: len(cols), basis.degree_slice(k)] = cols
     return mat
@@ -163,6 +173,31 @@ def _grid_stages(sym: AffineSymbol) -> tuple:
     return affine_stages(sym.a, sym.b), affine_stages(sym.a.conj().T, np.zeros_like(sym.b))
 
 
+def _real_twin(sym: AffineSymbol) -> AffineSymbol:
+    """A real symbol w -> A'w + b' whose truncations are unitarily equivalent to sym's.
+
+    Householder bidiagonalization of [b | A] (Golub & Kahan 1965): a left map on column j acts on
+    rows j.. and so never on the row of b's pivot, a right map on row j on A's columns only, and
+    a unit phase turns each pivot real.  So X [b | A] diag(1, Y) = [beta e_1 | B], X and Y unitary
+    and B real lower bidiagonal; reversed, A' is upper bidiagonal and b' = beta e_d.  phi' =
+    X o phi o Y, so C_phi' = C_Y C_phi C_X with C_X, C_Y unitary on Fock space and keeping degrees:
+    every degree-n truncation keeps its singular values.  No SVD or eigensolve of A enters."""
+    m = np.hstack([sym.b[:, None], sym.a])
+    for j in range(sym.dimension):
+        for g in (m, m[:, 1:].T):  # column j of [b | A], then row j of A as a column of A^T
+            x = g[j:, j]
+            r = np.linalg.norm(x)
+            if r:
+                phase = x[0] / abs(x[0]) if x[0] else 1.0
+                v = x.copy()
+                v[0] += phase * r  # no cancellation: v[0] and phase r share the argument
+                g[j:] -= np.outer(v, v.conj() @ g[j:] * (2.0 / np.vdot(v, v).real))
+                g[j] *= -np.conj(phase)  # the pivot -phase r, turned real
+            g[j + 1 :, j] = 0.0
+    m = m.real[::-1]
+    return AffineSymbol(m[:, :0:-1], m[:, 0], tol=sym.tol)
+
+
 def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperator:
     """Matrix-free degree-<=n truncation in orthonormal coordinates.
 
@@ -199,13 +234,20 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
 
     Dense for small bases and wherever it costs less than Lanczos and fits the dense
     budget, else Lanczos on the grid action; either over SVD_OPERATIONS_BUDGET is refused.
+    Boundedness is checked on sym; both routes then run on its real twin, whose dense
+    truncation takes a real SVD (Lanczos runs on sym itself when A is diagonal).
     """
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
+    _require_bounded(sym)
     d = sym.dimension
     check_basis_size(d, n)
+    twin = _real_twin(sym)
+    # a diagonal A substitutes each variable by one table product, where the twin's bidiagonal
+    # rows take Horner sweeps, 3-5 times slower at d = 2-4
+    grid_sym = sym if np.array_equal(sym.a, np.diag(np.diagonal(sym.a))) else twin
     m = math.comb(n + d, d)
-    passes = n * (sum(len(rows) for _, rows in _grid_stages(sym)) + d)
+    passes = n * (sum(len(rows) for _, rows in _grid_stages(grid_sym)) + d)
     lanczos = LANCZOS_COST * max(k, LANCZOS_MIN_VALUES) * (n + 1) ** d * passes
     cheaper = m**3 <= lanczos and 40 * m * m <= DENSE_BYTES_BUDGET
     dense = m <= DENSE_SVD_CUTOFF or cheaper  # k >= m - 1 (past Lanczos) is cheaper or over budget
@@ -213,8 +255,8 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     if work > SVD_OPERATIONS_BUDGET:
         raise BudgetError(f"{k} of {m} singular values: {work:.2e} operations, over the SVD budget")
     if dense:
-        return truncated_singular_values(assemble_truncated(sym, n), k)
-    op = grid_operator(sym, n)
+        return truncated_singular_values(assemble_truncated(twin, n), k)
+    op = grid_operator(grid_sym, n)
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
     s = scipy.sparse.linalg.svds(
         op,

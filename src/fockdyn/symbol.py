@@ -25,7 +25,7 @@ def as_complex_matrix(a) -> np.ndarray:
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise InvalidInputError("matrix entries must be finite")
     return a
 
@@ -36,7 +36,7 @@ def as_complex_vector(b, dim: int) -> np.ndarray:
         raise InvalidInputError(f"vector must be one-dimensional, got shape {b.shape}")
     if b.shape[0] != dim:
         raise InvalidInputError(f"vector has length {b.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(b.view(float))):
+    if not np.isfinite(b).all():
         raise InvalidInputError("vector entries must be finite")
     return b
 

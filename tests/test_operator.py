@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import fockdyn.fockmat.enumeration as enumeration
+import fockdyn.fockmat.operator
 from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import graded_basis, monomial_norm_sq_int, multi_indices
 from fockdyn.fockmat.enumeration import (
@@ -21,6 +23,7 @@ from fockdyn.fockmat.enumeration import (
 from fockdyn.fockmat.operator import (
     _assemble_matrix,
     _degree_columns,
+    _real_twin,
     assemble_truncated,
     grid_operator,
     top_singular_values,
@@ -396,6 +399,93 @@ def test_grid_action_matches_dense_matrix(a, b, n):
     x = rng.normal(size=mat.shape[0]) + 1j * rng.normal(size=mat.shape[0])
     assert np.allclose(gop.matvec(x), mat @ x, rtol=0, atol=1e-13)
     assert np.allclose(gop.rmatvec(x), mat.conj().T @ x, rtol=0, atol=1e-13)
+
+
+def twin_cases():
+    """Random complex symbols at d = 1..5, then structured ones, the last two bounded but not compact."""
+    cases = []
+    for d in range(1, 6):
+        for seed in (d, 10 + d):
+            sym = dense_contraction(seed, d)
+            cases.append(pytest.param(sym.a, sym.b, id=f"random-d{d}-{seed}"))
+    rng = np.random.default_rng(11)
+    u, v = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    rank1 = 0.7 * np.outer(u, v.conj()) / (np.linalg.norm(u) * np.linalg.norm(v))
+    w = np.array([1.0, 0.0, 0.0]) - u * u[0].conj() / np.vdot(u, u)  # orthogonal to range(rank1)
+    dense = dense_contraction(5, 3).a
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    return cases + [
+        pytest.param(dense, np.zeros(3), id="b-zero"),
+        pytest.param(rank1, [0.2, -0.1j, 0.3], id="rank-1"),
+        pytest.param(dense * [[1.0], [0.0], [1.0]], [0.1, 0.2j, -0.3], id="zero-row"),
+        pytest.param(dense * [1.0, 0.0, 1.0], [0.1, 0.2j, -0.3], id="zero-column"),
+        pytest.param(rank1, 0.4 * w / np.linalg.norm(w), id="b-orthogonal-to-range"),
+        pytest.param(dense.real, [0.3, -0.2, 0.1], id="real"),
+        pytest.param(q, np.zeros(3), id="unitary-b-zero"),
+        pytest.param(np.diag([1.0, 0.5]), [0.0, 0.7], id="half-isometry"),
+    ]
+
+
+@pytest.mark.parametrize("a, b", twin_cases())
+def test_real_twin_has_the_singular_values_of_the_truncations(a, b):
+    sym = AffineSymbol(a, b)
+    twin = _real_twin(sym)
+    assert "svd" not in sym.__dict__  # built without the symbol's SVD
+    # real, A' upper bidiagonal with the singular values of A, and b' = |b| e_d
+    assert not twin.a.imag.any() and not twin.b.imag.any()
+    assert not np.tril(twin.a, -1).any() and not np.triu(twin.a, 2).any()
+    s_a = np.linalg.svd(sym.a, compute_uv=False)
+    assert np.abs(np.linalg.svd(twin.a, compute_uv=False) - s_a).max() <= 1e-15 * s_a[0]
+    assert not twin.b[:-1].any() and twin.b[-1].real >= 0
+    assert abs(twin.b[-1].real - np.linalg.norm(sym.b)) <= 1e-15 * np.linalg.norm(sym.b)
+    # bounded, and compact, exactly when the symbol is
+    assert twin.boundedness.bounded and sym.boundedness.bounded
+    assert twin.boundedness.compact == sym.boundedness.compact
+    n = {1: 24, 2: 10, 3: 6, 4: 4, 5: 3}[sym.dimension]
+    got = assemble_truncated(twin, n)
+    assert got.dtype == np.float64
+    want = scipy.linalg.svdvals(assemble_truncated(sym, n))
+    assert np.abs(scipy.linalg.svdvals(got) - want).max() <= 1e-13 * want[0]
+
+
+def test_real_twin_of_an_unbounded_symbol_is_unbounded():
+    rotation = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+    for a, b in ((rotation, [0.5, 0.0]), (np.diag([1.0, 0.5]), [0.7, 0.0]), (1.2 * np.eye(2), [0.0, 0.0])):
+        assert not _real_twin(AffineSymbol(a, b)).boundedness.bounded
+
+
+def test_dense_grid_route_takes_a_real_svd(monkeypatch):
+    # a complex symbol: svdvals gets the float64 truncation of its real twin
+    sym = dense_contraction(8, 3)
+    want = scipy.linalg.svdvals(assemble_truncated(sym, 8))[:20]
+    seen, svdvals = [], scipy.linalg.svdvals
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(matrix.dtype)
+        return svdvals(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", spy)
+    got = top_singular_values(sym, 8, 20)
+    assert seen == [np.float64]
+    assert np.abs(got - want).max() <= 1e-13 * want[0]
+
+
+def test_grid_action_runs_on_the_twin_unless_a_is_diagonal(monkeypatch):
+    # degree 40 at d = 2 (m = 861) with the cutoff at 0: 3 values take Lanczos
+    monkeypatch.setattr(fockdyn.fockmat.operator, "DENSE_SVD_CUTOFF", 0)
+    seen, build = [], fockdyn.fockmat.operator.grid_operator
+
+    def spy(sym, n):
+        seen.append(sym)
+        return build(sym, n)
+
+    monkeypatch.setattr(fockdyn.fockmat.operator, "grid_operator", spy)
+    diagonal = AffineSymbol(np.diag([0.5, 0.3]), [0.1, 0.2])
+    triangular = AffineSymbol([[0.5, 0.2], [0.0, 0.4]], [0.25, 0.15])
+    for sym in (diagonal, triangular):
+        top_singular_values(sym, 40, 3)
+    assert seen[0] is diagonal
+    assert not seen[1].a.imag.any() and not np.tril(seen[1].a, -1).any() and seen[1].a[0, 1]
 
 
 def test_truncated_singular_values_monotone_in_degree():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fockdyn.spectral
 import fockdyn.symbol
@@ -19,6 +20,24 @@ def test_symbol_validates_shapes():
         AffineSymbol([[0.5]], [0.0, 0.0])
     with pytest.raises(InvalidInputError):
         AffineSymbol([[float("inf")]], [0.0])
+
+
+def test_symbol_takes_arrays_in_any_memory_order():
+    # a transposed matrix, the Fortran-ordered Schur factor and negative strides once
+    # raised a bare ValueError from the finiteness check's float view
+    m = np.arange(9.0).reshape(3, 3) / 20
+    t = scipy.linalg.schur(m + 0.1j * m.T, output="complex")[0]
+    assert t.flags.f_contiguous and not t.flags.c_contiguous
+    b = np.array([0.3, 0.2, 0.1])
+    for a, shift in ((m.T, b), (t, b), (np.asfortranarray(m), b), (m[::-1, ::-1], b[::-1])):
+        sym = AffineSymbol(a, shift)
+        assert np.array_equal(sym.a, a) and np.array_equal(sym.b, shift)
+    bad = m.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="matrix entries must be finite"):
+        AffineSymbol(bad.T, b)
+    with pytest.raises(InvalidInputError, match="vector entries must be finite"):
+        AffineSymbol(m, np.array([0.1, 0.2, np.inf])[::-1])
 
 
 def test_symbol_arrays_are_read_only():
