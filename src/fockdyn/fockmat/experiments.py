@@ -90,12 +90,12 @@ def orbit_krylov_rank(
             block = _assemble_matrix(sym, basis)[lo:, lo:]
     if not np.isfinite(block).all():
         raise NumericalFailureError(f"the degree-{degree} truncation of C overflows")
-    block = np.asarray(block, dtype=complex)  # a real block would be cast at every step of the orbit
     cols, x = [], x[lo:]
     for _ in range(steps):
         x = _unit(x)
         cols.append(_unit(x[:width]))
-        x = block @ x
+        # a real block acts on the parts of x, so it is neither cast nor copied to complex
+        x = block @ x if block.dtype == complex else block @ x.real + 1j * (block @ x.imag)
     s = np.linalg.svd(np.array(cols).T, compute_uv=False)
     return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 

@@ -12,9 +12,8 @@ at a time, in orthonormal coordinates; truncated_spectrum runs its recursion on 
 eigenvalues of A alone.  grid_operator, the matrix-free action on the full coefficient
 grid, runs polymap._compose_grid on a batch of one between a scatter and a gather by
 the monomial norms, which cap its degree at 149.  top_singular_values takes the
-cheaper of a dense SVD and Lanczos on the grid action, within one operations budget,
-on _real_twin: a real bidiagonal symbol whose truncations are unitarily equivalent to
-the given one's.  A real A and b give real truncations, complex ones complex.
+cheaper of a dense SVD of the real twin (_real_twin, a unitarily equivalent real symbol;
+a real A and b give real truncations) and Lanczos on the grid action, within one budget.
 """
 
 from __future__ import annotations
@@ -176,16 +175,17 @@ def _grid_stages(sym: AffineSymbol) -> tuple:
 def _real_twin(sym: AffineSymbol) -> AffineSymbol:
     """A real symbol w -> A'w + b' whose truncations are unitarily equivalent to sym's.
 
-    Householder bidiagonalization of [b | A] (Golub & Kahan 1965): a left map on column j acts on
-    rows j.. and so never on the row of b's pivot, a right map on row j on A's columns only, and
-    a unit phase turns each pivot real.  So X [b | A] diag(1, Y) = [beta e_1 | B], X and Y unitary
-    and B real lower bidiagonal; reversed, A' is upper bidiagonal and b' = beta e_d.  phi' =
-    X o phi o Y, so C_phi' = C_Y C_phi C_X with C_X, C_Y unitary on Fock space and keeping degrees:
-    every degree-n truncation keeps its singular values.  No SVD or eigensolve of A enters."""
+    Householder bidiagonalization of [b | A] (Golub & Kahan 1965), a unit phase turning each pivot
+    real: X [b | A] diag(1, Y) = [beta e_1 | B], X and Y unitary and B real lower bidiagonal;
+    reversed, A' is upper bidiagonal and b' = beta e_d.  phi' = X o phi o Y, so C_phi' = C_Y C_phi
+    C_X with C_X, C_Y unitary on Fock space and keeping degrees: every degree-n truncation keeps its
+    singular values.  No SVD or eigensolve of A enters A' or b'.  The twin carries sym's boundedness
+    report (witness in sym's coordinates): its own check could flip on a repeated singular value 1,
+    whose singular basis is not sym's."""
     m = np.hstack([sym.b[:, None], sym.a])
     for j in range(sym.dimension):
         for g in (m, m[:, 1:].T):  # column j of [b | A], then row j of A as a column of A^T
-            x = g[j:, j]
+            x = g[j:, j]  # rows j..: a left map never reaches the row of b's pivot
             r = np.linalg.norm(x)
             if r:
                 phase = x[0] / abs(x[0]) if x[0] else 1.0
@@ -195,7 +195,9 @@ def _real_twin(sym: AffineSymbol) -> AffineSymbol:
                 g[j] *= -np.conj(phase)  # the pivot -phase r, turned real
             g[j + 1 :, j] = 0.0
     m = m.real[::-1]
-    return AffineSymbol(m[:, :0:-1], m[:, 0], tol=sym.tol)
+    twin = AffineSymbol(m[:, :0:-1], m[:, 0], tol=sym.tol)
+    vars(twin)["boundedness"] = sym.boundedness
+    return twin
 
 
 def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperator:
@@ -234,20 +236,14 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
 
     Dense for small bases and wherever it costs less than Lanczos and fits the dense
     budget, else Lanczos on the grid action; either over SVD_OPERATIONS_BUDGET is refused.
-    Boundedness is checked on sym; both routes then run on its real twin, whose dense
-    truncation takes a real SVD (Lanczos runs on sym itself when A is diagonal).
+    The dense route runs on sym's real twin, whose truncation takes a real SVD.
     """
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
-    _require_bounded(sym)
     d = sym.dimension
     check_basis_size(d, n)
-    twin = _real_twin(sym)
-    # a diagonal A substitutes each variable by one table product, where the twin's bidiagonal
-    # rows take Horner sweeps, 3-5 times slower at d = 2-4
-    grid_sym = sym if np.array_equal(sym.a, np.diag(np.diagonal(sym.a))) else twin
     m = math.comb(n + d, d)
-    passes = n * (sum(len(rows) for _, rows in _grid_stages(grid_sym)) + d)
+    passes = n * (sum(len(rows) for _, rows in _grid_stages(sym)) + d)
     lanczos = LANCZOS_COST * max(k, LANCZOS_MIN_VALUES) * (n + 1) ** d * passes
     cheaper = m**3 <= lanczos and 40 * m * m <= DENSE_BYTES_BUDGET
     dense = m <= DENSE_SVD_CUTOFF or cheaper  # k >= m - 1 (past Lanczos) is cheaper or over budget
@@ -255,8 +251,8 @@ def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     if work > SVD_OPERATIONS_BUDGET:
         raise BudgetError(f"{k} of {m} singular values: {work:.2e} operations, over the SVD budget")
     if dense:
-        return truncated_singular_values(assemble_truncated(twin, n), k)
-    op = grid_operator(grid_sym, n)
+        return truncated_singular_values(assemble_truncated(_real_twin(sym), n), k)
+    op = grid_operator(sym, n)
     v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
     s = scipy.sparse.linalg.svds(
         op,

@@ -10,7 +10,6 @@ import scipy.linalg
 import scipy.optimize
 
 import fockdyn.fockmat.enumeration as enumeration
-import fockdyn.fockmat.operator
 from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import graded_basis, monomial_norm_sq_int, multi_indices
 from fockdyn.fockmat.enumeration import (
@@ -30,7 +29,7 @@ from fockdyn.fockmat.operator import (
     truncated_singular_values,
     truncated_spectrum,
 )
-from fockdyn.symbol import AffineSymbol
+from fockdyn.symbol import AffineSymbol, check_boundedness
 
 from matrices import rotated
 
@@ -427,10 +426,12 @@ def twin_cases():
 
 
 @pytest.mark.parametrize("a, b", twin_cases())
-def test_real_twin_has_the_singular_values_of_the_truncations(a, b):
+def test_real_twin_has_the_singular_values_of_the_truncations(a, b, monkeypatch):
     sym = AffineSymbol(a, b)
-    twin = _real_twin(sym)
-    assert "svd" not in sym.__dict__  # built without the symbol's SVD
+    report = sym.boundedness  # the twin carries this report; its entries take no SVD
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", None)
+        twin = _real_twin(sym)
     # real, A' upper bidiagonal with the singular values of A, and b' = |b| e_d
     assert not twin.a.imag.any() and not twin.b.imag.any()
     assert not np.tril(twin.a, -1).any() and not np.triu(twin.a, 2).any()
@@ -438,9 +439,10 @@ def test_real_twin_has_the_singular_values_of_the_truncations(a, b):
     assert np.abs(np.linalg.svd(twin.a, compute_uv=False) - s_a).max() <= 1e-15 * s_a[0]
     assert not twin.b[:-1].any() and twin.b[-1].real >= 0
     assert abs(twin.b[-1].real - np.linalg.norm(sym.b)) <= 1e-15 * np.linalg.norm(sym.b)
-    # bounded, and compact, exactly when the symbol is
-    assert twin.boundedness.bounded and sym.boundedness.bounded
-    assert twin.boundedness.compact == sym.boundedness.compact
+    # sym's report, which the twin's own check, bounded and compact exactly when sym is, agrees with
+    own = check_boundedness(twin)
+    assert twin.boundedness is report and report.bounded and own.bounded
+    assert own.compact == report.compact
     n = {1: 24, 2: 10, 3: 6, 4: 4, 5: 3}[sym.dimension]
     got = assemble_truncated(twin, n)
     assert got.dtype == np.float64
@@ -451,7 +453,8 @@ def test_real_twin_has_the_singular_values_of_the_truncations(a, b):
 def test_real_twin_of_an_unbounded_symbol_is_unbounded():
     rotation = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
     for a, b in ((rotation, [0.5, 0.0]), (np.diag([1.0, 0.5]), [0.7, 0.0]), (1.2 * np.eye(2), [0.0, 0.0])):
-        assert not _real_twin(AffineSymbol(a, b)).boundedness.bounded
+        twin = _real_twin(AffineSymbol(a, b))
+        assert not twin.boundedness.bounded and not check_boundedness(twin).bounded
 
 
 def test_dense_grid_route_takes_a_real_svd(monkeypatch):
@@ -470,22 +473,15 @@ def test_dense_grid_route_takes_a_real_svd(monkeypatch):
     assert np.abs(got - want).max() <= 1e-13 * want[0]
 
 
-def test_grid_action_runs_on_the_twin_unless_a_is_diagonal(monkeypatch):
-    # degree 40 at d = 2 (m = 861) with the cutoff at 0: 3 values take Lanczos
-    monkeypatch.setattr(fockdyn.fockmat.operator, "DENSE_SVD_CUTOFF", 0)
-    seen, build = [], fockdyn.fockmat.operator.grid_operator
-
-    def spy(sym, n):
-        seen.append(sym)
-        return build(sym, n)
-
-    monkeypatch.setattr(fockdyn.fockmat.operator, "grid_operator", spy)
-    diagonal = AffineSymbol(np.diag([0.5, 0.3]), [0.1, 0.2])
-    triangular = AffineSymbol([[0.5, 0.2], [0.0, 0.4]], [0.25, 0.15])
-    for sym in (diagonal, triangular):
-        top_singular_values(sym, 40, 3)
-    assert seen[0] is diagonal
-    assert not seen[1].a.imag.any() and not np.tril(seen[1].a, -1).any() and seen[1].a[0, 1]
+def test_real_twin_keeps_the_verdict_on_a_repeated_singular_value_one():
+    # b pairs with the identity's basis of the singular value 1 to 0.9e-10 (under tol |b|), while
+    # the twin's own basis for it may pair to up to sqrt(2) 0.9e-10 and refuse the symbol
+    c = 0.9e-10
+    sym = AffineSymbol(np.diag([1.0, 1.0, 0.5]), [c, c, 1.0])
+    assert sym.boundedness.bounded
+    want = scipy.linalg.svdvals(assemble_truncated(sym, 6))[:12]
+    got = top_singular_values(sym, 6, 12)
+    assert np.abs(got - want).max() <= 1e-13 * want[0]
 
 
 def test_truncated_singular_values_monotone_in_degree():
