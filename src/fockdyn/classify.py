@@ -87,12 +87,7 @@ def _pair_alpha(d: int, i: int, j: int) -> tuple:
 
 def _jordan_acceptable(spec: SpectralData) -> bool:
     """Diagonalizable, or exactly one Jordan block of size exactly two."""
-    big = []
-    for info in spec.eigenvalues:
-        for s in info.block_sizes:
-            if s >= 2:
-                big.append(s)
-    return big == [] or big == [2]
+    return [s for info in spec.eigenvalues for s in info.block_sizes if s >= 2] in ([], [2])
 
 
 def _exact_pairs_equal(x, y) -> bool:
@@ -118,9 +113,7 @@ def _validate_exact_match(sym: AffineSymbol, spec: SpectralData):
     the exact data describes a different matrix.
     """
     exact = sym.exact.eigenvalues
-    numeric = []
-    for info in spec.eigenvalues:
-        numeric.extend([info.value] * info.algebraic_mult)
+    numeric = [info.value for info in spec.eigenvalues for _ in range(info.algebraic_mult)]
     if len(exact) != len(numeric):
         raise InvalidInputError(
             f"exact data lists {len(exact)} eigenvalues, matrix has {len(numeric)}"
@@ -185,11 +178,7 @@ def classify_cyclicity(
 def _classify_exact(sym: AffineSymbol, spec: SpectralData) -> CyclicityVerdict:
     _validate_exact_match(sym, spec)
     exact = list(sym.exact.eigenvalues)
-    has_size2 = any(
-        szs and max(szs) == 2
-        for szs in (info.block_sizes for info in spec.eigenvalues)
-    )
-    if has_size2:
+    if any(2 in info.block_sizes for info in spec.eigenvalues):  # the one size-2 block
         pair = _exact_duplicate_pair(exact)
         if pair is None:
             raise InvalidInputError(

@@ -117,13 +117,13 @@ def assemble_truncated(sym: AffineSymbol, n: int) -> np.ndarray:
 
 def truncated_spectrum(sym: AffineSymbol, n: int) -> np.ndarray:
     """Eigenvalue multiset of the degree-<=n restriction, sorted by (-|w|, arg): lambda^alpha over
-    |alpha| <= n, lambda the eigenvalues of A.  With A = Q T Q* (Schur), composing with Q is unitary
-    and keeps degrees, and the degree-k block of T is triangular in graded-lex order with diagonal
+    |alpha| <= n, lambda = diag(T) for A = Q T Q* (sym.schur).  Composing with Q is unitary and
+    keeps degrees, and the degree-k block of T is triangular in graded-lex order with diagonal
     lambda^alpha, also for a defective A.  One multiply per value, recursing as _degree_columns."""
     _require_bounded(sym)
     d = sym.dimension
     check_basis_size(d, n)
-    lam, vals = np.linalg.eigvals(sym.a), np.ones(math.comb(n + d, d), dtype=complex)
+    lam, vals = sym.schur[0].diagonal(), np.ones(math.comb(n + d, d), dtype=complex)
     for k in range(1, n + 1):
         lo, start = math.comb(k + d - 2, d), math.comb(k + d - 1, d)  # degrees k-1 and k
         for f in reversed(range(d)):
@@ -180,8 +180,7 @@ def _real_twin(sym: AffineSymbol) -> AffineSymbol:
     reversed, A' is upper bidiagonal and b' = beta e_d.  phi' = X o phi o Y, so C_phi' = C_Y C_phi
     C_X with C_X, C_Y unitary on Fock space and keeping degrees: every degree-n truncation keeps its
     singular values.  No SVD or eigensolve of A enters A' or b'.  The twin carries sym's boundedness
-    report (witness in sym's coordinates): its own check could flip on a repeated singular value 1,
-    whose singular basis is not sym's."""
+    report, witness in sym's coordinates."""
     m = np.hstack([sym.b[:, None], sym.a])
     for j in range(sym.dimension):
         for g in (m, m[:, 1:].T):  # column j of [b | A], then row j of A as a column of A^T

@@ -6,7 +6,8 @@ exp(-|z|^2 / 2); the inner product convention is <z, w> = sum_j z_j conj(w_j)
 and the reproducing kernel is k_w(z) = exp(<z, w> / 2).
 
 A symbol keeps one SVD A = U diag(s) V*, which boundedness, invertibility, the
-linear forms and the approximation numbers with their reduced oracle all read.
+linear forms and the approximation numbers with their reduced oracle all read,
+and one complex Schur form A = Q T Q*, which spectra and Jordan structure read.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidInputError, NoFixedPointError, NumericalFailureError
 from .relations import ExactPolarSpec
@@ -85,6 +87,16 @@ class AffineSymbol:
         return factors
 
     @functools.cached_property
+    def schur(self) -> tuple:
+        """(t, q) with a = q t q*, t upper triangular and q unitary, read-only."""
+        t, _, _, q, _, info = lapack.zgees(lambda _: 0, self.a)
+        if info:
+            raise NumericalFailureError(f"the Schur form of A did not converge (zgees info {info})")
+        for x in (t, q):
+            x.setflags(write=False)
+        return t, q
+
+    @functools.cached_property
     def boundedness(self) -> BoundednessReport:
         return check_boundedness(self)
 
@@ -95,7 +107,7 @@ class AffineSymbol:
     @functools.cached_property
     def spectrum(self):  # spectral imports this module
         from . import spectral
-        return spectral.eigen_decompose(self.a, float(self.svd[1][0]))
+        return spectral.eigen_decompose(self.schur, float(self.svd[1][0]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,28 +123,23 @@ def check_boundedness(sym: AffineSymbol) -> BoundednessReport:
     """Boundedness and compactness of the composition operator.
 
     Bounded iff ||A|| <= 1 and A v _|_ b for every v that A moves
-    isometrically; compact iff ||A|| < 1.  Witness: a unit right singular
-    vector v with singular value ~1 whose image fails orthogonality to b.
+    isometrically; compact iff ||A|| < 1.  Over the right singular vectors V
+    with singular value at least 1 - tol, the pairings <A v, b> form c = S U* b,
+    and |c| <= tol |b| is required, whatever basis of a repeated value the SVD
+    took.  Witness: the unit V c / |c|, whose image pairs with b by |c|.
     """
     tol = sym.tol
     u, s, vh = sym.svd
     norm_a = float(s[0]) if s.size else 0.0
     iso_dim = int(np.count_nonzero(np.abs(s - 1) <= 10 * tol))
-    bounded = norm_a <= 1 + tol
-    witness = None
     b, _ = unit_scaled(sym.b)  # the test below is homogeneous in b
-    bnorm = float(np.linalg.norm(b))
-    for i in range(s.size):
-        if s[i] < 1 - tol:
-            break
-        # <A v_i, b> with v_i the i-th right singular vector
-        pairing = s[i] * complex(np.vdot(b, u[:, i]))
-        if abs(pairing) > tol * bnorm:
-            bounded = False
-            witness = vh[i].conj()
-            witness.setflags(write=False)  # a symbol keeps its report
-            break
-    compact = norm_a < 1 - tol
+    near = s >= 1 - tol
+    c = s[near] * (u[:, near].conj().T @ b)
+    size, witness = math.hypot(*np.abs(c).tolist()), None  # no square of s past 1e154
+    if size > tol * float(np.linalg.norm(b)):
+        witness = vh[near].conj().T @ (c / size)
+        witness.setflags(write=False)  # a symbol keeps its report
+    bounded, compact = norm_a <= 1 + tol and witness is None, norm_a < 1 - tol
     return BoundednessReport(bounded, compact, norm_a, iso_dim, witness)
 
 

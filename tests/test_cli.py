@@ -1133,8 +1133,8 @@ def test_unwritable_output_exits_two_in_one_line(tmp_path, capsys, target):
 
 @pytest.mark.parametrize("a, b", [([[1e200]], [0]), ([[1e155]], [1e155]), ([[1e300, 1e300], [1e300, 1e300]], [0, 0])])
 def test_analyze_huge_eigenvalues_ends_in_one_line(tmp_path, capsys, a, b):
-    # Henrici's departure from normality is taken relative to ||A||_F, so
-    # |lambda|^2 past the float range raises nothing
+    # the midpoint test runs on T / ||A|| and the boundedness pairing takes no
+    # square of a singular value, so |lambda|^2 past the float range raises nothing
     path = write_json(tmp_path / "huge.json", {"dimension": len(a), "A": a, "b": b})
     with warnings.catch_warnings():
         warnings.simplefilter("error")

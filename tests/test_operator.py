@@ -474,9 +474,9 @@ def test_dense_grid_route_takes_a_real_svd(monkeypatch):
 
 
 def test_real_twin_keeps_the_verdict_on_a_repeated_singular_value_one():
-    # b pairs with the identity's basis of the singular value 1 to 0.9e-10 (under tol |b|), while
-    # the twin's own basis for it may pair to up to sqrt(2) 0.9e-10 and refuse the symbol
-    c = 0.9e-10
+    # b's projection on the image of the singular value 1 has norm sqrt(2) 0.6e-10, under tol |b|
+    # in every basis of it, the twin's as the identity's
+    c = 0.6e-10
     sym = AffineSymbol(np.diag([1.0, 1.0, 0.5]), [c, c, 1.0])
     assert sym.boundedness.bounded
     want = scipy.linalg.svdvals(assemble_truncated(sym, 6))[:12]

@@ -1,29 +1,33 @@
 """Eigenvalue clustering, Jordan structure detection, linear form bases."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fockdyn.errors import InvalidInputError, NumericalFailureError
-from fockdyn.spectral import (
-    eigen_decompose,
-    geometric_eigenvalue_list,
-    linear_form_basis,
-)
+from fockdyn.spectral import _smallest_singular_value, geometric_eigenvalue_list, linear_form_basis
 from fockdyn.symbol import AffineSymbol
 
-from matrices import conjugated, jordan_block
+from matrices import conditioned, conjugated, jordan_block
 
 
 def planted_jordan(eigenvalue, size, conj):
     return conj @ jordan_block(eigenvalue, size) @ np.linalg.inv(conj)
 
 
+def spectrum_of(a):
+    """The spectrum of A as a symbol reads it: eigen_decompose on its Schur form."""
+    return AffineSymbol(a, np.zeros(len(a))).spectrum
+
+
 def profile(a):
-    return sorted((e.block_sizes for e in eigen_decompose(a).eigenvalues), reverse=True)
+    return sorted((e.block_sizes for e in spectrum_of(a).eigenvalues), reverse=True)
 
 
 def test_distinct_eigenvalues_diagonalizable():
-    spec = eigen_decompose(np.diag([0.5, 0.25, -0.1]))
+    spec = spectrum_of(np.diag([0.5, 0.25, -0.1]))
     assert spec.diagonalizable
     assert [e.value for e in spec.eigenvalues] == pytest.approx([0.5, 0.25, -0.1])
     assert all(e.block_sizes == (1,) for e in spec.eigenvalues)
@@ -33,7 +37,7 @@ def test_planted_jordan_block_detected():
     rng = np.random.default_rng(0)
     p = rng.normal(size=(2, 2)) + 0.2 * rng.normal(size=(2, 2)) * 1j
     a = planted_jordan(0.5, 2, p)
-    spec = eigen_decompose(a)
+    spec = spectrum_of(a)
     assert not spec.diagonalizable
     assert len(spec.eigenvalues) == 1
     info = spec.eigenvalues[0]
@@ -45,7 +49,7 @@ def test_planted_jordan_block_detected():
 def test_perturbed_double_eigenvalue_clusters():
     # a numerically split pair within the cluster radius is one eigenvalue
     a = np.diag([0.5, 0.5 + 3e-9]).astype(complex)
-    spec = eigen_decompose(a)
+    spec = spectrum_of(a)
     assert len(spec.eigenvalues) == 1
     info = spec.eigenvalues[0]
     assert info.algebraic_mult == 2 and info.geometric_mult == 2
@@ -53,15 +57,15 @@ def test_perturbed_double_eigenvalue_clusters():
 
 
 def test_separate_eigenvalues_not_clustered():
-    spec = eigen_decompose(np.diag([0.5, 0.5001]))
+    spec = spectrum_of(np.diag([0.5, 0.5001]))
     assert len(spec.eigenvalues) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_conjugated_three_block_is_one_cluster(seed):
-    # eigvals splits the triple eigenvalue by 6.5e-7 to 1.2e-6, past
-    # MERGE_DISTANCE; A - mu I is singular to rounding at the midpoints
-    spec = eigen_decompose(conjugated(jordan_block(0.5, 3), seed))
+    # the Schur diagonal splits the triple eigenvalue by 1.0e-6 to 3.0e-6, past
+    # MERGE_DISTANCE; T - mu I is singular to rounding at the midpoints
+    spec = spectrum_of(conjugated(jordan_block(0.5, 3), seed))
     assert [e.block_sizes for e in spec.eigenvalues] == [(3,)]
 
 
@@ -94,23 +98,72 @@ def test_conjugated_large_block_reads_one_block_or_raises(size):
         assert "ill-determined" in str(exc)
 
 
+@pytest.mark.parametrize(
+    "blocks, want",
+    [
+        ((jordan_block(0.5, 3), jordan_block(0.3, 2)), [(3,), (2,)]),
+        ((jordan_block(0.3 + 0.4j, 4),), [(4,)]),
+    ],
+    ids=["J3+J2", "J4"],
+)
+def test_badly_conditioned_jordan_structures_read_right_or_raise(blocks, want):
+    # at condition 1e4, clustering on eigvals with full-matrix staircases read 5 of these J3 + J2
+    # seeds as (2,) plus (2, 1) and one J4 seed as (3, 1); the staircase on the cluster's
+    # trailing Schur block reads every seed of both right here
+    for seed in range(30):
+        a = conditioned(scipy.linalg.block_diag(*blocks), seed, 1e4)
+        try:
+            got = profile(a)
+        except NumericalFailureError as exc:
+            assert "ill-determined" in str(exc) or "inconsistent" in str(exc), seed
+            continue
+        assert got == want, seed
+
+
+def test_midpoint_estimate_lies_above_the_smallest_singular_value():
+    # 1,020 shifts of random triangular matrices (d = 2 to 60) came within 1.48x of the SVD
+    rng = np.random.default_rng(0)
+    for d in (2, 3, 5, 20, 60):
+        for _ in range(20):
+            t = np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            t /= np.linalg.norm(t, 2)
+            v = t.diagonal()
+            for mu in (v[0] + 1e-3, (v[0] + v[1]) / 2, v[0] + 1e-9):
+                estimate = _smallest_singular_value(t, mu)
+                smallest = np.linalg.svd(t - mu * np.eye(d), compute_uv=False)[-1]
+                assert smallest - 1e-14 <= estimate <= 2 * smallest
+
+
+def test_midpoint_estimate_is_zero_on_overflow_and_zero_pivots():
+    # sigma_min(J40(0) - 0.01 I) is about 1e-80, so the solves overflow; no warning escapes
+    nilpotent = np.diag(np.ones(39, dtype=complex), 1)
+    singular = np.triu(np.ones((3, 3), dtype=complex))
+    singular[1, 1] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _smallest_singular_value(nilpotent, 0.01) == 0.0
+        assert _smallest_singular_value(singular, 0.0) == 0.0
+        assert _smallest_singular_value(nilpotent, 0.9) == pytest.approx(
+            np.linalg.svd(nilpotent - 0.9 * np.eye(40), compute_uv=False)[-1], rel=1e-6)
+
+
 def test_rank_decision_within_the_margin_raises():
     # kept singular values 1e-9 clear the threshold 5e-11 by a factor 20 only
     a = np.diag([0.5, 0.5, 0.5]) + np.diag([1e-9, 1e-9], 1)
     with pytest.raises(NumericalFailureError, match="factor 20"):
-        eigen_decompose(a)
+        spectrum_of(a)
 
 
 def test_geometric_eigenvalue_list_counts_blocks():
     rng = np.random.default_rng(1)
     p = rng.normal(size=(3, 3))
     a = planted_jordan(0.4, 3, p)
-    spec = eigen_decompose(a)
+    spec = spectrum_of(a)
     lst = geometric_eigenvalue_list(spec)
     assert len(lst) == 1
     assert lst[0] == pytest.approx(0.4, abs=1e-4)
     # a diagonalizable double eigenvalue appears once per block
-    spec2 = eigen_decompose(np.diag([0.3, 0.3]).astype(complex))
+    spec2 = spectrum_of(np.diag([0.3, 0.3]).astype(complex))
     assert len(geometric_eigenvalue_list(spec2)) == 2
 
 

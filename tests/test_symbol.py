@@ -9,6 +9,7 @@ import fockdyn.symbol
 from fockdyn.classify import classify_cyclicity
 from fockdyn.errors import InvalidInputError, NoFixedPointError
 from fockdyn.fockmat.enumeration import approx_numbers
+from fockdyn.fockmat.operator import truncated_spectrum
 from fockdyn.spectral import linear_form_basis
 from fockdyn.symbol import AffineSymbol, check_boundedness, fixed_point
 
@@ -95,6 +96,26 @@ def test_partial_isometry_with_orthogonal_shift_is_bounded():
     assert not rep2.bounded
 
 
+@pytest.mark.parametrize("c, bounded", [(0.9e-10, False), (0.6e-10, True)])
+def test_boundedness_verdict_is_the_same_in_every_unitary_frame(c, bounded):
+    # b's projection on the image of the singular value 1 of diag(1, 1, 0.5) has norm sqrt(2) c,
+    # against tol |b| = 1e-10; testing each singular vector on its own read c = 0.9e-10 as
+    # bounded in these coordinates and as unbounded in 17 of the 20 frames below
+    a, b = np.diag([1.0, 1.0, 0.5]), np.array([c, c, 1.0])
+    frames = [np.eye(3)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        frames.append(np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0])
+    for u in frames:
+        sym = AffineSymbol(u @ a @ u.conj().T, u @ b)
+        rep = check_boundedness(sym)
+        assert rep.bounded is bounded and rep.isometric_subspace_dim == 2
+        if not bounded:
+            w = rep.violation_witness
+            assert np.linalg.norm(w) == pytest.approx(1.0)
+            assert abs(np.vdot(sym.b, sym.a @ w)) == pytest.approx(np.sqrt(2) * c, rel=1e-6)
+
+
 def test_fixed_point_solves_affine_equation():
     sym = AffineSymbol([[0.5, 0.2], [0.0, 0.25]], [0.3, -0.1])
     xi = fixed_point(sym)
@@ -116,7 +137,8 @@ def test_iterates_converge_to_fixed_point():
 
 
 def test_each_analysis_runs_once_per_symbol(monkeypatch):
-    calls = {"check_boundedness": 0, "fixed_point": 0, "eigen_decompose": 0, "svd": 0}
+    names = ("check_boundedness", "fixed_point", "eigen_decompose", "svd", "schur", "eigvals")
+    calls = dict.fromkeys(names, 0)
 
     def counted(module, name):
         original = getattr(module, name)
@@ -146,15 +168,29 @@ def test_each_analysis_runs_once_per_symbol(monkeypatch):
         return norm(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", norm_of_a)
+    zgees, eigvals = scipy.linalg.lapack.zgees, np.linalg.eigvals
+
+    def schur(*args, **kwargs):
+        calls["schur"] += 1
+        return zgees(*args, **kwargs)
+
+    def no_eigvals(m, *args, **kwargs):
+        calls["eigvals"] += 1  # the eigenvalues of A are read from its Schur form
+        return eigvals(m, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgees", schur)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     first = AffineSymbol([[0.5, 0.1], [0.0, 0.25]], [0.2, -0.1])
     second = AffineSymbol([[0.9, 0.0], [0.0, -0.5j]], [0.2, -0.1])
     for _ in range(3):
         reports = [(s.boundedness, s.xi, s.spectrum, s.svd) for s in (first, second)]
-        # every reader of the singular values takes them from the symbol
+        # every reader of the singular values and of the Schur form takes them from the symbol
         classify_cyclicity(first, search_height=2)
         linear_form_basis(first)
         approx_numbers(first, 3, oracle="reduced")
-    assert calls == {"check_boundedness": 2, "fixed_point": 2, "eigen_decompose": 2, "svd": 2}
+        truncated_spectrum(first, 4)
+        truncated_spectrum(second, 4)
+    assert calls == dict(zip(names, (2, 2, 2, 2, 2, 0)))
     # two symbols share nothing
     (rep1, xi1, spec1, svd1), (rep2, xi2, spec2, svd2) = reports
     assert rep1.operator_norm_of_a != rep2.operator_norm_of_a
@@ -162,7 +198,9 @@ def test_each_analysis_runs_once_per_symbol(monkeypatch):
     assert spec2.eigenvalues[0].value == pytest.approx(0.9)
     # what a symbol keeps is read-only
     assert not xi1.flags.writeable
-    assert not any(x.flags.writeable for x in (*svd1, *svd2))
+    assert not any(x.flags.writeable for x in (*svd1, *svd2, *first.schur, *second.schur))
+    t, q = first.schur
+    assert np.allclose(q @ t @ q.conj().T, first.a) and not np.tril(t, -1).any()
     u, s, vh = svd1
     assert np.allclose(u * s @ vh, first.a) and rep1.operator_norm_of_a == s[0]
     unbounded = AffineSymbol([[1.0]], [0.5])
