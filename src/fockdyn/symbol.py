@@ -82,6 +82,8 @@ class AffineSymbol:
     def svd(self) -> tuple:
         """(u, s, vh) with a = u diag(s) vh and s nonincreasing, read-only."""
         factors = np.linalg.svd(self.a)
+        if factors[1][0] == np.inf:  # every analysis reads ||A||
+            raise InvalidInputError("the norm of the matrix exceeds the float range")
         for x in factors:
             x.setflags(write=False)
         return factors

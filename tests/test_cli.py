@@ -1131,7 +1131,10 @@ def test_unwritable_output_exits_two_in_one_line(tmp_path, capsys, target):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("a, b", [([[1e200]], [0]), ([[1e155]], [1e155]), ([[1e300, 1e300], [1e300, 1e300]], [0, 0])])
+@pytest.mark.parametrize("a, b", [
+    ([[1e200]], [0]), ([[1e155]], [1e155]), ([[1e300, 1e300], [1e300, 1e300]], [0, 0]),
+    ([[1e308, 1e308], [1e308, 1e308]], [0, 0]),  # ||A|| = 2e308 exits 2
+])
 def test_analyze_huge_eigenvalues_ends_in_one_line(tmp_path, capsys, a, b):
     # the midpoint test runs on T / ||A|| and the boundedness pairing takes no
     # square of a singular value, so |lambda|^2 past the float range raises nothing
