@@ -216,9 +216,10 @@ def _classify_numeric(
 ) -> CyclicityVerdict:
     lam = geometric_eigenvalue_list(spec)
     # duplicates at cluster resolution
+    near = 2 * MERGE_DISTANCE * float(sym.svd[1][0])
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
-            if abs(lam[i] - lam[j]) <= 2 * MERGE_DISTANCE:
+            if abs(lam[i] - lam[j]) <= near:
                 return _not_cyclic(
                     "RELATION_FOUND",
                     "two numerically equal eigenvalues give the power "

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-method",
         choices=("grid", "reduced"),
         default="reduced",
-        help="matrix-free grid oracle or unitarily reduced tensor oracle",
+        help="truncation of the operator itself or unitarily reduced tensor oracle",
     )
 
     sp = add_command("orbit-rank", "Krylov rank of a projected operator orbit")

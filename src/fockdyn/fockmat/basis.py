@@ -3,7 +3,7 @@
 Multi-indices are plain tuples of nonnegative ints, ordered by total degree
 first and lexicographically within a degree.  Truncations act on the
 orthonormal e_alpha = z^alpha / ||z^alpha|| and need no norms; monomial_norms,
-from ||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!), serves the converting callers.
+from ||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!), converts the orbit's input vector.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def graded_basis(d: int, max_degree: int) -> GradedBasis:
 
 
 def monomial_norms(indices) -> np.ndarray:
-    """||z^alpha|| per multi-index, for the grid operator's scatter and gather and the orbit's
-    input vector; refused past degree 149, where 2^N N! passes 2^1022."""
+    """||z^alpha|| per multi-index, for the orbit's input vector; refused past degree 149,
+    where 2^N N! passes 2^1022."""
     degree = max(map(sum, indices), default=0)
     if degree > 149:
         raise BudgetError(f"monomial norms of degree {degree} exceed float range "

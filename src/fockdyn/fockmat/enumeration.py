@@ -244,7 +244,7 @@ def approx_numbers(
 
     Singular values of A equal to zero drop their lattice direction (the
     corresponding power never contributes a nonzero term).  oracle names
-    the cross-check, none by default: "grid" against the matrix-free
+    the cross-check, none by default: "grid" against the degree-N
     truncation of the operator itself, "reduced" against dense one-variable
     truncations of the unitarily reduced symbol; oracle_degree overrides its
     auto-selected truncation order (per axis for the reduced method).

@@ -9,11 +9,9 @@ only fills blocks above it.
 
 _degree_columns builds the dense matrix, or its diagonal blocks, a degree of columns
 at a time, in orthonormal coordinates; truncated_spectrum runs its recursion on the
-eigenvalues of A alone.  grid_operator, the matrix-free action on the full coefficient
-grid, runs polymap._compose_grid on a batch of one between a scatter and a gather by
-the monomial norms, which cap its degree at 149.  top_singular_values takes the
-cheaper of a dense SVD of the real twin (_real_twin, a unitarily equivalent real symbol;
-a real A and b give real truncations) and Lanczos on the grid action, within one budget.
+eigenvalues of A alone.  top_singular_values builds one matrix, the truncation of the
+real twin (_real_twin, a unitarily equivalent real symbol; a real A and b give real
+truncations), and takes the cheaper of its dense SVD and Lanczos on it, within one budget.
 """
 
 from __future__ import annotations
@@ -25,22 +23,19 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from ..errors import BudgetError, InvalidInputError
-from ..polymap import (
-    DENSE_BYTES_BUDGET, _compose_grid, affine_stages, check_dense_bytes, dense_grid
-)
+from ..polymap import check_dense_bytes
 from ..symbol import AffineSymbol
-from .basis import GradedBasis, check_basis_size, graded_basis, monomial_norms
+from .basis import GradedBasis, check_basis_size, graded_basis
 
 DENSE_SVD_CUTOFF = 1200
 
 # Operations of the SVD routes, about 1 ns each on a 2-vCPU Xeon: dense m^3 (4.3 s at
-# m = 1,770, 29 s at m = 3,003); Lanczos 64 max(k, 10) (n+1)^d n s, s the stages of a
-# matvec pair (its own, the adjoint's and one kernel factor per variable), each n passes
-# over the (n+1)^d grid.  With a dense A, svds took 30-70 ns per grid entry, pass and
-# value at k = 10 and 30 (d = 2 and 3, n = 20-60), and as long for any k below 10.  The
-# dense route runs on the real twin: svdvals took 21 ms at m = 378, 45 ms at m = 528 and 2.4 s
-# at m = 1,770 against 47 ms, 132 ms and 6.4 s complex (one core), so m^3 overcharges it 2-3x.
-LANCZOS_COST = 64
+# m = 1,770, 29 s at m = 3,003); Lanczos LANCZOS_COST max(k, 10) m^2 on the same matrix, whose
+# build and svds took 2.3-5.1 ns per m^2 and value at d = 1..6, m = 2,556-3,876 and k = 1-100
+# (one BLAS thread, best of two), nearly as long for any k below 10.  The dense route runs on the
+# real twin: svdvals took 21 ms at m = 378, 45 ms at m = 528 and 2.4 s at m = 1,770 against
+# 47 ms, 132 ms and 6.4 s complex (one core), so m^3 overcharges it 2-3x.
+LANCZOS_COST = 6
 LANCZOS_MIN_VALUES = 10
 SVD_OPERATIONS_BUDGET = 30_000_000_000
 
@@ -96,10 +91,11 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
 
 def _assemble_matrix(sym: AffineSymbol, basis: GradedBasis) -> np.ndarray:
     """Exact restriction matrix, no boundedness requirement (internal)."""
-    m = basis.size
-    # the matrix, the column blocks of the recursion and their temporaries
-    check_dense_bytes(40 * m * m, f"a dense {m} x {m} truncated matrix")
-    mat = np.zeros((m, m), dtype=_entry_type(sym))
+    m, dtype = basis.size, np.dtype(_entry_type(sym))
+    # the matrix, the column blocks of the recursion and their temporaries: tracemalloc peaks of
+    # 8.0-18.0 m^2 bytes real (m = 200-8,000) and 16-36 complex (m = 200-4,000) at d = 1..6
+    check_dense_bytes(5 * dtype.itemsize * m * m // 2, f"a dense {m} x {m} truncated matrix")
+    mat = np.zeros((m, m), dtype=dtype)
     for k, cols in enumerate(_degree_columns(sym, basis, shift=True)):
         mat[: len(cols), basis.degree_slice(k)] = cols
     return mat
@@ -141,37 +137,6 @@ def truncated_singular_values(matrix: np.ndarray, k: int) -> np.ndarray:
     return s[: min(k, s.size)]
 
 
-# ---------------------------------------------------------------------------
-# matrix-free action on the full (n+1)^d coefficient grid
-
-
-def _multiply_kernel_series(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Box-truncated product with exp(<z, b>/2) = prod_j exp(conj(b_j) z_j / 2)."""
-    n = t.shape[0] - 1
-    for j, bj in enumerate(b):
-        w = np.conj(bj) / 2.0
-        if w == 0:
-            continue
-        coeffs = np.empty(n + 1, dtype=complex)
-        coeffs[0] = 1.0
-        for m in range(1, n + 1):
-            coeffs[m] = coeffs[m - 1] * w / m
-        out = coeffs[0] * t
-        src = [slice(None)] * t.ndim
-        dst = [slice(None)] * t.ndim
-        for m in range(1, n + 1):
-            src[j] = slice(0, n + 1 - m)
-            dst[j] = slice(m, None)
-            out[tuple(dst)] += coeffs[m] * t[tuple(src)]
-        t = out
-    return t
-
-
-def _grid_stages(sym: AffineSymbol) -> tuple:
-    """Substitution stages of the grid matvec and of its adjoint."""
-    return affine_stages(sym.a, sym.b), affine_stages(sym.a.conj().T, np.zeros_like(sym.b))
-
-
 def _real_twin(sym: AffineSymbol) -> AffineSymbol:
     """A real symbol w -> A'w + b' whose truncations are unitarily equivalent to sym's.
 
@@ -199,64 +164,30 @@ def _real_twin(sym: AffineSymbol) -> AffineSymbol:
     return twin
 
 
-def grid_operator(sym: AffineSymbol, n: int) -> scipy.sparse.linalg.LinearOperator:
-    """Matrix-free degree-<=n truncation in orthonormal coordinates.
-
-    matvec applies the composition, rmatvec its Fock-space adjoint (weighted
-    composition with the conjugate-transposed linear part and the kernel
-    multiplier of the shift); both agree with the dense assembly columns.
-    """
-    _require_bounded(sym)
-    basis = graded_basis(sym.dimension, n)
-    norms = monomial_norms(basis.indices)
-    index = tuple(np.array(basis.indices).T) + (0,)
-    stages, adjoint_stages = _grid_stages(sym)
-
-    def scatter(x):
-        # a batch of one; scipy hands matmat columns over as (m, 1) blocks
-        grid = dense_grid((n + 1,) * sym.dimension + (1,))
-        grid[index] = np.asarray(x, dtype=complex).reshape(-1) / norms
-        return grid
-
-    def matvec(x):
-        return _compose_grid(scatter(x), stages, n)[index] * norms
-
-    def rmatvec(x):
-        grid = _compose_grid(scatter(x), adjoint_stages, n)
-        return _multiply_kernel_series(grid, sym.b)[index] * norms
-
-    return scipy.sparse.linalg.LinearOperator(
-        (basis.size, basis.size), matvec=matvec, rmatvec=rmatvec, dtype=complex
-    )
-
-
 def top_singular_values(sym: AffineSymbol, n: int, k: int) -> np.ndarray:
     """Top-k singular values of the degree-<=n restriction, descending.
 
-    Dense for small bases and wherever it costs less than Lanczos and fits the dense
-    budget, else Lanczos on the grid action; either over SVD_OPERATIONS_BUDGET is refused.
-    The dense route runs on sym's real twin, whose truncation takes a real SVD.
+    One matrix, the truncation of sym's real twin, whose SVD is real: a dense SVD for small
+    bases and wherever it costs less than Lanczos, else Lanczos (svds) on that matrix; either
+    over SVD_OPERATIONS_BUDGET is refused before the matrix is built.
     """
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
     d = sym.dimension
     check_basis_size(d, n)
     m = math.comb(n + d, d)
-    passes = n * (sum(len(rows) for _, rows in _grid_stages(sym)) + d)
-    lanczos = LANCZOS_COST * max(k, LANCZOS_MIN_VALUES) * (n + 1) ** d * passes
-    cheaper = m**3 <= lanczos and 40 * m * m <= DENSE_BYTES_BUDGET
-    dense = m <= DENSE_SVD_CUTOFF or cheaper  # k >= m - 1 (past Lanczos) is cheaper or over budget
+    lanczos = LANCZOS_COST * max(k, LANCZOS_MIN_VALUES) * m**2
+    dense = m <= DENSE_SVD_CUTOFF or m**3 <= lanczos  # k >= m - 1 (past svds) is cheaper
     work = m**3 if dense else lanczos
     if work > SVD_OPERATIONS_BUDGET:
         raise BudgetError(f"{k} of {m} singular values: {work:.2e} operations, over the SVD budget")
+    matrix = assemble_truncated(_real_twin(sym), n)
     if dense:
-        return truncated_singular_values(assemble_truncated(_real_twin(sym), n), k)
-    op = grid_operator(sym, n)
-    v0 = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
+        return truncated_singular_values(matrix, k)
     s = scipy.sparse.linalg.svds(
-        op,
+        matrix,
         k=k,
-        v0=v0,
+        v0=np.full(m, 1.0 / np.sqrt(m)),
         return_singular_vectors=False,
         maxiter=max(2000, 40 * k),
     )

@@ -10,11 +10,10 @@ sweep of single-variable substitutions on a dense coefficient box, with a
 trailing axis over a batch of maps; z_i -> c z_i + e is one binomial-table
 product, a form in other variables too a Horner sweep.  compose_batches runs
 it on clusters of terms that share a small box, for compose_affine (one map)
-and the quadrature projection (one map per node), and
-fockmat.operator.grid_operator runs it on the full (n+1)^d grid.  The only
-other builder of f o phi is fockmat.operator._degree_columns, which makes the
-dense truncated matrix, or its diagonal blocks, a degree at a time in
-orthonormal coordinates (fockmat.enumeration._line_factor is its d = 1 case).
+and the quadrature projection (one map per node).  The only other builder of
+f o phi is fockmat.operator._degree_columns, which makes the dense truncated
+matrix, or its diagonal blocks, a degree at a time in orthonormal coordinates
+(fockmat.enumeration._line_factor is its d = 1 case).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Eigenstructure of the linear part, read from its complex Schur form A = Q T Q*:
 clusters, Jordan profile, and the degree-one polynomial basis adapted to the symbol.
 
-Two diagonal entries of T join one cluster within MERGE_DISTANCE, or when T - mu I at their
+Two diagonal entries of T join one cluster within MERGE_DISTANCE ||A||, or when T - mu I at their
 midpoint mu is singular to within rounding.  ztrsen moves each cluster to a trailing block,
 whose nilpotent part (its diagonal set to the cluster's mean, a change within the spread)
 gives the block sizes and the chain tops of the linear forms by one staircase.
@@ -18,7 +18,7 @@ from scipy.linalg import blas, lapack
 from .errors import InvalidInputError, NumericalFailureError
 from .symbol import AffineSymbol
 
-# computed eigenvalues this close always form one cluster
+# computed eigenvalues this close, relative to ||A||, always form one cluster
 MERGE_DISTANCE = 1e-7
 # a pair farther apart joins when T - mu I at its midpoint mu has a singular
 # value at most SPLIT_TOL d ||A||, a backward error that rounding reaches: at
@@ -72,12 +72,12 @@ def _smallest_singular_value(t: np.ndarray, mu: complex) -> float:
 
 def _cluster(t: np.ndarray, norm: float) -> list:
     """Single-linkage clusters of the diagonal of the upper triangular t, norm = ||t||: a pair
-    joins within MERGE_DISTANCE, or when no third value lies nearer their midpoint mu than they do
-    and t - mu I has a singular value at most SPLIT_TOL n norm (estimated on t / norm)."""
+    joins within MERGE_DISTANCE norm, or when no third value lies nearer their midpoint mu than
+    they do and t - mu I has a singular value at most SPLIT_TOL n norm (estimated on t / norm)."""
     t, n = t / norm, t.shape[0]
     v, labels, limit = t.diagonal(), list(range(n)), SPLIT_TOL * n
     diff = v[:, None] - v
-    close, apart = np.abs(diff) <= MERGE_DISTANCE / norm, np.ones((n, n), dtype=bool)
+    close, apart = np.abs(diff) <= MERGE_DISTANCE, np.ones((n, n), dtype=bool)
     for w in diff:  # v_k lies nearer the midpoint of v_i, v_j than they do
         apart &= (w[:, None] * w.conj()).real >= 0  # iff Re (v_k - v_i) conj(v_k - v_j) < 0
     close, apart, mid = close.tolist(), apart.tolist(), ((v[:, None] + v) / 2).tolist()
@@ -122,7 +122,8 @@ def eigen_decompose(a: tuple, norm: float) -> SpectralData:
     d, norm = t.shape[0], max(norm, 1e-300)
     vals, clusters = t.diagonal().tolist(), _cluster(t, norm)
     reps = [complex(np.mean([vals[i] for i in idx])) for idx in clusters]
-    warning = any(abs(x - y) < 2 * MERGE_DISTANCE for i, x in enumerate(reps) for y in reps[i + 1:])
+    near = 2 * MERGE_DISTANCE * norm
+    warning = any(abs(x - y) < near for i, x in enumerate(reps) for y in reps[i + 1:])
     infos = []
     for idx, rep in zip(clusters, reps):
         alg = len(idx)

@@ -77,6 +77,21 @@ def test_conjugated_close_pair_stays_undecided(seed):
     assert verdict.reasons[0].code == "SEARCH_EXHAUSTED"
 
 
+@pytest.mark.parametrize("scale", [1e-8, 0.1])
+def test_merge_distance_is_relative_to_the_norm(scale):
+    # an absolute merge distance of 1e-7 once read diag(1e-8, 2e-8) as one eigenvalue of
+    # multiplicity 2 and named the relation lambda_1 / lambda_2 = 1, which does not hold;
+    # at every scale the two stay apart, and two values 1e-9 apart relative to ||A|| merge
+    sym = AffineSymbol(scale * np.diag([1.0, 2.0]), np.zeros(2))
+    assert [e.value for e in sym.spectrum.eigenvalues] == pytest.approx([2 * scale, scale], rel=1e-15)
+    verdict = classify_cyclicity(sym)
+    assert verdict.status is CyclicityStatus.UNDECIDED
+    assert verdict.reasons[0].code == "SEARCH_EXHAUSTED"
+    close = AffineSymbol(scale * np.diag([1.0, 1.0 + 1e-9]), np.zeros(2))
+    assert [e.algebraic_mult for e in close.spectrum.eigenvalues] == [2]
+    assert classify_cyclicity(close).reasons[0].code == "RELATION_FOUND"
+
+
 # distinct eigenvalues 1e-4 apart with 0.3 above the diagonal: A - mu I at
 # each midpoint has a singular value near 4e-12, far above rounding, so the
 # diagonal stays three simple eigenvalues and the verdict rests on the moduli

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 import fockdyn
 import fockdyn.fockmat.operator
@@ -266,9 +268,9 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     # a spectrum of degree 65 in three variables (50,116 rows) is over the row
     # budget, where degree 60 (39,711 rows, a dense matrix of 23.5 GiB) runs
     # from the eigenvalues of A within the same memory bound; the grid
-    # oracle's 10^8-entry grid in eight variables would take 1.5 GiB a copy,
-    # and Lanczos on it 6.9e11 operations, which the SVD budget refuses before
-    # the grid's byte check is reached; one orbit step on the 11,628-row block
+    # oracle's 24,310-row truncation in eight variables would take 4.4 GiB,
+    # and Lanczos on it 3.5e10 operations, which the SVD budget refuses before
+    # the matrix's byte check is reached; one orbit step on the 11,628-row block
     # of degree 14 in six variables is within the orbit budget, but its build
     # would hold 11 GiB; an orbit with no function at degree 10^5 in two
     # variables would draw 5e9 random coefficients before its basis was refused
@@ -309,8 +311,8 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
 
 
 def test_grid_action_byte_budget_exits_three_before_allocating(tmp_path, capsys, monkeypatch):
-    # past the SVD budget, the 10^8-entry grid of eight variables at degree 9 is refused by
-    # its own byte check (1.5 GiB a copy) when Lanczos first applies the grid action
+    # past the SVD budget, the 24,310-row truncation of eight variables at degree 9 is refused
+    # by the byte check of its build (4.4 GiB for the matrix alone)
     monkeypatch.setattr(fockdyn.fockmat.operator, "SVD_OPERATIONS_BUDGET", float("inf"))
     sym8 = {"dimension": 8, "A": (0.5 * np.eye(8)).tolist(), "b": [0] * 8}
     path = write_json(tmp_path / "sym8.json", sym8)
@@ -322,7 +324,7 @@ def test_grid_action_byte_budget_exits_three_before_allocating(tmp_path, capsys,
         tracemalloc.stop()
     assert code == 3 and peak < 200 * 2**20
     err = capsys.readouterr().err
-    assert "coefficient grid" in err and "dense budget" in err and err.count("\n") == 1
+    assert "truncated matrix" in err and "dense budget" in err and err.count("\n") == 1
 
 
 def test_reduced_oracle_svd_budget_exits_three_before_allocating(tmp_path, capsys):
@@ -532,8 +534,8 @@ def test_project_above_the_function_degree_is_zero_in_both_modes(tmp_path, capsy
 
 
 def test_grid_oracle_over_the_basis_budget_exits_three_at_once(tmp_path, capsys):
-    # degree 10^5 in two variables is a 5e9-row basis: refused before the
-    # Lanczos start vector (74.5 GiB) is allocated, as the reduced oracle is
+    # degree 10^5 in two variables is a 5e9-row basis: refused by the basis
+    # budget before anything is built, as the reduced oracle is
     doc = {"dimension": 2, "A": [[0.5, 0], [0, 0.4]], "b": [0.1, 0.2]}
     path = write_json(tmp_path / "sym.json", doc)
     for method in ("grid", "reduced"):
@@ -976,31 +978,33 @@ def test_each_command_analyzes_its_symbol_once(tmp_path, monkeypatch):
 
 
 def test_grid_oracle_takes_the_cheaper_svd_route(tmp_path, monkeypatch):
-    # the cutoff moved below m = 861 (d = 2, degree 40): 30 values make the
-    # dense SVD the cheaper route, 5 leave Lanczos on the grid action
-    path = write_json(tmp_path / "sym.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
+    # the cutoff moved below m = 861 (d = 2, degree 40): 150 values make the dense
+    # SVD the cheaper route (m^3 <= LANCZOS_COST 150 m^2), 5 leave Lanczos; both
+    # take the real matrix of the twin of this complex symbol
+    doc = {"dimension": 2, "A": [[0.5, 0], [0, {"re": 0, "im": 0.3}]], "b": [0.1, 0.2]}
+    path = write_json(tmp_path / "sym.json", doc)
     monkeypatch.setattr(fockdyn.fockmat.operator, "DENSE_SVD_CUTOFF", 0)
     routes = []
-    for name in ("assemble_truncated", "grid_operator"):
-        def spy(*args, _original=getattr(fockdyn.fockmat.operator, name), _name=name):
-            routes.append(_name)
-            return _original(*args)
+    for module, name in ((scipy.linalg, "svdvals"), (scipy.sparse.linalg, "svds")):
+        def spy(matrix, *args, _original=getattr(module, name), _name=name, **kwargs):
+            routes.append((_name, type(matrix), matrix.dtype, matrix.shape))
+            return _original(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(fockdyn.fockmat.operator, name, spy)
-    for top, route in (("30", "assemble_truncated"), ("5", "grid_operator")):
+        monkeypatch.setattr(module, name, spy)
+    for top, route in (("150", "svdvals"), ("5", "svds")):
         routes.clear()
         code, doc = run_json(tmp_path, [
             "approx", path, "--top", top, "--oracle", "--oracle-method", "grid", "--oracle-degree", "40",
         ])
-        assert code == 0 and routes == [route]
+        assert code == 0 and routes == [(route, np.ndarray, np.float64, (861, 861))]
         assert doc["oracle"]["max_rel_delta"] < 1e-10
 
 
 def test_svd_over_the_operations_budget_exits_three_at_once(tmp_path, capsys):
     # --top 2000 needs degree 95 (m = 4,656): the dense SVD, the cheaper route,
     # would take about a minute and a half, and Lanczos longer.  At degree 140
-    # (m = 10,011) the dense matrix is over the byte budget, and Lanczos for
-    # 1,000 values over the operations budget.
+    # (m = 10,011) the dense SVD and Lanczos for 1,000 values are both over the
+    # operations budget.
     path = write_json(tmp_path / "sym.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
     for flags in (["--top", "2000"], ["--top", "1000", "--oracle-degree", "140"]):
         start = time.perf_counter()
@@ -1053,15 +1057,12 @@ def test_line_spectrum_at_the_basis_budget(tmp_path):
     assert not any(e["im"] for e in doc["eigenvalues"])
 
 
-def test_grid_route_and_orbit_refuse_monomial_norms_past_degree_149(tmp_path, capsys):
-    # Lanczos on the grid action converts through monomial norms: degree 2500 (m = 2,501, where
-    # Lanczos for one value is charged less than the dense SVD) is refused in one line, where
-    # unscaled norms would give NaN
+def test_grid_route_runs_past_degree_149_where_the_orbit_refuses(tmp_path, capsys):
+    # Lanczos takes the truncated matrix, built with no monomial norm: degree 2500 (m = 2,501,
+    # where Lanczos for one value is charged less than the dense SVD) runs
     path = write_json(tmp_path / "line.json", SYMBOL_LINE)
-    args = ["approx", path, "--top", "1", "--oracle-degree", "2500", "--oracle-method", "grid"]
-    assert main(args) == 3
-    err = capsys.readouterr().err
-    assert err == "fockdyn: budget exceeded: monomial norms of degree 2500 exceed float range (degree 149 is the last)\n"
+    code, doc = run_json(tmp_path, ["approx", path, "--top", "1", "--oracle-degree", "2500", "--oracle-method", "grid"])
+    assert code == 0 and doc["oracle"]["degree"] == 2500 and doc["oracle"]["max_rel_delta"] < 1e-10
     # an orbit of a file function converts the function's own monomials: degree 3 runs in a
     # degree-200 truncation, a degree-160 function is refused
     for top, code in ((3, 0), (160, 3)):
@@ -1075,7 +1076,8 @@ def test_grid_route_and_orbit_refuse_monomial_norms_past_degree_149(tmp_path, ca
 
 def test_grid_oracle_lanczos_budget_counts_the_grid(tmp_path, capsys):
     # d = 3, auto degree 58: Lanczos on the 59^3 grid for 30 values ran for 165 s when the
-    # budget counted 1.04e9 operations on m = 35,990 rows; it is refused at once
+    # budget counted 1.04e9 operations on m = 35,990 rows; charged per value and m^2, it is
+    # refused at once, before the matrix is built
     z = [[0.28 - 0.15j, 0.26, -0.29j], [-0.24 + 0.30j, -0.12 + 0.25j, 0.31 - 0.19j], [-0.42j, -0.28 + 0.03j, 0.21 + 0.05j]]
     b = [-1.92 + 0.58j, -0.29 - 0.32j, -0.84 + 1.88j]
     doc = {

@@ -24,7 +24,6 @@ from fockdyn.fockmat.operator import (
     _degree_columns,
     _real_twin,
     assemble_truncated,
-    grid_operator,
     top_singular_values,
     truncated_singular_values,
     truncated_spectrum,
@@ -369,7 +368,7 @@ def test_reduced_and_grid_oracles_agree():
     values, used = reduced_oracle_singular_values(diag, k, axis_degree=1)
     assert used == 1
     assert np.allclose(values, [1.0, 0.5, 0.3, 0.15], rtol=1e-12)
-    # m = 1225 at degree 48 lies above DENSE_SVD_CUTOFF: the matrix-free path
+    # m = 1225 at degree 48 lies above DENSE_SVD_CUTOFF: Lanczos on the twin's matrix
     grid = top_singular_values(sym, 48, 3)
     assert np.allclose(reduced[:3], grid, rtol=1e-12)
 
@@ -381,23 +380,6 @@ def test_reduced_oracle_degree_covers_displaced_singular_functions():
                        [-5.425988154397734 + 4.00257602173235j])
     rep = approx_numbers(sym, 11, oracle="reduced")
     assert rep.oracle_degree == 961 and rep.max_rel_delta < 1e-10
-
-
-@pytest.mark.parametrize(
-    "a, b, n",
-    [
-        ([[0.5, 0.2], [0.1, 0.4]], [0.25, -0.15j], 6),
-        ([[0.1, 0.3, 0.0], [0.4, 0.0, 0.2], [0.1, 0.1, 0.3j]], [0.2, 0.1, -0.3], 4),
-    ],
-)
-def test_grid_action_matches_dense_matrix(a, b, n):
-    sym = AffineSymbol(a, b)
-    mat = assemble_truncated(sym, n)
-    gop = grid_operator(sym, n)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=mat.shape[0]) + 1j * rng.normal(size=mat.shape[0])
-    assert np.allclose(gop.matvec(x), mat @ x, rtol=0, atol=1e-13)
-    assert np.allclose(gop.rmatvec(x), mat.conj().T @ x, rtol=0, atol=1e-13)
 
 
 def twin_cases():
