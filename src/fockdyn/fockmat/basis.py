@@ -23,6 +23,8 @@ def multi_indices(d: int, max_degree: int) -> list:
     """All alpha in N^d with |alpha| <= max_degree, graded lexicographic."""
     if d < 1 or max_degree < 0:
         raise InvalidInputError(f"invalid basis parameters d={d}, max_degree={max_degree}")
+    if d == 1:  # combinations copies its pool per degree, which d = 1 never draws from
+        return [(n,) for n in range(max_degree + 1)]
     out = []
     for total in range(max_degree + 1):
         block = []

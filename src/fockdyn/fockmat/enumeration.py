@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from ..errors import BudgetError, InvalidInputError
-from ..polymap import dense_grid
 from ..symbol import AffineSymbol, unit_scaled
 from .basis import check_basis_size
 from .operator import SVD_OPERATIONS_BUDGET, top_singular_values, truncated_singular_values
@@ -179,7 +178,7 @@ def _line_factor(lam: float, c: complex, n: int) -> np.ndarray:
     maps e_i to sqrt(2 (i + 1)) e_{i+1}, column j is (lam z + c) times column j-1 over sqrt(2j)."""
     deg = np.arange(1.0, n + 1)
     step = c / np.sqrt(2.0 * deg)
-    cols = dense_grid((n + 1, n + 1))  # row j holds the column of e_j
+    cols = np.zeros((n + 1, n + 1), dtype=complex)  # row j holds the column of e_j
     cols[0, 0] = 1.0
     for j in range(1, n + 1):
         p = cols[j - 1, :j]
@@ -276,4 +275,9 @@ def approx_numbers(
         oracle_vals = tuple(sv)
     elif oracle is not None:
         raise InvalidInputError(f"unknown oracle method {oracle!r}")
+    if oracle_vals is not None and len(oracle_vals) < len(values):
+        raise InvalidInputError(
+            f"the {oracle} oracle at degree {used_degree} gives {len(oracle_vals)} singular "
+            f"values, fewer than the {len(values)} terms"
+        )
     return ApproxReport(prefactor, alphas, values, total, oracle_vals, used_degree)

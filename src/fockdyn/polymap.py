@@ -112,7 +112,7 @@ def check_dense_bytes(nbytes: int, what: str) -> None:
     """Raise BudgetError before a dense kernel allocates over the budget."""
     if nbytes > DENSE_BYTES_BUDGET:
         raise BudgetError(
-            f"{what} needs {nbytes / 2**30:.1f} GiB, over the "
+            f"{what} needs {math.ceil(100 * nbytes / 2**30) / 100:.2f} GiB, over the "
             f"{DENSE_BYTES_BUDGET / 2**30:.0f} GiB dense budget"
         )
 

@@ -27,17 +27,17 @@ from .errors import BudgetError, InvalidInputError, NumericalFailureError
 # coprime base and the certificate arithmetic are tested at
 FRACTION_BITS = 63
 _EPS = float(np.finfo(float).eps)
-# candidates the numeric scan may test.  A scan of the whole budget takes
-# 0.03-0.09 s at d = 1..6 when |lambda_j| != 1 prunes by modulus, and
-# 0.12-0.23 s on unimodular lambda, on one 2.1 GHz Xeon core
+# candidates the numeric scan may test.  A scan of the whole budget, with or
+# without a relation, takes 0.01-0.06 s at d = 1..6 when |lambda_j| != 1
+# prunes by modulus, and 0.06-0.23 s on unimodular lambda, on one Xeon core
 RELATION_CANDIDATE_BUDGET = 10**7
 # a numeric relation is |lambda^alpha - 1| <= RELATION_TOL
 RELATION_TOL = 1e-9
-# points per candidate array of the numeric scan (4 MiB of float64 each, a
-# few of them live at once); its first step takes _SCAN_FIRST candidates,
-# and each later step twice as many as the one before, up to _SCAN_CHUNK
-_SCAN_CHUNK = 2**19
-_SCAN_FIRST = 2**12
+# points per candidate array of the numeric scan (512 KiB of float64 each,
+# a few of them live at once, with one array's survivors): at the budget
+# edge on unimodular lambda, 2^19 points took 1.2-2.4 times as long, on a
+# Xeon core with 2 MiB of L2 cache
+_SCAN_CHUNK = 2**16
 # coefficient rows per numpy step of the exact certificate search
 _CERT_CHUNK = 2**16
 # coefficient rows (2b+1)^m the certificate search may test: 5-30 ns a row on
@@ -267,7 +267,7 @@ def _smallest_certificate(spec: ExactPolarSpec, free: list, bound: int) -> tuple
 
     Phases are integers in units of pi / D for the common denominator D of
     the rational arguments, taken modulo 2 D.  The coefficient box is cut
-    by _grid_pieces, as the numeric scan's annuli are, into product grids of
+    by _grid_pieces, as the numeric scan's box is, into product grids of
     at most _CERT_CHUNK rows; its integers are int64 when a bound on every
     sum rules out overflow, and Python ints otherwise.
     """
@@ -354,22 +354,6 @@ def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
     )
 
 
-def _annulus_grids(d: int, h0: int, h1: int):
-    """Axis values of d disjoint product grids that tile h0 <= max|alpha| <= h1.
-
-    Grid k holds the alpha whose first coordinate of modulus >= h0 is
-    alpha_k: earlier coordinates lie below h0, later ones anywhere in the box.
-    """
-    outer = np.concatenate([np.arange(-h1, 1 - h0), np.arange(h0, h1 + 1)])
-    if d == 1:
-        yield [outer]
-        return
-    inner = np.arange(1 - h0, h0)
-    full = np.arange(-h1, h1 + 1)
-    for k in range(d):
-        yield [inner] * k + [outer] + [full] * (d - k - 1)
-
-
 def _grid_pieces(axes: list, limit: int):
     """Split a product grid into product grids of at most `limit` points."""
     rest = math.prod(len(a) for a in axes[1:])
@@ -410,15 +394,15 @@ def numeric_relation_search(lambdas, height: int) -> RelationResult:
     0 < |alpha|_inf <= height.
 
     Returns the first hit in the smallest shell max|alpha| = h, in
-    lexicographic order within it.  Candidates are numpy grids of at most
-    _SCAN_CHUNK points, several shells at a time while shells are small, so
-    the work is proportional to the (2 height + 1)^d - 1 candidates the
-    budget counts.  A grid point survives when alpha . log|lambda| and
-    alpha . arg(lambda) / 2 pi lie within tol = RELATION_TOL plus a rounding
-    bound of the
-    window a hit must lie in; the survivors, a superset of the hits, go
-    through the scalar test in (shell, lexicographic) order, so the result
-    is that of a scalar loop over the shells.  Survivors have
+    lexicographic order within it.  The box [-height, height]^d is walked
+    once, in lexicographic order, as the numpy grids of at most _SCAN_CHUNK
+    points that _grid_pieces cuts, so the work is the (2 height + 1)^d - 1
+    candidates the budget counts, with or without a hit.  A grid point
+    survives when alpha . log|lambda| and alpha . arg(lambda) / 2 pi lie
+    within tol = RELATION_TOL plus a rounding bound of the window a hit must
+    lie in; each grid's survivors, a superset of its hits, go through the
+    scalar test in (shell, lexicographic) order, and the least hit over all
+    grids is that of a scalar loop over the shells.  Survivors have
     alpha . log|lambda| < log 2 + tol + 1e-5, so exp never overflows.
     """
     lam = np.asarray(lambdas, dtype=complex)
@@ -446,40 +430,32 @@ def numeric_relation_search(lambdas, height: int) -> RelationResult:
     # pi/2 (2 tol + O(eps)) of a multiple of 2 pi: tol / 2 + O(eps) turns
     lo, hi = math.log1p(-tol), math.log1p(tol)
     size_l, size_t = float(np.abs(log_mod).sum()), float(np.abs(turns).sum())
-    h0, target = 1, _SCAN_FIRST
-    while h0 <= height:
-        inner = (2 * h0 - 1) ** d
-        h1 = min(height, int(((inner + target) ** (1 / d) - 1) / 2))
-        while h1 > h0 and (2 * h1 + 1) ** d - inner > target:
-            h1 -= 1
-        h1 = max(h0, h1)
-        target = min(2 * target, _SCAN_CHUNK)
-        # the vector sums and the scalar dot product each round within
-        # (d + 1) eps |alpha| . |x| of the exact value
-        pad_r = tol + 2 * (d + 1) * _EPS * h1 * size_l
-        win_t = tol + 16 * _EPS + 2 * (d + 3) * _EPS * (h1 * size_t + 1)
-        found = []
-        for grid in _annulus_grids(d, h0, h1):
-            for axes in _grid_pieces(grid, _SCAN_CHUNK):
-                r = _grid_dot(axes, log_mod)
-                keep = (r >= lo - pad_r) & (r <= hi + pad_r)
-                if not keep.any():
-                    continue
-                s = _grid_dot(axes, turns)
-                keep &= np.abs(s - np.rint(s)) <= win_t
-                hits = np.nonzero(keep)
-                if hits[0].size:
-                    found.append(np.stack([a[i] for a, i in zip(axes, hits)], axis=1))
-        if found:
-            alphas = np.concatenate(found)
-            shells = np.abs(alphas).max(axis=1)
-            for i in np.lexsort([*alphas.T[::-1], shells]):
-                alpha = tuple(int(v) for v in alphas[i])
-                gap = _scalar_relation(alpha, log_mod, phase, tol)
-                if gap is not None:
-                    return RelationResult(
-                        RelationStatus.FOUND, alpha=alpha, height=int(shells[i]),
-                        certificate=f"numeric: |lambda^alpha - 1| = {gap:.3e} <= {tol:g}",
-                    )
-        h0 = h1 + 1
-    return RelationResult(RelationStatus.NONE_UP_TO_HEIGHT, height=height)
+    # the vector sums and the scalar dot product each round within
+    # (d + 1) eps |alpha| . |x| of the exact value
+    pad_r = tol + 2 * (d + 1) * _EPS * height * size_l
+    win_t = tol + 16 * _EPS + 2 * (d + 3) * _EPS * (height * size_t + 1)
+    best = None
+    for piece in _grid_pieces([range(-height, height + 1)] * d, _SCAN_CHUNK):
+        axes = [np.arange(a.start, a.stop) for a in piece]  # no 10^7-point array at d = 1
+        r = _grid_dot(axes, log_mod)
+        keep = (r >= lo - pad_r) & (r <= hi + pad_r)
+        keep[np.ix_(*(a == 0 for a in axes))] = False  # alpha = 0 is no relation
+        if not keep.any():
+            continue
+        s = _grid_dot(axes, turns)
+        keep &= np.abs(s - np.rint(s)) <= win_t
+        alphas = np.stack([a[i] for a, i in zip(axes, np.nonzero(keep))], axis=1)
+        shells = np.abs(alphas).max(axis=1)
+        # grids come in lexicographic order, so a later one wins only by shell
+        for i in np.lexsort([*alphas.T[::-1], shells]):
+            if best is not None and shells[i] >= best.height:
+                break
+            alpha = tuple(int(v) for v in alphas[i])
+            gap = _scalar_relation(alpha, log_mod, phase, tol)
+            if gap is not None:
+                best = RelationResult(
+                    RelationStatus.FOUND, alpha=alpha, height=int(shells[i]),
+                    certificate=f"numeric: |lambda^alpha - 1| = {gap:.3e} <= {tol:g}",
+                )
+                break
+    return best or RelationResult(RelationStatus.NONE_UP_TO_HEIGHT, height=height)

@@ -273,7 +273,9 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     # the matrix's byte check is reached; one orbit step on the 11,628-row block
     # of degree 14 in six variables is within the orbit budget, but its build
     # would hold 11 GiB; an orbit with no function at degree 10^5 in two
-    # variables would draw 5e9 random coefficients before its basis was refused
+    # variables would draw 5e9 random coefficients before its basis was refused;
+    # the real twin of the line at degree 10,362 (10,363 rows) needs 2.0002 GiB,
+    # the tightest refusal of the 2 GiB budget, and must not print a need of 2.0
     sym3 = {"dimension": 3, "A": [[0.5, 0, 0], [0, 0.4, 0], [0, 0, 0.3]], "b": [0, 0, 0]}
     spectrum = write_json(tmp_path / "sym3.json", sym3)
     sym8 = {"dimension": 8, "A": (0.5 * np.eye(8)).tolist(), "b": [0] * 8}
@@ -282,6 +284,7 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     orbit = write_json(tmp_path / "sym6.json", sym6)
     sym2 = {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0, 0]}
     random_orbit = write_json(tmp_path / "sym2.json", sym2)
+    line = write_json(tmp_path / "line.json", SYMBOL_LINE)
     for args, budget in (
         (["spectrum", spectrum, "--degree", "65"], "exceeds budget 50000"),
         (
@@ -290,6 +293,10 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
         ),
         (["orbit-rank", orbit, "--degree", "14", "--steps", "1"], "dense budget"),
         (["orbit-rank", random_orbit, "--degree", "100000"], "exceeds budget 50000"),
+        (
+            ["approx", line, "--top", "1", "--oracle-degree", "10362", "--oracle-method", "grid"],
+            "dense budget",
+        ),
     ):
         tracemalloc.start()
         try:
@@ -301,6 +308,8 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
         assert peak < 200 * 2**20
         err = capsys.readouterr().err
         assert budget in err and err.count("\n") == 1
+        if "GiB" in err:
+            assert float(err.split(" needs ")[1].split()[0]) > 2
     tracemalloc.start()
     try:
         code = main(["spectrum", spectrum, "--degree", "60", "--output", str(tmp_path / "out.json")])
@@ -308,6 +317,17 @@ def test_dense_byte_budgets_exit_three_before_allocating(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and peak < 200 * 2**20
+
+
+def test_oracle_with_fewer_values_than_terms_exits_two(tmp_path, capsys):
+    # at degree 1 the grid oracle's 3-row truncation has 3 singular values, and the
+    # reduced oracle's 2 per axis give 4 products: neither covers 10 terms
+    path = write_json(tmp_path / "plane.json", {"dimension": 2, "A": [[0.5, 0], [0, 0.3]], "b": [0.1, 0.2]})
+    for method, count in (("grid", 3), ("reduced", 4)):
+        assert main(["approx", path, "--top", "10", "--oracle-degree", "1", "--oracle-method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockdyn: invalid input: ") and err.count("\n") == 1
+        assert f"degree 1 gives {count} singular values, fewer than the 10 terms" in err
 
 
 def test_grid_action_byte_budget_exits_three_before_allocating(tmp_path, capsys, monkeypatch):

@@ -282,18 +282,29 @@ def test_scan_matches_scalar_loop_at_the_tolerance(d, shell):
         assert_scan_matches(lam, top=12 if d < 4 or achieved <= tol else 6)
 
 
-@pytest.mark.parametrize("d, height", [(1, 5_000_000), (2, 1580), (3, 107), (4, 27), (5, 12), (6, 6)])
-def test_scan_at_the_budget_edge(d, height):
+@pytest.mark.parametrize("d, height, shell", [
+    (1, 5_000_000, 7), (2, 1580, 5), (3, 107, 3), (4, 27, 3), (5, 12, 2), (6, 6, 2),
+])
+def test_scan_at_the_budget_edge(d, height, shell):
     # about 10^7 candidates each, under 0.25 s per scan on a 2.1 GHz Xeon
     # core; a scan whose work grows as height^(d+1), as the scalar loop's
     # does, needs minutes (d = 3) to months (d = 1) here
     assert (2 * height + 1) ** d - 1 <= RELATION_CANDIDATE_BUDGET < (2 * height + 3) ** d - 1
     real = [0.5, 0.3, 0.7, 0.11, 0.13, 0.17][:d]
     unimodular = np.exp(2j * np.pi * np.sqrt([2, 3, 5, 7, 11, 13][:d]))
-    for lam in (real, unimodular):
+    # roots of unity hit in 21-159 of the scan's 91-215 pieces, in shells up to
+    # height; the least hit, in shell `shell`, must win over earlier pieces' hits
+    turns = [1 / 7] if d == 1 else [1 / 5, 2 / 7, 1 / 3, 1 / 4, 3 / 7, 1 / 2][:d]
+    roots = np.exp(2j * np.pi * np.array(turns))
+    first_hit = scalar_scan(roots, shell)
+    assert first_hit.status is RelationStatus.FOUND and first_hit.height == shell
+    for lam, expected in (
+        (real, RelationResult(RelationStatus.NONE_UP_TO_HEIGHT, height=height)),
+        (unimodular, RelationResult(RelationStatus.NONE_UP_TO_HEIGHT, height=height)),
+        (roots, first_hit),
+    ):
         start = time.perf_counter()
-        result = numeric_relation_search(lam, height)
-        assert result == RelationResult(RelationStatus.NONE_UP_TO_HEIGHT, height=height)
+        assert numeric_relation_search(lam, height) == expected
         assert time.perf_counter() - start < 5.0
 
 
