@@ -23,12 +23,7 @@ from .errors import BudgetError, InvalidInputError
 from .fockmat.basis import BASIS_SIZE_BUDGET, multi_indices
 from .fockmat.projections import expand_in_L_basis
 from .polymap import compose_affine, poly_degree, poly_eval, validate_coeffs
-from .relations import (
-    ExactPolarSpec,
-    RelationStatus,
-    exact_relation_decide,
-    numeric_relation_search,
-)
+from .relations import RelationStatus, exact_relation_decide, numeric_relation_search
 from .spectral import (
     MERGE_DISTANCE,
     LinearFormBasis,
@@ -90,29 +85,15 @@ def _jordan_acceptable(spec: SpectralData) -> bool:
     return [s for info in spec.eigenvalues for s in info.block_sizes if s >= 2] in ([], [2])
 
 
-def _exact_pairs_equal(x, y) -> bool:
-    if x.modulus is not None or y.modulus is not None:
-        if x.modulus != y.modulus:
-            return False
-    if (x.modulus_log_tag or y.modulus_log_tag) and x.modulus_log_tag != y.modulus_log_tag:
-        return False
-    if x.arg_pi_multiple is not None and y.arg_pi_multiple is not None:
-        if (x.arg_pi_multiple - y.arg_pi_multiple) % 2 != 0:
-            return False
-    elif x.arg_tag != y.arg_tag:
-        return False
-    return True
-
-
 def _validate_exact_match(sym: AffineSymbol, spec: SpectralData):
     """Cross-check the supplied exact polar data against the numeric spectrum.
 
     Entries with a fully rational value are matched by value, entries with a
-    rational modulus by modulus only; tagged-everything entries constrain
+    rational modulus by modulus only; entries with a tagged modulus constrain
     nothing numerically.  A minimum-cost assignment above tolerance means
     the exact data describes a different matrix.
     """
-    exact = sym.exact.eigenvalues
+    exact = sym.exact
     numeric = [info.value for info in spec.eigenvalues for _ in range(info.algebraic_mult)]
     if len(exact) != len(numeric):
         raise InvalidInputError(
@@ -121,14 +102,12 @@ def _validate_exact_match(sym: AffineSymbol, spec: SpectralData):
     n = len(exact)
     cost = np.zeros((n, n))
     for i, e in enumerate(exact):
-        v = e.approximate_value()
+        if isinstance(e.modulus, str):
+            continue
+        r = float(e.modulus)
+        v = None if isinstance(e.arg, str) else r * np.exp(1j * math.pi * float(e.arg))
         for j, w in enumerate(numeric):
-            if v is not None:
-                cost[i, j] = abs(v - w)
-            elif e.modulus is not None:
-                cost[i, j] = abs(float(e.modulus) - abs(w))
-            else:
-                cost[i, j] = 0.0
+            cost[i, j] = abs(r - abs(w)) if v is None else abs(v - w)
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max()) if n else 0.0
     if worst > EXACT_MATCH_TOL:
@@ -141,7 +120,7 @@ def _validate_exact_match(sym: AffineSymbol, spec: SpectralData):
 def _exact_duplicate_pair(exact) -> tuple | None:
     for i in range(len(exact)):
         for j in range(i + 1, len(exact)):
-            if _exact_pairs_equal(exact[i], exact[j]):
+            if exact[i] == exact[j]:
                 return (i, j)
     return None
 
@@ -177,7 +156,7 @@ def classify_cyclicity(
 
 def _classify_exact(sym: AffineSymbol, spec: SpectralData) -> CyclicityVerdict:
     _validate_exact_match(sym, spec)
-    exact = list(sym.exact.eigenvalues)
+    exact = list(sym.exact)
     if any(2 in info.block_sizes for info in spec.eigenvalues):  # the one size-2 block
         pair = _exact_duplicate_pair(exact)
         if pair is None:
@@ -193,7 +172,7 @@ def _classify_exact(sym: AffineSymbol, spec: SpectralData) -> CyclicityVerdict:
             "two equal eigenvalues give the power relation lambda_i / lambda_j = 1",
             _pair_alpha(len(exact), *dup),
         )
-    result = exact_relation_decide(ExactPolarSpec(tuple(exact)))
+    result = exact_relation_decide(tuple(exact))
     if result.status is RelationStatus.FOUND:
         return _not_cyclic(
             "RELATION_FOUND",
@@ -309,6 +288,11 @@ def cyclic_vector_test(
         )
     if not sym.boundedness.compact:
         raise InvalidInputError("cyclic vector testing covers compact operators only")
+    if sym.exact is None:  # without exact data the verdict is never cyclic
+        raise InvalidInputError(
+            "operator is not provably cyclic without exact eigenvalue data; "
+            "cyclic vectors exist only for cyclic operators"
+        )
     verdict = classify_cyclicity(sym)
     if verdict.status is not CyclicityStatus.CYCLIC:
         raise InvalidInputError(

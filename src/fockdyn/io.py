@@ -13,7 +13,7 @@ import numpy as np
 from .classify import CyclicityVerdict
 from .errors import InvalidInputError
 from .fockmat.enumeration import ApproxReport
-from .relations import FRACTION_BITS, ExactPolarSpec, PolarEigenvalue
+from .relations import FRACTION_BITS, PolarEigenvalue
 from .symbol import AffineSymbol, BoundednessReport
 
 
@@ -106,8 +106,9 @@ def _load_fraction(x, what: str) -> Fraction:
     return Fraction(num, den)
 
 
-def load_exact_spec(doc) -> ExactPolarSpec:
-    if not isinstance(doc, dict) or "eigenvalues" not in doc:
+def load_exact_spec(doc) -> tuple:
+    """Parse {"eigenvalues": [...]} into a tuple of PolarEigenvalue."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("eigenvalues"), list):
         raise InvalidInputError('exact data must be {"eigenvalues": [...]}')
     eigs = []
     for i, e in enumerate(doc["eigenvalues"]):
@@ -115,27 +116,23 @@ def load_exact_spec(doc) -> ExactPolarSpec:
         if not isinstance(e, dict):
             raise InvalidInputError(f"{what} must be an object")
         mod = e.get("modulus")
-        modulus = None
-        log_tag = None
         if isinstance(mod, dict) and "log_generic" in mod:
-            log_tag = str(mod["log_generic"])
+            modulus = str(mod["log_generic"])
         else:
             modulus = _load_fraction(mod, f"{what}.modulus")
         arg = e.get("arg")
         if not isinstance(arg, dict):
             raise InvalidInputError(f"{what}.arg must be an object")
-        arg_pi = None
-        arg_tag = None
         if "pi_rational" in arg:
-            arg_pi = _load_fraction(arg["pi_rational"], f"{what}.arg.pi_rational")
+            arg = _load_fraction(arg["pi_rational"], f"{what}.arg.pi_rational")
         elif "generic" in arg:
-            arg_tag = str(arg["generic"])
+            arg = str(arg["generic"])
         else:
             raise InvalidInputError(
                 f"{what}.arg must carry 'pi_rational' or 'generic'"
             )
-        eigs.append(PolarEigenvalue(modulus, log_tag, arg_pi, arg_tag))
-    return ExactPolarSpec(tuple(eigs))
+        eigs.append(PolarEigenvalue(modulus, arg))
+    return tuple(eigs)
 
 
 def _load_matrix(doc, d: int, what: str) -> np.ndarray:
@@ -188,7 +185,7 @@ def load_symbol(doc) -> AffineSymbol:
 
 def load_function(doc, dimension: int) -> dict:
     """Parse {"coefficients": [{"alpha": [...], "value": ...}, ...]}."""
-    if not isinstance(doc, dict) or "coefficients" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("coefficients"), list):
         raise InvalidInputError('function document must be {"coefficients": [...]}')
     out = {}
     for i, entry in enumerate(doc["coefficients"]):

@@ -3,11 +3,11 @@
 Decides whether a tuple lambda of nonzero complex numbers admits a nonzero
 integer vector alpha with lambda^alpha = 1.  Two engines:
 
-* exact: eigenvalues given in exact polar form (rational or tagged-irrational
-  modulus, rational-multiple-of-pi or tagged-generic argument); the decision
-  is a lattice computation and is conclusive either way.  Moduli enter
-  through their valuations over a coprime base built from gcds, never
-  through a factorization into primes.
+* exact: a plain tuple of PolarEigenvalue values, each field a rational or a
+  tag (rational or tagged-irrational modulus, rational-multiple-of-pi or
+  tagged-generic argument); the decision is a lattice computation and is
+  conclusive either way.  Moduli enter through their valuations over a
+  coprime base built from gcds, never through a factorization into primes.
 * numeric: floating eigenvalues; exhaustive bounded search that can only ever
   certify a relation or report "none up to this height".
 """
@@ -52,50 +52,30 @@ CERTIFICATE_ROW_BUDGET = 10**7
 
 @dataclasses.dataclass(frozen=True)
 class PolarEigenvalue:
-    """Exact polar description of one eigenvalue.
+    """Exact polar description r e^{i theta} of one eigenvalue.
 
-    modulus: positive rational, or None when the modulus is exp(rho) for a
-    tagged real rho (modulus_log_tag); the set of log-tags is asserted to be
-    Q-linearly independent, jointly with the logs of all primes.
-    Argument: theta = arg_pi_multiple * pi when rational, or a tagged real
-    (arg_tag); the arg-tag set is asserted Q-linearly independent jointly
-    with pi.
+    modulus: r as a positive rational, or a tag (str) standing for
+    r = exp(rho_tag); the log-tags are asserted Q-linearly independent,
+    jointly with the logs of all primes.  arg: theta / pi as a rational,
+    stored modulo 2, or a tag (str) standing for a generic theta; the
+    arg-tags are asserted Q-linearly independent jointly with pi.  So two
+    values are equal (==) exactly when they describe the same eigenvalue.
     """
 
-    modulus: Fraction | None = None
-    modulus_log_tag: str | None = None
-    arg_pi_multiple: Fraction | None = None
-    arg_tag: str | None = None
+    modulus: Fraction | str
+    arg: Fraction | str
 
     def __post_init__(self):
-        if (self.modulus is None) == (self.modulus_log_tag is None):
-            raise InvalidInputError("exactly one of modulus / modulus_log_tag required")
-        if (self.arg_pi_multiple is None) == (self.arg_tag is None):
-            raise InvalidInputError("exactly one of arg_pi_multiple / arg_tag required")
-        if self.modulus is not None and self.modulus <= 0:
-            raise InvalidInputError(f"modulus must be positive, got {self.modulus}")
-
-    def approximate_modulus(self) -> float | None:
-        """Float modulus when expressible (rational moduli only)."""
-        return float(self.modulus) if self.modulus is not None else None
-
-    def approximate_value(self) -> complex | None:
-        """Float value when both modulus and argument are exact rationals."""
-        if self.modulus is None or self.arg_pi_multiple is None:
-            return None
-        return float(self.modulus) * np.exp(1j * math.pi * float(self.arg_pi_multiple))
-
-
-@dataclasses.dataclass(frozen=True)
-class ExactPolarSpec:
-    eigenvalues: tuple[PolarEigenvalue, ...]
-
-    def __post_init__(self):
-        if not self.eigenvalues:
-            raise InvalidInputError("empty eigenvalue list")
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
+        for name in ("modulus", "arg"):
+            x = getattr(self, name)
+            if not isinstance(x, (str, int, Fraction)) or isinstance(x, bool):
+                raise InvalidInputError(f"{name} must be a rational or a tag, got {x!r}")
+        if not isinstance(self.modulus, str):
+            if self.modulus <= 0:
+                raise InvalidInputError(f"modulus must be positive, got {self.modulus}")
+            object.__setattr__(self, "modulus", Fraction(self.modulus))
+        if not isinstance(self.arg, str):
+            object.__setattr__(self, "arg", Fraction(self.arg) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +160,15 @@ def _valuation(n: int, q: int) -> int:
     return next(k for k in range(n.bit_length()) if n % q ** (k + 1))
 
 
-def modulus_kernel(spec: ExactPolarSpec) -> ValuationLattice:
+def _tag_rows(values) -> list:
+    """One indicator row per distinct tag (str) among values, in sorted
+    order: the tagged quantities drop out of lambda^alpha iff alpha sums to
+    0 over each row."""
+    tags = sorted({v for v in values if isinstance(v, str)})
+    return [tuple(int(v == t) for v in values) for t in tags]
+
+
+def modulus_kernel(eigs: tuple) -> ValuationLattice:
     """Integer kernel of the modulus constraints Sum_j alpha_j log|lambda_j| = 0.
 
     Rational moduli contribute one row per element q of the coprime base of
@@ -189,18 +177,16 @@ def modulus_kernel(spec: ExactPolarSpec) -> ValuationLattice:
     indicator row (its total coefficient must vanish).  Where every q is
     prime these are the prime valuations.
     """
-    d = len(spec)
-    moduli = [e.modulus for e in spec.eigenvalues]
-    base = coprime_base([n for m in moduli if m is not None for n in (m.numerator, m.denominator)])
+    moduli = [e.modulus for e in eigs]
+    rational = [m for m in moduli if not isinstance(m, str)]
+    base = coprime_base([n for m in rational for n in (m.numerator, m.denominator)])
     rows = [
-        tuple(0 if m is None else _valuation(m.numerator, q) - _valuation(m.denominator, q)
+        tuple(0 if isinstance(m, str) else _valuation(m.numerator, q) - _valuation(m.denominator, q)
               for m in moduli)
         for q in base
     ]
-    tags = {e.modulus_log_tag for e in spec.eigenvalues if e.modulus_log_tag}
-    for t in sorted(tags):
-        rows.append(tuple(1 if e.modulus_log_tag == t else 0 for e in spec.eigenvalues))
-    kernel = integer_kernel([list(r) for r in rows], d)
+    rows += _tag_rows(moduli)
+    kernel = integer_kernel([list(r) for r in rows], len(eigs))
     # exact self-check: every basis vector leaves the rational moduli balanced
     for vec in kernel:
         if any(_row_sums(rows, vec)):
@@ -237,21 +223,16 @@ class RelationResult:
                 raise InvalidInputError("FOUND requires a nonzero alpha")
 
 
-def _phase_sum(spec: ExactPolarSpec, alpha) -> Fraction:
+def _phase_sum(eigs: tuple, alpha) -> Fraction:
     """Sum of alpha_j * theta_j / pi over the rational-argument entries."""
-    total = Fraction(0)
-    for eig, a in zip(spec.eigenvalues, alpha):
-        if eig.arg_pi_multiple is not None:
-            total += a * eig.arg_pi_multiple
-    return total
+    return sum((a * e.arg for e, a in zip(eigs, alpha) if not isinstance(e.arg, str)), Fraction(0))
 
 
-def _verify_certificate(spec: ExactPolarSpec, lattice: ValuationLattice, alpha) -> None:
+def _verify_certificate(eigs: tuple, lattice: ValuationLattice, alpha) -> None:
     """Exact check that lambda^alpha = 1; raises when the certificate is wrong.
     The moduli balance when alpha cancels every row of lattice.matrix."""
-    phase = _phase_sum(spec, alpha)
-    tags = {e.arg_tag for e in spec.eigenvalues if e.arg_tag}
-    tagged = any(sum(v for v, e in zip(alpha, spec.eigenvalues) if e.arg_tag == t) for t in tags)
+    phase = _phase_sum(eigs, alpha)
+    tagged = any(_row_sums(_tag_rows([e.arg for e in eigs]), alpha))
     sums = _row_sums(lattice.matrix, alpha)
     if phase.denominator != 1 or phase.numerator % 2 or tagged or any(sums):
         raise NumericalFailureError(
@@ -260,7 +241,7 @@ def _verify_certificate(spec: ExactPolarSpec, lattice: ValuationLattice, alpha) 
         )
 
 
-def _smallest_certificate(spec: ExactPolarSpec, free: list, bound: int) -> tuple | None:
+def _smallest_certificate(eigs: tuple, free: list, bound: int) -> tuple | None:
     """The least alpha = sum_i c_i free_i, 0 < max|c_i| <= bound, by
     (max|alpha|, sum|alpha|, alpha), whose phase _phase_sum is an even
     integer; None when there is none.
@@ -271,10 +252,10 @@ def _smallest_certificate(spec: ExactPolarSpec, free: list, bound: int) -> tuple
     at most _CERT_CHUNK rows; its integers are int64 when a bound on every
     sum rules out overflow, and Python ints otherwise.
     """
-    args = [e.arg_pi_multiple for e in spec.eigenvalues]
-    den = math.lcm(*(q.denominator for q in args if q is not None))
+    args = [e.arg for e in eigs]
+    den = math.lcm(*(q.denominator for q in args if not isinstance(q, str)))
     modulus = 2 * den
-    weights = [0 if q is None else int(q * den) for q in args]
+    weights = [0 if isinstance(q, str) else int(q * den) for q in args]
     phases = [sum(v * w for v, w in zip(vec, weights)) % modulus for vec in free]
     largest = max(len(free) * modulus, sum(abs(v) for vec in free for v in vec)) * bound
     dtype = np.int64 if largest < 2**62 else object
@@ -302,7 +283,7 @@ def _smallest_certificate(spec: ExactPolarSpec, free: list, bound: int) -> tuple
     return None if best is None else best[2]
 
 
-def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
+def exact_relation_decide(eigs: tuple) -> RelationResult:
     """Conclusively decide lambda^alpha = 1 solvability from exact polar data.
 
     Restrict to the modulus kernel; on it every arg-tag's total coefficient
@@ -310,17 +291,11 @@ def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
     of which is always reachable.  So a relation exists iff the tag-free
     sublattice of the modulus kernel is nonzero.
     """
-    lattice = modulus_kernel(spec)
+    lattice = modulus_kernel(eigs)
     basis = lattice.kernel_basis
     if not basis:
         return RelationResult(RelationStatus.PROVEN_NONE, certificate="modulus kernel is trivial")
-    arg_tags = sorted({e.arg_tag for e in spec.eigenvalues if e.arg_tag})
-    tag_rows = []
-    for t in arg_tags:
-        tag_rows.append([
-            sum(v for v, e in zip(vec, spec.eigenvalues) if e.arg_tag == t)
-            for vec in basis
-        ])
+    tag_rows = [_row_sums(basis, row) for row in _tag_rows([e.arg for e in eigs])]
     if tag_rows:
         sub = integer_kernel(tag_rows, len(basis))
     else:
@@ -332,7 +307,7 @@ def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
         )
     # search small combinations of the tag-free sublattice for a relation,
     # scaling the phase to an even integer
-    free = [tuple(sum(x * basis[i][j] for i, x in enumerate(coefs)) for j in range(len(spec)))
+    free = [tuple(sum(x * basis[i][j] for i, x in enumerate(coefs)) for j in range(len(eigs)))
             for coefs in sub]
     # keep the certificate search around 10^6 candidates
     bound = max(1, int(round(10 ** (6 / len(free)) - 1)) // 2)
@@ -340,14 +315,14 @@ def exact_relation_decide(spec: ExactPolarSpec) -> RelationResult:
     rows = (2 * bound + 1) ** len(free)
     if rows > CERTIFICATE_ROW_BUDGET:
         raise BudgetError(f"certificate search over {rows} rows exceeds {CERTIFICATE_ROW_BUDGET}")
-    alpha = _smallest_certificate(spec, free, bound)
+    alpha = _smallest_certificate(eigs, free, bound)
     if alpha is None:
         base = free[0]
-        phase = _phase_sum(spec, base)
+        phase = _phase_sum(eigs, base)
         # smallest k with k * phase an even integer
         k = 2 * phase.denominator // math.gcd(phase.numerator, 2 * phase.denominator)
         alpha = tuple(k * v for v in base)
-    _verify_certificate(spec, lattice, alpha)
+    _verify_certificate(eigs, lattice, alpha)
     return RelationResult(
         RelationStatus.FOUND, alpha=alpha,
         certificate="exact: moduli cancel and phase is an even multiple of pi",

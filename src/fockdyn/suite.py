@@ -37,7 +37,6 @@ from .fockmat.operator import assemble_truncated, truncated_spectrum
 from .fockmat.projections import from_L_basis, project_homogeneous
 from .polymap import max_coeff_diff, poly_add, poly_eval
 from .relations import (
-    ExactPolarSpec,
     PolarEigenvalue,
     RelationStatus,
     exact_relation_decide,
@@ -235,23 +234,13 @@ def _criterion_classifier_examples(_seed: int):
     one = Fraction(1)
     cases = []
 
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(half, None, None, "t1"),
-            PolarEigenvalue(half, None, None, "t2"),
-        )
-    )
+    spec = (PolarEigenvalue(half, "t1"), PolarEigenvalue(half, "t2"))
     sym = AffineSymbol(
         np.diag([0.5 * np.exp(0.7j), 0.5 * np.exp(1.9j)]), np.zeros(2), exact=spec
     )
     cases.append(("independent phases at modulus 1/2", sym, CyclicityStatus.CYCLIC))
 
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(half, None, Fraction(1, 3), None),
-            PolarEigenvalue(quarter, None, Fraction(2, 3), None),
-        )
-    )
+    spec = (PolarEigenvalue(half, Fraction(1, 3)), PolarEigenvalue(quarter, Fraction(2, 3)))
     sym = AffineSymbol(
         np.diag(
             [0.5 * np.exp(1j * np.pi / 3), 0.25 * np.exp(2j * np.pi / 3)]
@@ -261,12 +250,7 @@ def _criterion_classifier_examples(_seed: int):
     )
     cases.append(("squared eigenvalue, dependent phases", sym, CyclicityStatus.NOT_CYCLIC))
 
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(half, None, Fraction(1, 3), None),
-            PolarEigenvalue(quarter, None, None, "t3"),
-        )
-    )
+    spec = (PolarEigenvalue(half, Fraction(1, 3)), PolarEigenvalue(quarter, "t3"))
     sym = AffineSymbol(
         np.diag([0.5 * np.exp(1j * np.pi / 3), 0.25 * np.exp(0.9j)]),
         np.zeros(2),
@@ -274,27 +258,17 @@ def _criterion_classifier_examples(_seed: int):
     )
     cases.append(("squared modulus, independent phases", sym, CyclicityStatus.CYCLIC))
 
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(None, "r1", one, None),
-            PolarEigenvalue(None, "r2", one, None),
-        )
-    )
+    spec = (PolarEigenvalue("r1", one), PolarEigenvalue("r2", one))
     sym = AffineSymbol(np.diag([-0.52, -0.71]), np.zeros(2), exact=spec)
     cases.append(
         ("negative reals, independent log-moduli", sym, CyclicityStatus.CYCLIC)
     )
 
-    spec = ExactPolarSpec((PolarEigenvalue(one, None, Fraction(2, 7), None),))
+    spec = (PolarEigenvalue(one, Fraction(2, 7)),)
     sym = AffineSymbol([[np.exp(2j * np.pi / 7)]], [0.0], exact=spec)
     cases.append(("root of unity", sym, CyclicityStatus.NOT_CYCLIC))
 
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(one, None, Fraction(2, 5), None),
-            PolarEigenvalue(one, None, None, "t4"),
-        )
-    )
+    spec = (PolarEigenvalue(one, Fraction(2, 5)), PolarEigenvalue(one, "t4"))
     sym = AffineSymbol(
         np.diag([np.exp(2j * np.pi / 5), np.exp(1.1j)]), np.zeros(2), exact=spec
     )
@@ -314,9 +288,9 @@ def _criterion_classifier_examples(_seed: int):
                 failures.append(f"{name}: missing power-relation witness")
             else:
                 logmod = 0.0
-                for e, aj in zip(sym.exact.eigenvalues, reason.alpha):
-                    mod = e.approximate_modulus()
-                    logmod += aj * math.log(mod if mod is not None else 1.0)
+                for e, aj in zip(sym.exact, reason.alpha):
+                    if not isinstance(e.modulus, str):
+                        logmod += aj * math.log(e.modulus)
                 if abs(logmod) > 1e-12:
                     failures.append(f"{name}: witness does not cancel moduli")
     n_ok = len(cases) - len(failures)
@@ -380,12 +354,7 @@ def _criterion_cyclic_vectors(seed: int):
             pows = sorted(float(np.prod(lam ** np.array(a))) for a in idx)
             if min(q - p for p, q in zip(pows, pows[1:])) >= 0.03:
                 break
-        exact = ExactPolarSpec(
-            tuple(
-                PolarEigenvalue(None, f"r{t}_{j}", Fraction(0), None)
-                for j in range(d)
-            )
-        )
+        exact = tuple(PolarEigenvalue(f"r{t}_{j}", Fraction(0)) for j in range(d))
         b = _random_ball(rng, d, 0.4) if rng.uniform() < 0.5 else np.zeros(d)
         sym = AffineSymbol(np.diag(lam).astype(complex), b, exact=exact)
         basis = linear_form_basis(sym)
@@ -536,11 +505,7 @@ def _criterion_relation_engine(seed: int):
             args = [Fraction(2 * int(perp[0][j]), denom) for j in range(d)]
         else:
             args = [Fraction(0)] * d
-        spec = ExactPolarSpec(
-            tuple(
-                PolarEigenvalue(moduli[j], None, args[j], None) for j in range(d)
-            )
-        )
+        spec = tuple(PolarEigenvalue(m, t) for m, t in zip(moduli, args))
         res = exact_relation_decide(spec)
         if res.status is RelationStatus.FOUND:
             mod_val = Fraction(1)
@@ -573,20 +538,10 @@ def _criterion_relation_engine(seed: int):
         else:
             failures.append(f"trial {t}: numeric mode missed planted {tuple(alpha)}")
 
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(Fraction(1, 2), None, Fraction(0), None),
-            PolarEigenvalue(Fraction(1, 3), None, Fraction(0), None),
-        )
-    )
+    spec = (PolarEigenvalue(Fraction(1, 2), 0), PolarEigenvalue(Fraction(1, 3), 0))
     if exact_relation_decide(spec).status is not RelationStatus.PROVEN_NONE:
         failures.append("moduli (1/2, 1/3): expected a proof of independence")
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(Fraction(1, 2), None, Fraction(0), None),
-            PolarEigenvalue(Fraction(1, 4), None, Fraction(0), None),
-        )
-    )
+    spec = (PolarEigenvalue(Fraction(1, 2), 0), PolarEigenvalue(Fraction(1, 4), 0))
     res = exact_relation_decide(spec)
     if res.status is not RelationStatus.FOUND or tuple(res.alpha) not in (
         (-2, 1),

@@ -8,6 +8,8 @@ and the reproducing kernel is k_w(z) = exp(<z, w> / 2).
 A symbol keeps one SVD A = U diag(s) V*, which boundedness, invertibility, the
 linear forms and the approximation numbers with their reduced oracle all read,
 and one complex Schur form A = Q T Q*, which spectra and Jordan structure read.
+Exact eigenvalue data, when given, is a plain tuple of relations.PolarEigenvalue
+values, one per eigenvalue counted by algebraic multiplicity; classify reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import InvalidInputError, NoFixedPointError, NumericalFailureError
-from .relations import ExactPolarSpec
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -59,7 +60,7 @@ class AffineSymbol:
 
     a: np.ndarray
     b: np.ndarray
-    exact: ExactPolarSpec | None = None
+    exact: tuple | None = None
     tol: float = 1e-10
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from fockdyn.errors import InvalidInputError
 from fockdyn.fockmat.basis import multi_indices
 from fockdyn.fockmat.projections import from_L_basis
 from fockdyn.polymap import poly_eval
-from fockdyn.relations import ExactPolarSpec, PolarEigenvalue
+from fockdyn.relations import PolarEigenvalue
 from fockdyn.spectral import linear_form_basis
 from fockdyn.symbol import AffineSymbol, fixed_point
 
@@ -26,11 +26,9 @@ def tagged_diagonal(lam, b=None, tag_prefix="r"):
     """Diagonal symbol with independence-tagged moduli and argument zero."""
     lam = np.asarray(lam, dtype=float)
     d = lam.size
-    exact = ExactPolarSpec(
-        tuple(
-            PolarEigenvalue(None, f"{tag_prefix}{j}", Fraction(0), None)
-            for j in range(d)
-        )
+    exact = tuple(
+        PolarEigenvalue(f"{tag_prefix}{j}", Fraction(0))
+        for j in range(d)
     )
     b = np.zeros(d) if b is None else np.asarray(b, dtype=complex)
     return AffineSymbol(np.diag(lam).astype(complex), b, exact=exact)
@@ -38,11 +36,9 @@ def tagged_diagonal(lam, b=None, tag_prefix="r"):
 
 def rational_diagonal(fractions, b=None):
     lam = [float(q) for q in fractions]
-    exact = ExactPolarSpec(
-        tuple(
-            PolarEigenvalue(Fraction(q), None, Fraction(0), None)
-            for q in fractions
-        )
+    exact = tuple(
+        PolarEigenvalue(Fraction(q), Fraction(0))
+        for q in fractions
     )
     d = len(lam)
     b = np.zeros(d) if b is None else np.asarray(b, dtype=complex)
@@ -109,7 +105,7 @@ def test_close_eigenvalues_of_a_triangular_matrix_stay_undecided():
     ([[0.5, 0.3], [0.0, 0.500005]], [Fraction(1, 2), Fraction(100001, 200000)]),
 ])
 def test_close_exact_eigenvalues_of_a_triangular_matrix_are_cyclic(a, moduli):
-    exact = ExactPolarSpec(tuple(PolarEigenvalue(q, None, Fraction(0), None) for q in moduli))
+    exact = tuple(PolarEigenvalue(q, Fraction(0)) for q in moduli)
     verdict = classify_cyclicity(AffineSymbol(a, np.zeros(len(a)), exact=exact))
     assert verdict.status is CyclicityStatus.CYCLIC
 
@@ -160,9 +156,7 @@ def test_tagged_moduli_give_cyclic():
 
 
 def test_exact_data_must_match_matrix():
-    exact = ExactPolarSpec(
-        (PolarEigenvalue(Fraction(1, 2), None, Fraction(1, 3), None),)
-    )
+    exact = (PolarEigenvalue(Fraction(1, 2), Fraction(1, 3)),)
     sym = AffineSymbol([[0.5]], [0.0], exact=exact)
     with pytest.raises(InvalidInputError):
         classify_cyclicity(sym)

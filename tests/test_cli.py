@@ -23,7 +23,7 @@ import fockdyn.suite
 import fockdyn.symbol
 from fockdyn.cli import main, render_report
 from fockdyn.fockmat.enumeration import ZERO_SINGULAR_TOL, _best_first, approx_numbers, singular_data
-from fockdyn.io import Rows, dump_approx
+from fockdyn.io import Rows, dump_approx, dump_complex
 from fockdyn.suite import CriterionResult
 from fockdyn.symbol import AffineSymbol
 
@@ -488,6 +488,78 @@ def test_boolean_denominator_exits_two(tmp_path, capsys, field):
     assert main(["analyze", write_json(tmp_path / "bool.json", doc)]) == 2
     err = capsys.readouterr().err
     assert "must be integers" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eigenvalues", [5, None], ids=["int", "null"])
+def test_exact_eigenvalues_must_be_a_list(tmp_path, capsys, eigenvalues):
+    # once a TypeError traceback: "'int' object is not iterable"
+    doc = dict(SYMBOL_HALF, exact={"eigenvalues": eigenvalues})
+    assert main(["analyze", write_json(tmp_path / "sym.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == 'fockdyn: invalid input: exact data must be {"eigenvalues": [...]}\n'
+
+
+@pytest.mark.parametrize("coefficients", [5, None, {"a": 1}], ids=["int", "null", "object"])
+def test_function_coefficients_must_be_a_list(tmp_path, capsys, coefficients):
+    # a number or null once ended in a TypeError traceback, and an object's
+    # keys were read as its entries
+    doc = {"symbol": SYMBOL_HALF, "function": {"coefficients": coefficients}}
+    assert main(["project", write_json(tmp_path / "fn.json", doc), "--degree", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == 'fockdyn: invalid input: function document must be {"coefficients": [...]}\n'
+
+
+def exact_analyze(tmp_path, values, eigenvalues) -> dict:
+    """The cyclicity verdict of analyze on A = diag(values), b = 0, with the
+    given exact entries."""
+    doc = {
+        "dimension": len(values),
+        "A": [[dump_complex(z) if i == j else 0 for j, z in enumerate(values)]
+              for i in range(len(values))],
+        "b": [0] * len(values),
+        "exact": {"eigenvalues": eigenvalues},
+    }
+    code, report = run_json(tmp_path, ["analyze", write_json(tmp_path / "sym.json", doc)])
+    assert code == 0
+    return report["cyclicity"]
+
+
+ZERO_ARG = {"pi_rational": {"num": 0, "den": 1}}
+
+
+def test_empty_modulus_tag_is_a_tag(tmp_path):
+    # the tag "" once dropped out of the modulus constraints, and the
+    # verdict named the false relation alpha = (-1, 0)
+    verdict = exact_analyze(tmp_path, [0.5, 0.3], [
+        {"modulus": {"log_generic": ""}, "arg": ZERO_ARG},
+        {"modulus": {"log_generic": "r1"}, "arg": {"generic": "t1"}},
+    ])
+    assert verdict["status"] == "cyclic"
+    assert [r["code"] for r in verdict["reasons"]] == ["NO_RELATION"]
+
+
+def test_empty_argument_tag_is_a_tag(tmp_path):
+    # the tag "" once dropped out of the phase constraints, and the verdict
+    # named the false relation alpha = (-2, 1) of the moduli 1/2 and 1/4
+    verdict = exact_analyze(tmp_path, [0.5 * np.exp(0.7j), 0.25], [
+        {"modulus": {"num": 1, "den": 2}, "arg": {"generic": ""}},
+        {"modulus": {"num": 1, "den": 4}, "arg": ZERO_ARG},
+    ])
+    assert verdict["status"] == "cyclic"
+    assert [r["code"] for r in verdict["reasons"]] == ["NO_RELATION"]
+
+
+def test_cyclic_vector_without_exact_data_is_refused_before_the_search(tmp_path, capsys):
+    # without exact data the verdict is never cyclic; at d=6 the relation
+    # search once ran first and exceeded its budget (exit 3)
+    doc = {
+        "symbol": {"dimension": 6, "A": np.diag(np.linspace(0.3, 0.6, 6)).tolist(), "b": [0] * 6},
+        "function": {"coefficients": [{"alpha": [0] * 6, "value": 1.0}]},
+    }
+    assert main(["cyclic-vector", write_json(tmp_path / "fn.json", doc), "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fockdyn: invalid input: operator is not provably cyclic")
+    assert err.count("\n") == 1
 
 
 def write_sparse_degree_200(tmp_path):

@@ -17,7 +17,7 @@ from fockdyn.io import (
 )
 from fockdyn.classify import classify_cyclicity
 from fockdyn.fockmat.enumeration import approx_numbers
-from fockdyn.relations import ExactPolarSpec, PolarEigenvalue
+from fockdyn.relations import PolarEigenvalue
 from fockdyn.symbol import AffineSymbol
 
 
@@ -62,11 +62,9 @@ def test_symbol_rejects_malformed_documents():
 
 
 def test_exact_spec_roundtrip():
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(Fraction(1, 2), None, Fraction(1, 3), None),
-            PolarEigenvalue(None, "r1", None, "t1"),
-        )
+    spec = (
+        PolarEigenvalue(Fraction(1, 2), Fraction(1, 3)),
+        PolarEigenvalue("r1", "t1"),
     )
     doc = {
         "eigenvalues": [
@@ -95,7 +93,7 @@ def test_exact_spec_caps_bit_length():
         ]}
 
     spec = load_exact_spec(doc(1, 2**63 - 1))
-    assert spec.eigenvalues[0].arg_pi_multiple == Fraction(1, 2**63 - 1)
+    assert spec[0].arg == Fraction(1, 2**63 - 1)
     for num, den in ((1, 2**63), (-(2**63), 1), (2**200, 2**200)):
         with pytest.raises(InvalidInputError, match="exceed 63 bits"):
             load_exact_spec(doc(num, den))
@@ -129,11 +127,9 @@ def test_function_rejects_bad_entries():
 
 
 def test_verdict_document_shape():
-    exact = ExactPolarSpec(
-        (
-            PolarEigenvalue(Fraction(1, 2), None, Fraction(0), None),
-            PolarEigenvalue(Fraction(1, 4), None, Fraction(0), None),
-        )
+    exact = (
+        PolarEigenvalue(Fraction(1, 2), Fraction(0)),
+        PolarEigenvalue(Fraction(1, 4), Fraction(0)),
     )
     sym = AffineSymbol(np.diag([0.5, 0.25]).astype(complex), np.zeros(2), exact=exact)
     doc = dump_verdict(classify_cyclicity(sym))

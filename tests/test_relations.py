@@ -12,7 +12,6 @@ import pytest
 from fockdyn import relations
 from fockdyn.errors import BudgetError, InvalidInputError, NumericalFailureError
 from fockdyn.relations import (
-    ExactPolarSpec,
     PolarEigenvalue,
     RelationResult,
     RelationStatus,
@@ -27,26 +26,24 @@ from fockdyn.relations import (
 
 
 def rational_polar(num, den, arg_num=0, arg_den=1):
-    return PolarEigenvalue(
-        Fraction(num, den), None, Fraction(arg_num, arg_den), None
-    )
+    return PolarEigenvalue(Fraction(num, den), Fraction(arg_num, arg_den))
 
 
 def test_half_third_has_no_relation():
-    spec = ExactPolarSpec((rational_polar(1, 2), rational_polar(1, 3)))
+    spec = (rational_polar(1, 2), rational_polar(1, 3))
     result = exact_relation_decide(spec)
     assert result.status is RelationStatus.PROVEN_NONE
 
 
 def test_half_quarter_relation_found():
-    spec = ExactPolarSpec((rational_polar(1, 2), rational_polar(1, 4)))
+    spec = (rational_polar(1, 2), rational_polar(1, 4))
     result = exact_relation_decide(spec)
     assert result.status is RelationStatus.FOUND
     assert result.alpha in ((-2, 1), (2, -1))
 
 
 def test_wrong_certificate_raises():
-    spec = ExactPolarSpec((rational_polar(1, 2), rational_polar(1, 4)))
+    spec = (rational_polar(1, 2), rational_polar(1, 4))
     lattice = modulus_kernel(spec)
     _verify_certificate(spec, lattice, (-2, 1))
     with pytest.raises(NumericalFailureError):
@@ -54,20 +51,16 @@ def test_wrong_certificate_raises():
 
 
 def test_root_of_unity_is_a_relation():
-    spec = ExactPolarSpec(
-        (PolarEigenvalue(Fraction(1), None, Fraction(2, 7), None),)
-    )
+    spec = (PolarEigenvalue(Fraction(1), Fraction(2, 7)),)
     result = exact_relation_decide(spec)
     assert result.status is RelationStatus.FOUND
     assert result.alpha is not None and result.alpha[0] % 7 == 0
 
 
 def test_independent_log_tags_proven_none():
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(None, "r1", Fraction(0), None),
-            PolarEigenvalue(None, "r2", Fraction(0), None),
-        )
+    spec = (
+        PolarEigenvalue("r1", Fraction(0)),
+        PolarEigenvalue("r2", Fraction(0)),
     )
     assert exact_relation_decide(spec).status is RelationStatus.PROVEN_NONE
 
@@ -75,11 +68,9 @@ def test_independent_log_tags_proven_none():
 def test_matching_log_tags_cancel():
     # equal tags with opposite exponents give modulus one; phases must
     # still close, which they do at arguments zero
-    spec = ExactPolarSpec(
-        (
-            PolarEigenvalue(None, "r1", Fraction(0), None),
-            PolarEigenvalue(None, "r1", Fraction(0), None),
-        )
+    spec = (
+        PolarEigenvalue("r1", Fraction(0)),
+        PolarEigenvalue("r1", Fraction(0)),
     )
     result = exact_relation_decide(spec)
     assert result.status is RelationStatus.FOUND
@@ -88,11 +79,9 @@ def test_matching_log_tags_cancel():
 def test_generic_phase_tag_blocks_relation():
     # moduli admit 2^-2 * 4 = 1 but the transcendence-tagged phase on the
     # second eigenvalue cannot participate in any rational phase identity
-    spec = ExactPolarSpec(
-        (
-            rational_polar(1, 2),
-            PolarEigenvalue(Fraction(1, 4), None, None, "t1"),
-        )
+    spec = (
+        rational_polar(1, 2),
+        PolarEigenvalue(Fraction(1, 4), "t1"),
     )
     assert exact_relation_decide(spec).status is RelationStatus.PROVEN_NONE
 
@@ -136,14 +125,30 @@ def test_numeric_search_budget():
 
 
 def test_polar_eigenvalue_validates_slots():
-    with pytest.raises(InvalidInputError):
-        PolarEigenvalue(Fraction(1, 2), "r1", Fraction(0), None)
-    with pytest.raises(InvalidInputError):
-        PolarEigenvalue(Fraction(1, 2), None, None, None)
-    with pytest.raises(InvalidInputError):
-        PolarEigenvalue(None, "r1", Fraction(0), "t1")
-    with pytest.raises(InvalidInputError):
-        PolarEigenvalue(Fraction(-1, 2), None, Fraction(0), None)
+    # each field is a rational (int or Fraction) or a tag (str), nothing else
+    for bad in (True, 0.5, None):
+        with pytest.raises(InvalidInputError, match="modulus must be a rational or a tag"):
+            PolarEigenvalue(bad, Fraction(0))
+        with pytest.raises(InvalidInputError, match="arg must be a rational or a tag"):
+            PolarEigenvalue(Fraction(1, 2), bad)
+    for modulus in (0, Fraction(-1, 2)):
+        with pytest.raises(InvalidInputError, match="modulus must be positive"):
+            PolarEigenvalue(modulus, Fraction(0))
+    assert PolarEigenvalue("", "").modulus == ""  # the empty string is a tag too
+
+
+def test_polar_eigenvalues_are_equal_when_the_eigenvalues_are():
+    assert PolarEigenvalue(Fraction(1, 2), Fraction(1, 3)) == PolarEigenvalue(
+        Fraction(1, 2), Fraction(7, 3))
+    assert PolarEigenvalue(Fraction(1, 2), Fraction(-1, 3)).arg == Fraction(5, 3)
+    assert PolarEigenvalue(1, 0) == PolarEigenvalue(Fraction(1), Fraction(2))
+    assert PolarEigenvalue(1, 0).modulus.__class__ is Fraction
+    assert PolarEigenvalue("r", "t") == PolarEigenvalue("r", "t")
+    # a tag never equals a rational, whatever the tag's text
+    assert PolarEigenvalue("1", 0) != PolarEigenvalue(1, 0)
+    assert PolarEigenvalue(1, "0") != PolarEigenvalue(1, 0)
+    assert PolarEigenvalue("", 0) != PolarEigenvalue(1, 0)
+    assert PolarEigenvalue("r1", "t") != PolarEigenvalue("r2", "t")
 
 
 def test_numeric_search_survives_large_exponents():
@@ -312,9 +317,9 @@ def test_scan_at_the_budget_edge(d, height):
 
 
 def unimodular_spec(denominators):
-    return ExactPolarSpec(tuple(
-        PolarEigenvalue(Fraction(1), None, Fraction(1, q), None) for q in denominators
-    ))
+    return tuple(
+        PolarEigenvalue(Fraction(1), Fraction(1, q)) for q in denominators
+    )
 
 
 @pytest.mark.parametrize("d, alpha", [
@@ -333,11 +338,11 @@ def test_certificate_search_orders_by_height_then_weight():
     # moduli (1/4, 1/2, 1/2) and phases (0, pi, 0): the relations of height 2
     # include (-2, 2, 2), lexicographically first, and (-1, 0, 2), of
     # smaller sum |alpha|
-    spec = ExactPolarSpec((
-        PolarEigenvalue(Fraction(1, 4), None, Fraction(0), None),
-        PolarEigenvalue(Fraction(1, 2), None, Fraction(1), None),
-        PolarEigenvalue(Fraction(1, 2), None, Fraction(0), None),
-    ))
+    spec = (
+        PolarEigenvalue(Fraction(1, 4), Fraction(0)),
+        PolarEigenvalue(Fraction(1, 2), Fraction(1)),
+        PolarEigenvalue(Fraction(1, 2), Fraction(0)),
+    )
     assert exact_relation_decide(spec).alpha == (-1, 0, 2)
 
 
@@ -347,11 +352,11 @@ def test_certificate_verification_forms_no_large_power():
     # raised to those exponents ran past 4 GiB, their valuations cancel in
     # one integer dot product per element of the coprime base
     p = 2**61 - 1
-    spec = ExactPolarSpec((
-        PolarEigenvalue(Fraction(1, 2**40), None, Fraction(3, p), None),
-        PolarEigenvalue(Fraction(1, 2), None, Fraction(-1, p), None),
-        PolarEigenvalue(Fraction(1, 3), None, Fraction(1, 5), None),
-    ))
+    spec = (
+        PolarEigenvalue(Fraction(1, 2**40), Fraction(3, p)),
+        PolarEigenvalue(Fraction(1, 2), Fraction(-1, p)),
+        PolarEigenvalue(Fraction(1, 3), Fraction(1, 5)),
+    )
     start = time.perf_counter()
     result = exact_relation_decide(spec)
     assert time.perf_counter() - start < 1.0
@@ -361,18 +366,39 @@ def test_certificate_verification_forms_no_large_power():
 def test_certificate_search_beyond_int64():
     # phases in units of pi / (2^61 - 1) overflow int64 sums
     p = 2**61 - 1
-    spec = ExactPolarSpec((
-        PolarEigenvalue(Fraction(1), None, Fraction(1, p), None),
-        PolarEigenvalue(Fraction(1), None, Fraction(-2, p), None),
-        PolarEigenvalue(Fraction(1), None, Fraction(1, 3), None),
-    ))
+    spec = (
+        PolarEigenvalue(Fraction(1), Fraction(1, p)),
+        PolarEigenvalue(Fraction(1), Fraction(-2, p)),
+        PolarEigenvalue(Fraction(1), Fraction(1, 3)),
+    )
     assert exact_relation_decide(spec).alpha == (-2, -1, 0)
-    spec = ExactPolarSpec((
-        PolarEigenvalue(Fraction(1), None, Fraction(1, p), None),
-        PolarEigenvalue(Fraction(1), None, Fraction(1, 2**31 - 1), None),
-        PolarEigenvalue(Fraction(1), None, Fraction(1, 2), None),
-    ))
+    spec = (
+        PolarEigenvalue(Fraction(1), Fraction(1, p)),
+        PolarEigenvalue(Fraction(1), Fraction(1, 2**31 - 1)),
+        PolarEigenvalue(Fraction(1), Fraction(1, 2)),
+    )
     assert exact_relation_decide(spec).alpha == (0, 0, -4)
+
+
+def test_exact_decision_reads_arguments_modulo_two():
+    # theta / pi and theta / pi + 2k name one eigenvalue: shifting every
+    # rational argument by an even integer leaves the decision as it was
+    rng = random.Random(1)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        eigs = [
+            (Fraction(2 ** rng.randint(-3, 3) * 3 ** rng.randint(-2, 2)) if rng.random() < 0.8
+             else f"r{rng.randint(0, 2)}",
+             Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 7])) if rng.random() < 0.8
+             else f"t{rng.randint(0, 2)}")
+            for _ in range(d)
+        ]
+        spec = tuple(PolarEigenvalue(m, t) for m, t in eigs)
+        shifted = tuple(
+            PolarEigenvalue(m, t if isinstance(t, str) else t + 2 * rng.randint(-3, 3))
+            for m, t in eigs
+        )
+        assert exact_relation_decide(shifted) == exact_relation_decide(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +446,12 @@ def test_composite_coprime_base_matches_prime_valuations(monkeypatch):
     # 3 (2^31 - 1) and 7 * 11^3 enter the base whole: 9317 = 7 * 11^3 is
     # never split, as no other modulus separates 7 from 11
     p = 2**31 - 1
-    spec = ExactPolarSpec((
-        PolarEigenvalue(Fraction(3 * p, 7 * 11**3), None, Fraction(1, 3), None),
-        PolarEigenvalue(Fraction(3 * p, 7 * 11**3), None, Fraction(1, 7), None),
-        PolarEigenvalue(Fraction(7 * 11**3), None, None, "t1"),
-        PolarEigenvalue(Fraction(1, 3), None, Fraction(1, 2), None),
-    ))
+    spec = (
+        PolarEigenvalue(Fraction(3 * p, 7 * 11**3), Fraction(1, 3)),
+        PolarEigenvalue(Fraction(3 * p, 7 * 11**3), Fraction(1, 7)),
+        PolarEigenvalue(Fraction(7 * 11**3), "t1"),
+        PolarEigenvalue(Fraction(1, 3), Fraction(1, 2)),
+    )
     assert len(modulus_kernel(spec).matrix) == 3
     result = exact_relation_decide(spec)
     monkeypatch.setattr(relations, "coprime_base", trial_division_primes)
@@ -435,7 +461,7 @@ def test_composite_coprime_base_matches_prime_valuations(monkeypatch):
     assert result.status is reference.status is RelationStatus.FOUND
     assert result.alpha == reference.alpha == (-21, 21, 0, 0)
     _verify_certificate(spec, prime_lattice, result.alpha)
-    moduli = [e.modulus ** a for e, a in zip(spec.eigenvalues, result.alpha) if a]
+    moduli = [e.modulus ** a for e, a in zip(spec, result.alpha) if a]
     assert math.prod(moduli) == 1
 
 
@@ -443,9 +469,9 @@ def test_semiprime_modulus_is_one_base_element():
     # (2^31 - 1)(2^32 - 5) has 63 bits; no factor of it is ever searched for
     n = (2**31 - 1) * (2**32 - 5)
     assert n.bit_length() == 63
-    spec = ExactPolarSpec((
-        PolarEigenvalue(Fraction(1, n), None, Fraction(1, 3), None),
+    spec = (
+        PolarEigenvalue(Fraction(1, n), Fraction(1, 3)),
         rational_polar(1, 2),
-    ))
+    )
     assert modulus_kernel(spec).matrix == ((0, -1), (-1, 0))
     assert exact_relation_decide(spec).status is RelationStatus.PROVEN_NONE
