@@ -12,6 +12,7 @@ polar eigenvalue data, and purely numerical inputs can at best be
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import math
@@ -35,6 +36,9 @@ from .symbol import AffineSymbol
 
 DEFAULT_SEARCH_HEIGHT = 12
 EXACT_MATCH_TOL = 1e-8
+# Cap on the cluster rooms that the search packing equal exact entries into clusters writes, one
+# tuple of rooms per state it tries: at most 8 MB of tuples
+CLASS_SEARCH_BUDGET = 1_000_000
 
 
 class CyclicityStatus(enum.Enum):
@@ -85,13 +89,66 @@ def _jordan_acceptable(spec: SpectralData) -> bool:
     return [s for info in spec.eigenvalues for s in info.block_sizes if s >= 2] in ([], [2])
 
 
+def _exact_residual(e, w: complex) -> float:
+    """|e - w| if e is rational, ||e| - |w|| if its modulus is, else 0 (nothing numeric)."""
+    if isinstance(e.modulus, str):
+        return 0.0
+    if isinstance(e.arg, str):
+        return abs(float(e.modulus) - abs(w))
+    return abs(float(e.modulus) * np.exp(1j * math.pi * float(e.arg)) - w)
+
+
+def _classes_fit(exact, spec: SpectralData) -> bool:
+    """Whether the classes of equal entries pack into the clusters of the spectrum, each inside
+    one cluster it matches, none over its algebraic multiplicity: a depth-first search, tightest
+    cluster first, that drops a (class, rooms left) state it has seen.  Tagged classes come last
+    and match every cluster, so they try one cluster per room left, and a single tagged entry
+    fits whatever room the others leave."""
+    classes = [(e, k, isinstance(e.modulus, str)) for e, k in collections.Counter(exact).items()]
+    classes = sorted((c for c in classes if c[1] > 1 or not c[2]), key=lambda c: (c[2], -c[1]))
+    values = [info.value for info in spec.eigenvalues]
+    room = [info.algebraic_mult for info in spec.eigenvalues]
+
+    def tries(e, k, tagged):  # only room tells clusters apart for the tagged classes left
+        fits = {(r if tagged else j): j for j, (w, r) in enumerate(zip(values, room))
+                if r >= k and _exact_residual(e, w) <= EXACT_MATCH_TOL}
+        return sorted(fits.values(), key=room.__getitem__)
+
+    if not all(tries(*c) for c in classes):  # a class that fits no cluster even alone
+        return False
+    placed, untried, seen, work = [], [iter(tries(*classes[0]))] if classes else [], set(), 0
+    while untried:  # untried[i]: the clusters class i has yet to try, placed[i]: its cluster
+        i, j = len(placed), next(untried[-1], None)
+        if j is None:  # class i fits nowhere now: take class i - 1 out again
+            untried.pop()
+            if placed:
+                room[placed.pop()] += classes[i - 1][1]
+            continue
+        if i + 1 == len(classes):
+            return True
+        room[j] -= classes[i][1]
+        work += len(room)
+        if work > CLASS_SEARCH_BUDGET:
+            raise BudgetError(f"packing the classes of equal exact entries into the clusters "
+                              f"of the spectrum writes over {CLASS_SEARCH_BUDGET:.0e} cluster rooms")
+        if (i, tuple(room)) in seen:
+            room[j] += classes[i][1]
+        else:
+            seen.add((i, tuple(room)))
+            placed.append(j)
+            untried.append(iter(tries(*classes[i + 1])))
+    return not classes
+
+
 def _validate_exact_match(sym: AffineSymbol, spec: SpectralData):
     """Cross-check the supplied exact polar data against the numeric spectrum.
 
     Entries with a fully rational value are matched by value, entries with a
     rational modulus by modulus only; entries with a tagged modulus constrain
     nothing numerically.  A minimum-cost assignment above tolerance means
-    the exact data describes a different matrix.
+    the exact data describes a different matrix; so do k > 1 equal entries
+    (one eigenvalue claimed k times) that no packing of the classes into the
+    clusters of the spectrum holds.
     """
     exact = sym.exact
     numeric = [info.value for info in spec.eigenvalues for _ in range(info.algebraic_mult)]
@@ -99,21 +156,18 @@ def _validate_exact_match(sym: AffineSymbol, spec: SpectralData):
         raise InvalidInputError(
             f"exact data lists {len(exact)} eigenvalues, matrix has {len(numeric)}"
         )
-    n = len(exact)
-    cost = np.zeros((n, n))
-    for i, e in enumerate(exact):
-        if isinstance(e.modulus, str):
-            continue
-        r = float(e.modulus)
-        v = None if isinstance(e.arg, str) else r * np.exp(1j * math.pi * float(e.arg))
-        for j, w in enumerate(numeric):
-            cost[i, j] = abs(r - abs(w)) if v is None else abs(v - w)
+    cost = np.array([[_exact_residual(e, w) for w in numeric] for e in exact])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max()) if n else 0.0
+    worst = float(cost[rows, cols].max())
     if worst > EXACT_MATCH_TOL:
         raise InvalidInputError(
             f"exact eigenvalue data mismatches the matrix spectrum "
             f"(assignment residual {worst:.3e})"
+        )
+    if len(set(exact)) < len(exact) and not _classes_fit(exact, spec):
+        raise InvalidInputError(
+            "exact eigenvalue data mismatches the matrix spectrum (each class of equal "
+            "entries needs one cluster, and no choice of clusters holds them all)"
         )
 
 

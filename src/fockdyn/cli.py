@@ -42,6 +42,7 @@ from .io import (
     dump_verdict,
     load_complex,
     load_function,
+    load_real,
     load_symbol,
 )
 from .polymap import poly_clean
@@ -351,7 +352,7 @@ def _cmd_demo_kronecker(ns: argparse.Namespace):
         )
     if not all(type(t) in (int, float) for t in doc["thetas"]):
         raise InvalidInputError("thetas must be real numbers")
-    thetas = [float(t) for t in doc["thetas"]]
+    thetas = [load_real(t, f"thetas[{i}]") for i, t in enumerate(doc["thetas"])]
     target = [load_complex(t, "target entry") for t in doc["target"]]
     n_max = ns.n_max if ns.n_max is not None else doc.get("n_max")
     if n_max is None:

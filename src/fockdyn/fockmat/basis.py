@@ -1,15 +1,14 @@
 """Graded monomial basis of the polynomial subspace of the Fock space.
 
-Multi-indices are plain tuples of nonnegative ints, ordered by total degree
-first and lexicographically within a degree.  Truncations act on the
-orthonormal e_alpha = z^alpha / ||z^alpha|| and need no norms; monomial_norms,
-from ||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!), converts the orbit's input vector.
+Multi-indices (tuples, or rows of an int array) are ordered by total degree, then
+lexicographically; graded_positions finds their positions by arithmetic.  Truncations act on
+e_alpha = z^alpha / ||z^alpha|| and need no norms; monomial_norms, from
+||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!), converts the orbit's input vector.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -19,25 +18,36 @@ from ..errors import BudgetError, InvalidInputError
 BASIS_SIZE_BUDGET = 50_000
 
 
+def _exponents(d: int, max_degree: int) -> np.ndarray:
+    """Rows alpha, |alpha| <= max_degree, in order: block k holds, for f = d-1 down to 0, the
+    first C(k-2+d-f, d-1-f) rows of block k-1 (those on z_f..z_{d-1}) plus e_f."""
+    check_basis_size(d, max_degree)
+    if d == 1:
+        return np.arange(max_degree + 1)[:, None]
+    eye, blocks = np.eye(d, dtype=np.int64), [np.zeros((1, d), dtype=np.int64)]
+    for k in range(1, max_degree + 1):
+        blocks.append(np.concatenate([
+            blocks[-1][: math.comb(k - 2 + d - f, d - 1 - f)] + eye[f] for f in reversed(range(d))
+        ]))
+    return np.concatenate(blocks)
+
+
 def multi_indices(d: int, max_degree: int) -> list:
     """All alpha in N^d with |alpha| <= max_degree, graded lexicographic."""
-    if d < 1 or max_degree < 0:
-        raise InvalidInputError(f"invalid basis parameters d={d}, max_degree={max_degree}")
-    if d == 1:  # combinations copies its pool per degree, which d = 1 never draws from
-        return [(n,) for n in range(max_degree + 1)]
-    out = []
-    for total in range(max_degree + 1):
-        block = []
-        for cuts in itertools.combinations(range(total + d - 1), d - 1):
-            prev = -1
-            alpha = []
-            for c in cuts + (total + d - 1,):
-                alpha.append(c - prev - 1)
-                prev = c
-            block.append(tuple(alpha))
-        block.sort()
-        out.extend(block)
-    return out
+    return list(map(tuple, _exponents(d, max_degree).tolist()))
+
+
+def graded_positions(alphas: np.ndarray) -> np.ndarray:
+    """Positions of the rows alpha of an int array: C(|alpha| + d, d) - 1 less, over j < d, the
+    C(s_j + j - 1, j) rows after alpha that first exceed it before its last j entries (sum s_j)."""
+    d = alphas.shape[1]
+    s = np.cumsum(alphas[:, ::-1], axis=1)  # s[:, j - 1] = s_j, s[:, -1] = n
+    # counts[j, t] = C(t + j - 1, j), the j-tuples of sum below t
+    counts = np.zeros((d + 1, s[:, -1].max(initial=0) + 2), dtype=np.int64)
+    counts[0, 1:] = 1
+    for j in range(1, d + 1):
+        counts[j, 1:] = np.cumsum(counts[j - 1, 1:])
+    return counts[d, s[:, -1] + 1] - 1 - counts[np.arange(1, d), s[:, :-1]].sum(axis=1)
 
 
 def monomial_norm_sq_int(alpha) -> int:
@@ -51,18 +61,17 @@ def monomial_norm_sq_int(alpha) -> int:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GradedBasis:
-    """Bijection between {alpha : |alpha| <= max_degree} and 0..size-1."""
+    """The multi-indices {alpha : |alpha| <= max_degree} in graded-lex order."""
 
     d: int
     max_degree: int
-    indices: tuple  # multi-indices in graded lexicographic order
-    index_of: dict  # inverse of indices
+    exponents: np.ndarray  # row i is the multi-index at position i
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return len(self.exponents)
 
     def degree_slice(self, n: int) -> slice:
         """Positions of the degree-n block (contiguous by construction)."""
@@ -84,9 +93,7 @@ def check_basis_size(d: int, max_degree: int) -> None:
 
 
 def graded_basis(d: int, max_degree: int) -> GradedBasis:
-    check_basis_size(d, max_degree)
-    idx = multi_indices(d, max_degree)
-    return GradedBasis(d, max_degree, tuple(idx), {a: i for i, a in enumerate(idx)})
+    return GradedBasis(d, max_degree, _exponents(d, max_degree))
 
 
 def monomial_norms(indices) -> np.ndarray:

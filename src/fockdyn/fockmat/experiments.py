@@ -1,10 +1,12 @@
 """Orbit-rank experiments, the adjoint pairing identity, iterate-coefficient
-bounds along Jordan chains, and a torus-density demonstration.
+bounds along Jordan chains, and a torus-density demonstration.  The orbit places, and takes
+norms for, only the coefficients of the rows it iterates (basis.graded_positions).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -12,7 +14,7 @@ from ..errors import BudgetError, InvalidInputError, NumericalFailureError
 from ..polymap import check_dense_bytes, compose_affine, poly_clean, poly_degree
 from ..spectral import LinearFormBasis
 from ..symbol import AffineSymbol
-from .basis import graded_basis, monomial_norm_sq_int, monomial_norms
+from .basis import graded_basis, graded_positions, monomial_norm_sq_int, monomial_norms
 from .operator import _assemble_matrix, _degree_columns
 
 RANK_REL_TOL = 1e-8
@@ -29,15 +31,21 @@ STEP_OPERATIONS = 30_000
 KRONECKER_OPERATIONS_BUDGET = 10**7
 
 
-def _coeff_vector(f_coeffs, basis) -> np.ndarray:
-    """Orthonormal coordinates of f, given in monomial coefficients."""
-    vec = np.zeros(basis.size, dtype=complex)
-    for (alpha, c), norm in zip(f_coeffs.items(), monomial_norms(f_coeffs)):
-        if alpha not in basis.index_of:
-            raise InvalidInputError(
-                f"coefficient index {alpha} outside degree-{basis.max_degree} basis"
-            )
-        vec[basis.index_of[alpha]] = c * norm
+def _coeff_vector(f_coeffs, basis, lo: int) -> np.ndarray:
+    """Orthonormal coordinates of f, given in monomial coefficients, on the basis rows from lo;
+    norms of all coefficients when none is placed, for the refusal past degree 149."""
+    keys, d = list(f_coeffs), basis.d
+    alphas = np.array(keys if set(map(len, keys)) == {d} else [])
+    if alphas.dtype.kind not in "biu" or (alphas < 0).any():
+        monomial_norms(keys)  # a negative entry is refused as such
+        alpha = next(a for a in keys if len(a) != d or np.array(a).dtype.kind not in "biu")
+        raise InvalidInputError(
+            f"coefficient index {alpha} outside degree-{basis.max_degree} basis")
+    rows = graded_positions(alphas) - lo
+    vec = np.zeros(basis.size - lo, dtype=complex)
+    placed = list(compress(keys, keep := (rows >= 0).tolist()))
+    values = np.fromiter(compress(f_coeffs.values(), keep), complex, len(placed))
+    vec[rows[rows >= 0]] = values * monomial_norms(placed or keys)[: len(placed)]
     return vec
 
 
@@ -71,12 +79,13 @@ def orbit_krylov_rank(
     if not f_coeffs:
         raise InvalidInputError("empty orbit: zero initial function")
     basis = graded_basis(sym.dimension, degree)
-    x = _coeff_vector(f_coeffs, basis)
     if projector is not None and not 0 <= projector <= degree:
+        _coeff_vector(f_coeffs, basis, basis.size)  # the refusals of f still apply
         return 0
     rows = basis.degree_slice(0 if projector is None else projector)
     lo, width = rows.start, (basis.size if projector is None else rows.stop) - rows.start
     n = basis.size - lo
+    x = _coeff_vector(f_coeffs, basis, lo)
     work = steps * (n * n + STEP_OPERATIONS + 5 * width * min(width, steps))
     if work > ORBIT_OPERATIONS_BUDGET:
         raise BudgetError(f"{steps} steps on a {n}-row block need {work:.2e} operations, "
@@ -90,13 +99,14 @@ def orbit_krylov_rank(
             block = _assemble_matrix(sym, basis)[lo:, lo:]
     if not np.isfinite(block).all():
         raise NumericalFailureError(f"the degree-{degree} truncation of C overflows")
-    cols, x = [], x[lo:]
-    for _ in range(steps):
+    cols = np.empty((steps, width), dtype=complex)
+    for j in range(steps):
         x = _unit(x)
-        cols.append(_unit(x[:width]))
-        # a real block acts on the parts of x, so it is neither cast nor copied to complex
-        x = block @ x if block.dtype == complex else block @ x.real + 1j * (block @ x.imag)
-    s = np.linalg.svd(np.array(cols).T, compute_uv=False)
+        cols[j] = x if width == n else _unit(x[:width])
+        # a real block acts on the parts of x, the two columns of its float view, in one product
+        x = block @ (x if block.dtype == complex else x.view(float).reshape(n, 2))
+        x = x.view(complex).ravel()
+    s = np.linalg.svd(cols.T, compute_uv=False)
     return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 

@@ -8,7 +8,8 @@ upper triangular: diagonal block k is A acting on the forms of degree k, and b
 only fills blocks above it.
 
 _degree_columns builds the dense matrix, or its diagonal blocks, a degree of columns
-at a time, in orthonormal coordinates; truncated_spectrum runs its recursion on the
+at a time, in orthonormal coordinates, with the rows of z_v e_gamma from
+basis.graded_positions (no per-row lookup); truncated_spectrum runs its recursion on the
 eigenvalues of A alone.  top_singular_values builds one matrix, the truncation of the
 real twin (_real_twin, a unitarily equivalent real symbol; a real A and b give real
 truncations), and takes the cheaper of its dense SVD and Lanczos on it, within one budget.
@@ -25,7 +26,7 @@ import scipy.sparse.linalg
 from ..errors import BudgetError, InvalidInputError
 from ..polymap import check_dense_bytes
 from ..symbol import AffineSymbol
-from .basis import GradedBasis, check_basis_size, graded_basis
+from .basis import GradedBasis, check_basis_size, graded_basis, graded_positions
 
 DENSE_SVD_CUTOFF = 1200
 
@@ -60,13 +61,10 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
     else the degree-k ones and no b term, which gives the diagonal block of degree k."""
     d, dtype = basis.d, _entry_type(sym)
     a, b = ((x if dtype is complex else x.real).tolist() for x in (sym.a, sym.b))
-    below = basis.indices[: basis.degree_slice(basis.max_degree).start]
+    below = basis.exponents[: basis.degree_slice(basis.max_degree).start]
     # up[v][i] and rise[v][i]: position of gamma + e_v and sqrt(2 (gamma_v + 1)), gamma = below[i]
-    up = [
-        np.array([basis.index_of[x[:v] + (x[v] + 1,) + x[v + 1 :]] for x in below])
-        for v in range(d)
-    ]
-    rise = np.sqrt(2.0 * np.array(below).reshape(-1, d).T + 2.0)
+    up = [graded_positions(below + e) for e in np.eye(d, dtype=below.dtype)]
+    rise = np.sqrt(2.0 * below.T + 2.0)
     prev = np.ones((1, 1), dtype=dtype)
     yield prev
     for k in range(1, basis.max_degree + 1):

@@ -6,7 +6,7 @@ batch callers can map them to a uniform exit status.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -17,10 +17,14 @@ from .relations import FRACTION_BITS, PolarEigenvalue
 from .symbol import AffineSymbol, BoundednessReport
 
 
-def _as_number(x, what: str) -> float:
+def load_real(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidInputError(f"{what} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # a JSON integer past 1.8e308
+        raise InvalidInputError(
+            f"{what} is an integer of {x.bit_length()} bits, beyond the float range") from None
 
 
 def load_complex(x, what: str) -> complex:
@@ -30,10 +34,10 @@ def load_complex(x, what: str) -> complex:
         if extra:
             raise InvalidInputError(f"unexpected keys {sorted(extra)} in {what}")
         return complex(
-            _as_number(x.get("re", 0.0), f"{what}.re"),
-            _as_number(x.get("im", 0.0), f"{what}.im"),
+            load_real(x.get("re", 0.0), f"{what}.re"),
+            load_real(x.get("im", 0.0), f"{what}.im"),
         )
-    return complex(_as_number(x, what))
+    return complex(load_real(x, what))
 
 
 class Rows:
@@ -106,6 +110,12 @@ def _load_fraction(x, what: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _load_tag(x, what: str) -> str:
+    if not isinstance(x, str):
+        raise InvalidInputError(f"{what} must be a string tag, got {x!r}")
+    return x
+
+
 def load_exact_spec(doc) -> tuple:
     """Parse {"eigenvalues": [...]} into a tuple of PolarEigenvalue."""
     if not isinstance(doc, dict) or not isinstance(doc.get("eigenvalues"), list):
@@ -117,7 +127,7 @@ def load_exact_spec(doc) -> tuple:
             raise InvalidInputError(f"{what} must be an object")
         mod = e.get("modulus")
         if isinstance(mod, dict) and "log_generic" in mod:
-            modulus = str(mod["log_generic"])
+            modulus = _load_tag(mod["log_generic"], f"{what}.modulus.log_generic")
         else:
             modulus = _load_fraction(mod, f"{what}.modulus")
         arg = e.get("arg")
@@ -126,7 +136,7 @@ def load_exact_spec(doc) -> tuple:
         if "pi_rational" in arg:
             arg = _load_fraction(arg["pi_rational"], f"{what}.arg.pi_rational")
         elif "generic" in arg:
-            arg = str(arg["generic"])
+            arg = _load_tag(arg["generic"], f"{what}.arg.generic")
         else:
             raise InvalidInputError(
                 f"{what}.arg must carry 'pi_rational' or 'generic'"
@@ -179,15 +189,41 @@ def load_symbol(doc) -> AffineSymbol:
             )
     kwargs = {}
     if "tol" in doc:
-        kwargs["tol"] = _as_number(doc["tol"], "tol")
+        kwargs["tol"] = load_real(doc["tol"], "tol")
     return AffineSymbol(a, b, exact=exact, **kwargs)
+
+
+def _coefficient_columns(entries: list, dimension: int) -> dict | None:
+    """load_function's result, each of its checks made on a whole column by one set, min or
+    all; None when one fails."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    alphas, values = (list(map(dict.get, entries, repeat(k))) for k in ("alpha", "value"))
+    exponents = list(chain.from_iterable(alphas)) if set(map(type, alphas)) <= {list} else [None]
+    if set(map(type, exponents)) - {int} or set(map(len, alphas)) - {dimension}:
+        return None
+    parts = [values]  # the values, or their re and im parts
+    if set(map(type, values)) <= {dict} and all(map({"re", "im"}.issuperset, values)):
+        parts = [list(map(dict.get, values, repeat(k), repeat(0.0))) for k in ("re", "im")]
+    keys, z = list(map(tuple, alphas)), np.zeros(len(alphas), dtype=complex)
+    if min(exponents, default=0) < 0 or len(set(keys)) < len(keys) or set(
+            map(type, chain(*parts))) - {int, float}:
+        return None
+    try:
+        for view, part in zip((z.real, z.imag), parts):
+            view[:] = part
+    except OverflowError:  # an integer past the float range
+        return None
+    return dict(zip(keys, z.tolist()))
 
 
 def load_function(doc, dimension: int) -> dict:
     """Parse {"coefficients": [{"alpha": [...], "value": ...}, ...]}."""
     if not isinstance(doc, dict) or not isinstance(doc.get("coefficients"), list):
         raise InvalidInputError('function document must be {"coefficients": [...]}')
-    out = {}
+    if (out := _coefficient_columns(doc["coefficients"], dimension)) is not None:
+        return out
+    out = {}  # a check failed: the entries one by one, for the message of the first bad one
     for i, entry in enumerate(doc["coefficients"]):
         what = f"coefficients[{i}]"
         if not isinstance(entry, dict) or "alpha" not in entry or "value" not in entry:

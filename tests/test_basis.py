@@ -1,5 +1,6 @@
 """Graded monomial basis, monomial norms, and combinatorial helpers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from fockdyn.errors import BudgetError, InvalidInputError
 from fockdyn.fockmat.basis import (
+    BASIS_SIZE_BUDGET,
     graded_basis,
+    graded_positions,
     monomial_norm_sq_int,
     monomial_norms,
     multi_indices,
@@ -37,19 +40,37 @@ def test_monomial_norms_are_exact_integers():
     assert monomial_norm_sq_int((1,)) == 2
     assert monomial_norm_sq_int((2, 1)) == 2 ** 3 * 2
     assert monomial_norm_sq_int((3, 2)) == 2 ** 5 * 6 * 2
-    basis = graded_basis(2, 5)
-    norms = monomial_norms(basis.indices)
-    assert norms[basis.index_of[(2, 1)]] == pytest.approx(np.sqrt(16.0))
+    indices = multi_indices(2, 5)
+    norms = monomial_norms(indices)
+    assert norms[indices.index((2, 1))] == pytest.approx(np.sqrt(16.0))
     # each norm is the square root of the exact integer, rounded once
-    assert norms.tolist() == [math.sqrt(monomial_norm_sq_int(a)) for a in basis.indices]
+    assert norms.tolist() == [math.sqrt(monomial_norm_sq_int(a)) for a in indices]
 
 
 def test_graded_basis_lookup_roundtrip():
     basis = graded_basis(3, 4)
-    for i, alpha in enumerate(basis.indices):
-        assert basis.index_of[alpha] == i
-    block = basis.indices[basis.degree_slice(2)]
-    assert block and all(sum(a) == 2 for a in block)
+    assert basis.exponents.tolist() == [list(a) for a in multi_indices(3, 4)]
+    assert graded_positions(basis.exponents).tolist() == list(range(basis.size))
+    block = basis.exponents[basis.degree_slice(2)]
+    assert len(block) and (block.sum(axis=1) == 2).all()
+
+
+def test_multi_indices_are_sorted_by_degree_then_lexicographically():
+    for d in range(1, 5):
+        everything = itertools.product(range(6), repeat=d)
+        want = sorted((a for a in everything if sum(a) <= 5), key=lambda a: (sum(a), a))
+        assert multi_indices(d, 5) == want
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_graded_positions_follow_the_basis_order_up_to_the_budget_degree(d):
+    n = max(n for n in range(BASIS_SIZE_BUDGET) if math.comb(n + d, d) <= BASIS_SIZE_BUDGET)
+    indices = multi_indices(d, n)
+    assert len(indices) == math.comb(n + d, d) and len(set(indices)) == len(indices)
+    assert graded_positions(np.array(indices)).tolist() == list(range(len(indices)))
+    # any subset, in any order, keeps its positions
+    rows = np.random.default_rng(d).permutation(len(indices))[:500]
+    assert graded_positions(np.array([indices[i] for i in rows])).tolist() == rows.tolist()
 
 
 def test_graded_basis_budget():

@@ -1,12 +1,14 @@
 """Cyclicity classification, cyclic-vector tests, convex obstructions."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fockdyn.classify import (
     CyclicityStatus,
+    _classes_fit,
     classify_cyclicity,
     convex_obstruction_value,
     cyclic_vector_test,
@@ -108,6 +110,19 @@ def test_close_exact_eigenvalues_of_a_triangular_matrix_are_cyclic(a, moduli):
     exact = tuple(PolarEigenvalue(q, Fraction(0)) for q in moduli)
     verdict = classify_cyclicity(AffineSymbol(a, np.zeros(len(a)), exact=exact))
     assert verdict.status is CyclicityStatus.CYCLIC
+
+
+def test_equal_claims_are_packed_one_choice_at_a_time():
+    # 300 claims of modulus 1/2 fit any of 300 simple clusters of that modulus, and a tagged pair
+    # the double one: a search that stacked every choice at once would pass its budget here
+    clusters = [SimpleNamespace(value=0.5 * np.exp(1j * np.pi * (j + 0.5) / 301), algebraic_mult=1)
+                for j in range(301)]
+    clusters[-1].algebraic_mult = 2
+    exact = [PolarEigenvalue(Fraction(1, 2), f"t{j}") for j in range(300)]
+    exact += [PolarEigenvalue("r", "t")] * 2
+    assert _classes_fit(tuple(exact), SimpleNamespace(eigenvalues=clusters))
+    # a tagged triple fits no cluster even alone, which is seen before any choice is made
+    assert not _classes_fit(tuple(exact[1:] + exact[-1:]), SimpleNamespace(eigenvalues=clusters))
 
 
 def test_two_jordan_blocks_never_cyclic():

@@ -1254,3 +1254,83 @@ def test_orbit_rank_overflowing_truncation_exits_two(tmp_path, capsys, a, flags,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"fockdyn: unsupported input: the degree-{flags[1]} truncation of C overflows\n"
+
+
+HUGE = "1" + "0" * 400  # 10^400, a JSON integer past the float range
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("analyze", '{"dimension": 1, "A": [[%s]], "b": [0]}', "A[0][0]"),
+    ("analyze", '{"dimension": 1, "A": [[0.5]], "b": [{"re": 0, "im": %s}]}', "b[0].im"),
+    ("analyze", '{"dimension": 1, "A": [[0.5]], "b": [0], "tol": %s}', "tol"),
+    ("orbit-rank", '{"symbol": {"dimension": 1, "A": [[0.5]], "b": [0]}, "function": {"coefficients":'
+     ' [{"alpha": [1], "value": 1.0}, {"alpha": [2], "value": %s}]}}', "coefficients[1].value"),
+    ("demo-kronecker", '{"thetas": [1.0, %s], "target": [1, 1], "n_max": 10}', "thetas[1]"),
+])
+def test_integers_past_the_float_range_are_refused(tmp_path, capsys, command, text, field):
+    # float() of such an integer once raised OverflowError: a traceback and exit 1
+    path = tmp_path / "huge.json"
+    path.write_text(text % HUGE)
+    args = [command, str(path)] + (["--degree", "3"] if command == "orbit-rank" else [])
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == f"fockdyn: invalid input: {field} is an integer of 1329 bits, beyond the float range\n"
+
+
+TAGGED = {"modulus": {"log_generic": "r"}, "arg": {"generic": "t"}}
+OTHER = {"modulus": {"log_generic": "s"}, "arg": {"generic": "t"}}
+HALF = {"modulus": {"num": 1, "den": 2}, "arg": ZERO_ARG}
+DIAG = [[0.5, 0], [0, 0.3]]
+UNPACKED = ("exact eigenvalue data mismatches the matrix spectrum (each class of equal entries "
+            "needs one cluster, and no choice of clusters holds them all)")
+
+
+@pytest.mark.parametrize("a, eigenvalues, message", [
+    # two equal tagged claims on two distinct eigenvalues once gave the false relation (1, -1)
+    (DIAG, [TAGGED, TAGGED], UNPACKED),
+    # the pair fits the Jordan block, and 1/2 needs it too: once a false cyclic (0.25 = 0.5^2)
+    ([[0.5, 0.5, 0], [0, 0.5, 0], [0, 0, 0.25]], [TAGGED, TAGGED, HALF], UNPACKED),
+    # either pair fits the Jordan block, but not both: once a false relation of the second pair
+    ([[0.5, 0.5, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.3, 0], [0, 0, 0, 0.2]],
+     [TAGGED, TAGGED, OTHER, OTHER], UNPACKED),
+    # a null tag was read by str() as the tag "None"
+    (DIAG, [{"modulus": {"log_generic": None}, "arg": {"generic": "t"}},
+            {"modulus": {"log_generic": "None"}, "arg": {"generic": "t"}}],
+     "exact.eigenvalues[0].modulus.log_generic must be a string tag, got None"),
+    (DIAG, [TAGGED, {"modulus": {"log_generic": "s"}, "arg": {"generic": 1}}],
+     "exact.eigenvalues[1].arg.generic must be a string tag, got 1"),
+])
+def test_unfounded_exact_claims_are_refused(tmp_path, capsys, a, eigenvalues, message):
+    doc = {"dimension": len(a), "A": a, "b": [0] * len(a), "exact": {"eigenvalues": eigenvalues}}
+    assert main(["analyze", write_json(tmp_path / "sym.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"fockdyn: invalid input: {message}\n"
+
+
+def test_packing_equal_claims_has_a_budget(tmp_path, capsys):
+    # 15 claims of modulus 1/2 on 16 eigenvalues of modulus 1/2, 3/10 on a double 0.3 and a
+    # tagged pair: the pair fits nowhere, which the search sees only after its budget
+    values = [0.5 * np.exp(1j * np.pi * (j + 0.5) / 17) for j in range(16)] + [0.3, 0.3]
+    claims = [{"modulus": {"num": 1, "den": 2}, "arg": {"generic": f"t{j}"}} for j in range(15)]
+    claims += [{"modulus": {"num": 3, "den": 10}, "arg": {"generic": "q"}}, TAGGED, TAGGED]
+    doc = {"dimension": 18, "A": [[dump_complex(z) if i == j else 0 for j, z in enumerate(values)]
+                                  for i in range(18)], "b": [0] * 18,
+           "exact": {"eigenvalues": claims}}
+    assert main(["analyze", write_json(tmp_path / "sym.json", doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "fockdyn: budget exceeded: packing the classes of equal exact entries into the clusters "
+        "of the spectrum writes over 1e+06 cluster rooms\n")
+
+
+def test_equal_tagged_claims_on_one_cluster_are_kept(tmp_path):
+    # a double eigenvalue holds both claims: diagonal, the relation of the pair; one
+    # block of size two, a single eigenvalue after the pair is collapsed
+    verdict = exact_analyze(tmp_path, [0.5, 0.5], [TAGGED, TAGGED])
+    assert verdict["status"] == "not_cyclic"
+    assert [r["alpha"] for r in verdict["reasons"]] == [[1, -1]]
+    doc = {"dimension": 2, "A": [[0.5, 0.25], [0, 0.5]], "b": [0, 0],
+           "exact": {"eigenvalues": [TAGGED, TAGGED]}}
+    code, report = run_json(tmp_path, ["analyze", write_json(tmp_path / "block.json", doc)])
+    assert code == 0 and report["cyclicity"]["status"] == "cyclic"

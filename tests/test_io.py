@@ -178,3 +178,51 @@ def test_rows_refuse_mixed_leaf_columns():
         Rows(("alpha", "value"), (((0, 1), (0, 1)), [0.5, 1]))
     with pytest.raises(TypeError):
         Rows(("alpha",), [((0, 1), [0.5, 0.25])])
+
+
+def coefficients(*entries):
+    return {"coefficients": list(entries)}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (coefficients({"alpha": [True, 0], "value": 1.0}),
+     "coefficients[0].alpha must be nonnegative integers"),
+    (coefficients({"alpha": [0, 0], "value": 1.0}, {"alpha": [1, 0], "value": True}),
+     "coefficients[1].value must be a number, got True"),
+    (coefficients({"alpha": [0, 0], "value": {"re": 1.0, "im": False}}),
+     "coefficients[0].value.im must be a number, got False"),
+    (coefficients({"alpha": [0, 0], "value": {"re": 1.0, "imag": 2.0}}),
+     "unexpected keys ['imag'] in coefficients[0].value"),
+    (coefficients({"alpha": [1, 0], "value": 1.0}, {"alpha": [1, 0], "value": 2.0}),
+     "duplicate multi-index (1, 0)"),
+    (coefficients({"alpha": [0, 0], "value": 1.0}, {"alpha": [1], "value": 1.0}),
+     "coefficients[1].alpha has length 1, expected 2"),
+    (coefficients({"alpha": [0, 0]}), "coefficients[0] must carry 'alpha' and 'value'"),
+    (coefficients({"alpha": [0, 0], "value": 10**400}),
+     "coefficients[0].value is an integer of 1329 bits, beyond the float range"),
+    # the first bad entry is named, whatever the later ones hold
+    (coefficients({"alpha": [0, 0], "value": 1.0}, {"alpha": [0, 1], "value": "x"},
+                  {"alpha": [-1, 0], "value": 1.0}, {"alpha": [0, 1], "value": 1.0}),
+     "coefficients[1].value must be a number, got 'x'"),
+    (coefficients({"alpha": [0, 1], "value": 1.0}, {"alpha": [0, 1], "value": None}),
+     "duplicate multi-index (0, 1)"),
+])
+def test_function_refusals_name_the_first_bad_entry(doc, message):
+    with pytest.raises(InvalidInputError) as info:
+        load_function(doc, dimension=2)
+    assert str(info.value) == message
+
+
+def test_function_values_load_as_numbers_or_parts():
+    bare = load_function(coefficients(
+        {"alpha": [0, 0], "value": 2}, {"alpha": [1, 0], "value": -0.5},
+        {"alpha": [0, 3], "value": 2**70}), dimension=2)
+    assert bare == {(0, 0): 2 + 0j, (1, 0): -0.5 + 0j, (0, 3): complex(float(2**70))}
+    assert set(map(type, bare.values())) == {complex}
+    parts = load_function(coefficients(
+        {"alpha": [0, 0], "value": {"re": -0.0}}, {"alpha": [2, 0], "value": {"im": 3}},
+        {"alpha": [0, 1], "value": 1.5}), dimension=2)
+    assert list(parts) == [(0, 0), (2, 0), (0, 1)]
+    assert parts == {(0, 0): 0j, (2, 0): 3j, (0, 1): 1.5 + 0j}
+    assert str(parts[(0, 0)]) == "(-0+0j)"
+    assert load_function(coefficients(), dimension=3) == {}

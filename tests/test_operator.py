@@ -43,14 +43,16 @@ def column_loop_matrix(a, b, basis):
     ||z^gamma|| / ||z^alpha||, the square root of an exact ratio of integers.
     """
     d = basis.d
+    indices = multi_indices(d, basis.max_degree)
+    position = {alpha: i for i, alpha in enumerate(indices)}
 
     def mul(x, y):
         return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
     images = [{(0,) * d: (Fraction(1), Fraction(0))}]
-    for alpha in basis.indices[1:]:
+    for alpha in indices[1:]:
         k = next(j for j in range(d) if alpha[j] > 0)
-        parent = images[basis.index_of[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]]]
+        parent = images[position[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]]]
         image = {}
         for gamma, c in parent.items():
             terms = [(gamma, b[k])] + [
@@ -62,10 +64,10 @@ def column_loop_matrix(a, b, basis):
                 image[beta] = (re + add[0], im + add[1])
         images.append(image)
     want = np.zeros((basis.size, basis.size), dtype=complex)
-    for j, (alpha, image) in enumerate(zip(basis.indices, images)):
+    for j, (alpha, image) in enumerate(zip(indices, images)):
         for gamma, (re, im) in image.items():
             ratio = math.sqrt(Fraction(monomial_norm_sq_int(gamma), monomial_norm_sq_int(alpha)))
-            want[basis.index_of[gamma], j] = complex(float(re), float(im)) * ratio
+            want[position[gamma], j] = complex(float(re), float(im)) * ratio
     return want
 
 

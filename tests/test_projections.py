@@ -12,6 +12,7 @@ from fockdyn.fockmat import experiments, projections
 from fockdyn.fockmat.basis import graded_basis, multi_indices
 from fockdyn.fockmat.experiments import (
     RANK_REL_TOL,
+    _coeff_vector,
     adjoint_pairing_check,
     chain_stability_threshold,
     jordan_coefficient_bound_check,
@@ -265,12 +266,13 @@ def rank_and_margin(s):
 def full_matrix_orbit_rank(sym, f, degree, steps, projector):
     """Reference: the orbit iterated on the whole degree-<=N matrix, then masked."""
     mat = assemble_truncated(sym, degree)
-    basis = graded_basis(sym.dimension, degree)
-    mask = np.array([projector is None or sum(a) == projector for a in basis.indices])
-    x = np.zeros(basis.size, dtype=complex)
+    indices = multi_indices(sym.dimension, degree)
+    position = {alpha: i for i, alpha in enumerate(indices)}
+    mask = np.array([projector is None or sum(a) == projector for a in indices])
+    x = np.zeros(len(indices), dtype=complex)
     for alpha, c in f.items():
         # orthonormal coordinates: c ||z^alpha||, ||z^alpha||^2 = 2^|alpha| alpha!
-        x[basis.index_of[alpha]] = c * math.sqrt(2 ** sum(alpha) * math.prod(map(math.factorial, alpha)))
+        x[position[alpha]] = c * math.sqrt(2 ** sum(alpha) * math.prod(map(math.factorial, alpha)))
     cols = []
     for _ in range(steps):
         x = x / np.linalg.norm(x)
@@ -379,3 +381,30 @@ def test_kronecker_demo_improves_with_budget():
     assert 1 <= n1 <= 50 and 1 <= n2 <= 5000
     assert e2 <= e1
     assert e2 < 0.2
+
+
+@pytest.mark.parametrize("projector", [None, 0, 2, 5])
+def test_orbit_places_only_the_rows_of_its_block(projector):
+    rng = np.random.default_rng(1)
+    f = {alpha: complex(rng.normal(), rng.normal()) for alpha in multi_indices(3, 5)}
+    f = dict(list(f.items())[::-1][:40])  # a sparse f, its entries out of order
+    basis = graded_basis(3, 5)
+    lo = basis.degree_slice(projector or 0).start
+    full = _coeff_vector(f, basis, 0)
+    assert np.array_equal(_coeff_vector(f, basis, lo), full[lo:])
+    want = np.zeros(basis.size, dtype=complex)
+    for i, alpha in enumerate(multi_indices(3, 5)):
+        want[i] = f.get(alpha, 0) * math.sqrt(2 ** sum(alpha) * math.prod(map(math.factorial, alpha)))
+    assert np.array_equal(full, want)
+
+
+@pytest.mark.parametrize("key, error", [
+    ((1,), "coefficient index \\(1,\\) outside degree-3 basis"),
+    ((1, 0, 0), "coefficient index \\(1, 0, 0\\) outside degree-3 basis"),
+    ((2, -1), "negative entry in multi-index \\(2, -1\\)"),
+])
+def test_orbit_refuses_indices_outside_the_basis(key, error):
+    sym = AffineSymbol(np.diag([0.5, 0.3]), np.zeros(2))
+    for projector in (None, 3, 4):
+        with pytest.raises(InvalidInputError, match=error):
+            orbit_krylov_rank(sym, {(0, 0): 1.0, key: 1.0}, degree=3, steps=4, projector=projector)
