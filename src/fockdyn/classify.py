@@ -7,7 +7,9 @@ exactly two, and the eigenvalue list (repeated by geometric multiplicity)
 admits no nonzero integer power combination equal to one.  The last
 condition is number-theoretic: a definite positive answer requires exact
 polar eigenvalue data, and purely numerical inputs can at best be
-"undecided up to a search height".
+"undecided up to a search height".  Exact claims meet the spectrum once, in
+`_placement`, which packs each class of equal entries into one cluster; a
+cluster with a Jordan block is one eigenvalue, and one class fills it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import collections
 import dataclasses
 import enum
 import math
+import operator
 
 import numpy as np
-import scipy.optimize
 
 from .errors import BudgetError, InvalidInputError
 from .fockmat.basis import BASIS_SIZE_BUDGET, multi_indices
@@ -37,8 +39,11 @@ from .symbol import AffineSymbol
 DEFAULT_SEARCH_HEIGHT = 12
 EXACT_MATCH_TOL = 1e-8
 # Cap on the cluster rooms that the search packing equal exact entries into clusters writes, one
-# tuple of rooms per state it tries: at most 8 MB of tuples
+# tuple of rooms per state it tries, past those of one descent (a tuple per class, so no more
+# rooms than A has entries): at most 8 MB of tuples more
 CLASS_SEARCH_BUDGET = 1_000_000
+UNPACKED = ("exact eigenvalue data mismatches the matrix spectrum (each class of equal entries "
+            "needs one cluster, and no choice of clusters holds them all)")
 
 
 class CyclicityStatus(enum.Enum):
@@ -77,11 +82,14 @@ def _not_cyclic(code: str, text: str, alpha=None, search_height=None) -> Cyclici
     )
 
 
-def _pair_alpha(d: int, i: int, j: int) -> tuple:
-    """e_i - e_j, the relation lambda_i / lambda_j = 1 of an equal pair."""
-    alpha = [0] * d
-    alpha[i], alpha[j] = 1, -1
-    return tuple(alpha)
+def _equal_pair_alpha(values, same) -> tuple | None:
+    """e_i - e_j, the relation lambda_i / lambda_j = 1, for the first i < j in lexicographic
+    order with same(values[i], values[j]); None when there is no such pair."""
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if same(values[i], values[j]):
+                return tuple(int(k == i) - int(k == j) for k in range(len(values)))
+    return None
 
 
 def _jordan_acceptable(spec: SpectralData) -> bool:
@@ -89,34 +97,56 @@ def _jordan_acceptable(spec: SpectralData) -> bool:
     return [s for info in spec.eigenvalues for s in info.block_sizes if s >= 2] in ([], [2])
 
 
-def _exact_residual(e, w: complex) -> float:
+def _exact_residuals(e, values) -> list:
     """|e - w| if e is rational, ||e| - |w|| if its modulus is, else 0 (nothing numeric)."""
     if isinstance(e.modulus, str):
-        return 0.0
+        return [0.0] * len(values)
+    r = float(e.modulus)
     if isinstance(e.arg, str):
-        return abs(float(e.modulus) - abs(w))
-    return abs(float(e.modulus) * np.exp(1j * math.pi * float(e.arg)) - w)
+        return [abs(r - abs(w)) for w in values]
+    z = complex(r * np.exp(1j * math.pi * float(e.arg)))
+    return [abs(z - w) for w in values]
 
 
-def _classes_fit(exact, spec: SpectralData) -> bool:
-    """Whether the classes of equal entries pack into the clusters of the spectrum, each inside
-    one cluster it matches, none over its algebraic multiplicity: a depth-first search, tightest
-    cluster first, that drops a (class, rooms left) state it has seen.  Tagged classes come last
-    and match every cluster, so they try one cluster per room left, and a single tagged entry
-    fits whatever room the others leave."""
-    classes = [(e, k, isinstance(e.modulus, str)) for e, k in collections.Counter(exact).items()]
-    classes = sorted((c for c in classes if c[1] > 1 or not c[2]), key=lambda c: (c[2], -c[1]))
-    values = [info.value for info in spec.eigenvalues]
-    room = [info.algebraic_mult for info in spec.eigenvalues]
+def _placement(exact, spec: SpectralData) -> list:
+    """The one match of the exact entries to the clusters of the spectrum: (entry, cluster)
+    for each class of equal entries.  A class lies inside one cluster it matches by
+    `_exact_residuals`, no cluster holds more entries than its algebraic multiplicity, and a
+    cluster with a Jordan block is one eigenvalue, which one class fills.  A depth-first
+    search places rational moduli and larger classes first, each in the tightest cluster
+    first, drops a (class, rooms left) state it has seen, and tries one cluster of each kind:
+    clusters that the same classes fit, with the same Jordan flag and room left, are
+    interchangeable.  Raises InvalidInputError when no packing holds."""
+    classes = sorted(collections.Counter(exact).items(),
+                     key=lambda c: (isinstance(c[0].modulus, str), -c[1]))
+    infos = spec.eigenvalues
+    values = [info.value for info in infos]
+    room = [info.algebraic_mult for info in infos]
+    jordan = [info.block_sizes[0] > 1 for info in infos]
+    kind = [0] * len(infos)  # bit c set: class c fits the cluster
 
-    def tries(e, k, tagged):  # only room tells clusters apart for the tagged classes left
-        fits = {(r if tagged else j): j for j, (w, r) in enumerate(zip(values, room))
-                if r >= k and _exact_residual(e, w) <= EXACT_MATCH_TOL}
-        return sorted(fits.values(), key=room.__getitem__)
+    def holds(j, k):  # a Jordan cluster takes one class, all of it
+        return k == room[j] if jordan[j] else k <= room[j]
 
-    if not all(tries(*c) for c in classes):  # a class that fits no cluster even alone
-        return False
-    placed, untried, seen, work = [], [iter(tries(*classes[0]))] if classes else [], set(), 0
+    fits = []
+    for c, (e, k) in enumerate(classes):
+        residual = _exact_residuals(e, values)
+        if min(residual) > EXACT_MATCH_TOL:
+            raise InvalidInputError(
+                f"exact eigenvalue data mismatches the matrix spectrum (the smallest residual "
+                f"of exact.eigenvalues[{exact.index(e)}] is {min(residual):.3e})")
+        fits.append([j for j, r in enumerate(residual) if r <= EXACT_MATCH_TOL and holds(j, k)])
+        for j in fits[-1]:
+            kind[j] |= 1 << c
+    if not all(fits):  # a class that fits no cluster even alone
+        raise InvalidInputError(UNPACKED)
+
+    def tries(i):  # one cluster of each kind that class i fits now, tightest first
+        k = classes[i][1]
+        return sorted({(kind[j], jordan[j], room[j]): j for j in fits[i] if holds(j, k)}.values(),
+                      key=room.__getitem__)
+
+    placed, untried, seen, work = [], [iter(tries(0))], set(), -len(classes) * len(room)
     while untried:  # untried[i]: the clusters class i has yet to try, placed[i]: its cluster
         i, j = len(placed), next(untried[-1], None)
         if j is None:  # class i fits nowhere now: take class i - 1 out again
@@ -125,7 +155,7 @@ def _classes_fit(exact, spec: SpectralData) -> bool:
                 room[placed.pop()] += classes[i - 1][1]
             continue
         if i + 1 == len(classes):
-            return True
+            return [(e, infos[p]) for (e, _), p in zip(classes, placed + [j])]
         room[j] -= classes[i][1]
         work += len(room)
         if work > CLASS_SEARCH_BUDGET:
@@ -136,47 +166,8 @@ def _classes_fit(exact, spec: SpectralData) -> bool:
         else:
             seen.add((i, tuple(room)))
             placed.append(j)
-            untried.append(iter(tries(*classes[i + 1])))
-    return not classes
-
-
-def _validate_exact_match(sym: AffineSymbol, spec: SpectralData):
-    """Cross-check the supplied exact polar data against the numeric spectrum.
-
-    Entries with a fully rational value are matched by value, entries with a
-    rational modulus by modulus only; entries with a tagged modulus constrain
-    nothing numerically.  A minimum-cost assignment above tolerance means
-    the exact data describes a different matrix; so do k > 1 equal entries
-    (one eigenvalue claimed k times) that no packing of the classes into the
-    clusters of the spectrum holds.
-    """
-    exact = sym.exact
-    numeric = [info.value for info in spec.eigenvalues for _ in range(info.algebraic_mult)]
-    if len(exact) != len(numeric):
-        raise InvalidInputError(
-            f"exact data lists {len(exact)} eigenvalues, matrix has {len(numeric)}"
-        )
-    cost = np.array([[_exact_residual(e, w) for w in numeric] for e in exact])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max())
-    if worst > EXACT_MATCH_TOL:
-        raise InvalidInputError(
-            f"exact eigenvalue data mismatches the matrix spectrum "
-            f"(assignment residual {worst:.3e})"
-        )
-    if len(set(exact)) < len(exact) and not _classes_fit(exact, spec):
-        raise InvalidInputError(
-            "exact eigenvalue data mismatches the matrix spectrum (each class of equal "
-            "entries needs one cluster, and no choice of clusters holds them all)"
-        )
-
-
-def _exact_duplicate_pair(exact) -> tuple | None:
-    for i in range(len(exact)):
-        for j in range(i + 1, len(exact)):
-            if exact[i] == exact[j]:
-                return (i, j)
-    return None
+            untried.append(iter(tries(i + 1)))
+    raise InvalidInputError(UNPACKED)
 
 
 def classify_cyclicity(
@@ -209,23 +200,14 @@ def classify_cyclicity(
 
 
 def _classify_exact(sym: AffineSymbol, spec: SpectralData) -> CyclicityVerdict:
-    _validate_exact_match(sym, spec)
     exact = list(sym.exact)
-    if any(2 in info.block_sizes for info in spec.eigenvalues):  # the one size-2 block
-        pair = _exact_duplicate_pair(exact)
-        if pair is None:
-            raise InvalidInputError(
-                "matrix has a size-2 Jordan block but the exact eigenvalue "
-                "list contains no repeated value"
-            )
-        del exact[pair[1]]  # collapse the algebraic pair to one entry
-    dup = _exact_duplicate_pair(exact)
-    if dup is not None:
-        return _not_cyclic(
-            "RELATION_FOUND",
-            "two equal eigenvalues give the power relation lambda_i / lambda_j = 1",
-            _pair_alpha(len(exact), *dup),
-        )
+    for e, info in _placement(exact, spec):
+        if info.block_sizes[0] > 1:  # a size-2 block is one eigenvalue: drop its second entry
+            del exact[exact.index(e, exact.index(e) + 1)]
+    alpha = _equal_pair_alpha(exact, operator.eq)
+    if alpha is not None:
+        return _not_cyclic("RELATION_FOUND", "two equal eigenvalues give the power relation "
+                           "lambda_i / lambda_j = 1", alpha)
     result = exact_relation_decide(tuple(exact))
     if result.status is RelationStatus.FOUND:
         return _not_cyclic(
@@ -250,15 +232,10 @@ def _classify_numeric(
     lam = geometric_eigenvalue_list(spec)
     # duplicates at cluster resolution
     near = 2 * MERGE_DISTANCE * float(sym.svd[1][0])
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            if abs(lam[i] - lam[j]) <= near:
-                return _not_cyclic(
-                    "RELATION_FOUND",
-                    "two numerically equal eigenvalues give the power "
-                    "relation lambda_i / lambda_j = 1",
-                    _pair_alpha(len(lam), i, j),
-                )
+    alpha = _equal_pair_alpha(lam, lambda x, y: abs(x - y) <= near)
+    if alpha is not None:
+        return _not_cyclic("RELATION_FOUND", "two numerically equal eigenvalues give the power "
+                           "relation lambda_i / lambda_j = 1", alpha)
     result = numeric_relation_search(lam, search_height)
     if result.status is RelationStatus.FOUND:
         return _not_cyclic(

@@ -350,10 +350,8 @@ def _cmd_demo_kronecker(ns: argparse.Namespace):
         raise InvalidInputError(
             'demo-kronecker input needs "thetas" and "target" lists'
         )
-    if not all(type(t) in (int, float) for t in doc["thetas"]):
-        raise InvalidInputError("thetas must be real numbers")
     thetas = [load_real(t, f"thetas[{i}]") for i, t in enumerate(doc["thetas"])]
-    target = [load_complex(t, "target entry") for t in doc["target"]]
+    target = [load_complex(t, f"target[{i}]") for i, t in enumerate(doc["target"])]
     n_max = ns.n_max if ns.n_max is not None else doc.get("n_max")
     if n_max is None:
         raise InvalidInputError("n_max is required (flag --n-max or input field)")

@@ -183,10 +183,6 @@ def load_symbol(doc) -> AffineSymbol:
     exact = None
     if doc.get("exact") is not None:
         exact = load_exact_spec(doc["exact"])
-        if len(exact) != d:
-            raise InvalidInputError(
-                f"exact data lists {len(exact)} eigenvalues for dimension {d}"
-            )
     kwargs = {}
     if "tol" in doc:
         kwargs["tol"] = load_real(doc["tol"], "tol")

@@ -309,7 +309,8 @@ def exact_relation_decide(eigs: tuple) -> RelationResult:
     # scaling the phase to an even integer
     free = [tuple(sum(x * basis[i][j] for i, x in enumerate(coefs)) for j in range(len(eigs)))
             for coefs in sub]
-    # keep the certificate search around 10^6 candidates
+    # near 10^6 candidates up to 12 free vectors (at most 1.95e6, at 9); the bound is 1 from 10
+    # on, so from 13 the box grows as 3^n (4.8e6 at 14) until CERTIFICATE_ROW_BUDGET refuses it
     bound = max(1, int(round(10 ** (6 / len(free)) - 1)) // 2)
     bound = min(bound, 6)
     rows = (2 * bound + 1) ** len(free)

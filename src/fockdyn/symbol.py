@@ -66,6 +66,9 @@ class AffineSymbol:
     def __post_init__(self):
         a = as_complex_matrix(self.a)
         b = as_complex_vector(self.b, a.shape[0])
+        if self.exact is not None and len(self.exact) != a.shape[0]:
+            raise InvalidInputError(
+                f"exact data lists {len(self.exact)} eigenvalues for dimension {a.shape[0]}")
         if not (0 < self.tol < 1):
             raise InvalidInputError(f"tol must lie in (0, 1), got {self.tol}")
         a.setflags(write=False)

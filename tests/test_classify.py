@@ -8,7 +8,7 @@ import pytest
 
 from fockdyn.classify import (
     CyclicityStatus,
-    _classes_fit,
+    _placement,
     classify_cyclicity,
     convex_obstruction_value,
     cyclic_vector_test,
@@ -115,14 +115,24 @@ def test_close_exact_eigenvalues_of_a_triangular_matrix_are_cyclic(a, moduli):
 def test_equal_claims_are_packed_one_choice_at_a_time():
     # 300 claims of modulus 1/2 fit any of 300 simple clusters of that modulus, and a tagged pair
     # the double one: a search that stacked every choice at once would pass its budget here
-    clusters = [SimpleNamespace(value=0.5 * np.exp(1j * np.pi * (j + 0.5) / 301), algebraic_mult=1)
-                for j in range(301)]
-    clusters[-1].algebraic_mult = 2
+    clusters = [SimpleNamespace(value=0.5 * np.exp(1j * np.pi * (j + 0.5) / 301), algebraic_mult=1,
+                                block_sizes=(1,)) for j in range(301)]
+    clusters[-1].algebraic_mult, clusters[-1].block_sizes = 2, (1, 1)
     exact = [PolarEigenvalue(Fraction(1, 2), f"t{j}") for j in range(300)]
     exact += [PolarEigenvalue("r", "t")] * 2
-    assert _classes_fit(tuple(exact), SimpleNamespace(eigenvalues=clusters))
+    assert _placement(tuple(exact), SimpleNamespace(eigenvalues=clusters))
     # a tagged triple fits no cluster even alone, which is seen before any choice is made
-    assert not _classes_fit(tuple(exact[1:] + exact[-1:]), SimpleNamespace(eigenvalues=clusters))
+    with pytest.raises(InvalidInputError, match="no choice of clusters holds them all"):
+        _placement(tuple(exact[1:] + exact[-1:]), SimpleNamespace(eigenvalues=clusters))
+
+
+def test_one_descent_is_not_charged_to_the_search_budget():
+    # 1001 tagged entries on 1001 simple clusters: placing each once writes 1001 tuples of 1001
+    # rooms, past the budget, but no more rooms than A has entries
+    clusters = [SimpleNamespace(value=0.5 * np.exp(1j * np.pi * (j + 0.5) / 1001), algebraic_mult=1,
+                                block_sizes=(1,)) for j in range(1001)]
+    exact = tuple(PolarEigenvalue(f"r{j}", f"t{j}") for j in range(1001))
+    assert len(_placement(exact, SimpleNamespace(eigenvalues=clusters))) == 1001
 
 
 def test_two_jordan_blocks_never_cyclic():

@@ -175,6 +175,18 @@ def test_demo_kronecker_refuses_bad_angles(tmp_path, capsys, thetas):
     assert out == "" and err.startswith("fockdyn: invalid input: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"thetas": [0.5, true], "target": [1, -1], "n_max": 5}', "thetas[1] must be a number, got True"),
+    ('{"thetas": [0.5, 1.5], "target": [1, "x"], "n_max": 5}', "target[1] must be a number, got 'x'"),
+])
+def test_demo_kronecker_names_the_bad_entry(tmp_path, capsys, text, message):
+    path = tmp_path / "kron.json"
+    path.write_text(text)
+    assert main(["demo-kronecker", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"fockdyn: invalid input: {message}\n"
+
+
 def test_demo_kronecker_budget_exits_three_at_once(tmp_path, capsys):
     doc = {"thetas": [0.5, 1.5], "target": [1, -1], "n_max": 10**12}
     path = write_json(tmp_path / "kron.json", doc)
@@ -509,13 +521,16 @@ def test_function_coefficients_must_be_a_list(tmp_path, capsys, coefficients):
     assert err == 'fockdyn: invalid input: function document must be {"coefficients": [...]}\n'
 
 
+def diagonal(values) -> list:
+    return [[dump_complex(z) if i == j else 0 for j, z in enumerate(values)] for i in range(len(values))]
+
+
 def exact_analyze(tmp_path, values, eigenvalues) -> dict:
     """The cyclicity verdict of analyze on A = diag(values), b = 0, with the
     given exact entries."""
     doc = {
         "dimension": len(values),
-        "A": [[dump_complex(z) if i == j else 0 for j, z in enumerate(values)]
-              for i in range(len(values))],
+        "A": diagonal(values),
         "b": [0] * len(values),
         "exact": {"eigenvalues": eigenvalues},
     }
@@ -1281,7 +1296,16 @@ def test_integers_past_the_float_range_are_refused(tmp_path, capsys, command, te
 TAGGED = {"modulus": {"log_generic": "r"}, "arg": {"generic": "t"}}
 OTHER = {"modulus": {"log_generic": "s"}, "arg": {"generic": "t"}}
 HALF = {"modulus": {"num": 1, "den": 2}, "arg": ZERO_ARG}
+TENTH3 = {"modulus": {"num": 3, "den": 10}, "arg": ZERO_ARG}
 DIAG = [[0.5, 0], [0, 0.3]]
+JORDAN_AND_DOUBLE = [[0.5, 0.25, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.3, 0], [0, 0, 0, 0.3]]
+ARC16 = [0.5 * np.exp(1j * np.pi * (j + 0.5) / 17) for j in range(16)]
+
+
+def half_with_arg(j: int) -> dict:
+    return {"modulus": {"num": 1, "den": 2}, "arg": {"generic": f"t{j}"}}
+
+
 UNPACKED = ("exact eigenvalue data mismatches the matrix spectrum (each class of equal entries "
             "needs one cluster, and no choice of clusters holds them all)")
 
@@ -1300,23 +1324,68 @@ UNPACKED = ("exact eigenvalue data mismatches the matrix spectrum (each class of
      "exact.eigenvalues[0].modulus.log_generic must be a string tag, got None"),
     (DIAG, [TAGGED, {"modulus": {"log_generic": "s"}, "arg": {"generic": 1}}],
      "exact.eigenvalues[1].arg.generic must be a string tag, got 1"),
+    # a Jordan block is one eigenvalue, which two distinct tagged entries do not claim
+    ([[0.5, 0.25], [0, 0.5]], [TAGGED, OTHER], UNPACKED),
+    # the same with a pair 3/10 on a double 0.3: once the pair was collapsed instead, a false
+    # cyclic where the numeric path says not_cyclic
+    (JORDAN_AND_DOUBLE, [TAGGED, OTHER, TENTH3, TENTH3], UNPACKED),
+    # 17 claims of modulus 1/2 on 16 eigenvalues of that modulus and 0.3: the pigeonhole is
+    # seen at once, one cluster of the 16 tried per claim
+    (diagonal(ARC16 + [0.3]), [half_with_arg(j) for j in range(17)], UNPACKED),
+    # 15 such claims, 3/10 on a double 0.3 and a tagged pair, which fits nowhere (once exit 3
+    # at the search budget)
+    (diagonal(ARC16 + [0.3, 0.3]),
+     [half_with_arg(j) for j in range(15)] + [{**TENTH3, "arg": {"generic": "q"}}, TAGGED, TAGGED],
+     UNPACKED),
+    # a claim that fits no eigenvalue is named with its smallest residual
+    (DIAG, [HALF, {"modulus": {"num": 1, "den": 10}, "arg": ZERO_ARG}],
+     "exact eigenvalue data mismatches the matrix spectrum (the smallest residual of "
+     "exact.eigenvalues[1] is 2.000e-01)"),
 ])
 def test_unfounded_exact_claims_are_refused(tmp_path, capsys, a, eigenvalues, message):
     doc = {"dimension": len(a), "A": a, "b": [0] * len(a), "exact": {"eigenvalues": eigenvalues}}
+    start = time.perf_counter()
     assert main(["analyze", write_json(tmp_path / "sym.json", doc)]) == 2
+    assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and err == f"fockdyn: invalid input: {message}\n"
 
 
+def test_exact_data_of_the_wrong_length_is_refused(tmp_path, capsys):
+    doc = {"dimension": 2, "A": DIAG, "b": [0, 0], "exact": {"eigenvalues": [HALF]}}
+    assert main(["analyze", write_json(tmp_path / "sym.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "fockdyn: invalid input: exact data lists 1 eigenvalues for dimension 2\n"
+
+
+def test_claims_are_matched_by_their_worst_residual(tmp_path):
+    # each claim lies within 1e-8 of its own eigenvalue, 0.95e-8 and 0.5e-8; a match that
+    # minimized the sum of the residuals put the first on the second eigenvalue, the second
+    # 1.07e-8 from the first, and refused the claims
+    modulus = {"num": 100000019, "den": 2000000000}
+    verdict = exact_analyze(tmp_path, [0.05, 0.0500000095], [
+        {"modulus": modulus, "arg": ZERO_ARG},
+        {"modulus": modulus, "arg": {"pi_rational": {"num": 1, "den": 31415927}}},
+    ])
+    assert verdict["status"] == "not_cyclic"
+
+
+def test_the_jordan_pair_is_the_class_on_the_block(tmp_path):
+    # the entries 1/2 fill the Jordan block and count once; the pair 3/10 is the double 0.3
+    doc = {"dimension": 4, "A": JORDAN_AND_DOUBLE, "b": [0] * 4,
+           "exact": {"eigenvalues": [TENTH3, TENTH3, HALF, HALF]}}
+    code, report = run_json(tmp_path, ["analyze", write_json(tmp_path / "sym.json", doc)])
+    assert code == 0 and report["cyclicity"]["status"] == "not_cyclic"
+    assert [r["alpha"] for r in report["cyclicity"]["reasons"]] == [[1, -1, 0]]
+
+
 def test_packing_equal_claims_has_a_budget(tmp_path, capsys):
-    # 15 claims of modulus 1/2 on 16 eigenvalues of modulus 1/2, 3/10 on a double 0.3 and a
-    # tagged pair: the pair fits nowhere, which the search sees only after its budget
-    values = [0.5 * np.exp(1j * np.pi * (j + 0.5) / 17) for j in range(16)] + [0.3, 0.3]
-    claims = [{"modulus": {"num": 1, "den": 2}, "arg": {"generic": f"t{j}"}} for j in range(15)]
-    claims += [{"modulus": {"num": 3, "den": 10}, "arg": {"generic": "q"}}, TAGGED, TAGGED]
-    doc = {"dimension": 18, "A": [[dump_complex(z) if i == j else 0 for j, z in enumerate(values)]
-                                  for i in range(18)], "b": [0] * 18,
-           "exact": {"eigenvalues": claims}}
+    # clusters of multiplicities 1 to 10 cannot hold 27 tagged pairs and one tagged entry: each
+    # of the five clusters of odd multiplicity needs a single entry, which the search sees only
+    # after its budget
+    values = [0.5 * np.exp(1j * np.pi * (j + 0.5) / 10) for j in range(10) for _ in range(j + 1)]
+    claims = [{"modulus": {"log_generic": f"r{c // 2}"}, "arg": {"generic": "t"}} for c in range(55)]
+    doc = {"dimension": 55, "A": diagonal(values), "b": [0] * 55, "exact": {"eigenvalues": claims}}
     assert main(["analyze", write_json(tmp_path / "sym.json", doc)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == (

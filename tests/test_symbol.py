@@ -1,5 +1,7 @@
 """Symbol validation, boundedness and compactness, fixed points."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from fockdyn.classify import classify_cyclicity
 from fockdyn.errors import InvalidInputError, NoFixedPointError
 from fockdyn.fockmat.enumeration import approx_numbers
 from fockdyn.fockmat.operator import truncated_spectrum
+from fockdyn.relations import PolarEigenvalue
 from fockdyn.spectral import linear_form_basis
 from fockdyn.symbol import AffineSymbol, check_boundedness, fixed_point
 
@@ -21,6 +24,14 @@ def test_symbol_validates_shapes():
         AffineSymbol([[0.5]], [0.0, 0.0])
     with pytest.raises(InvalidInputError):
         AffineSymbol([[float("inf")]], [0.0])
+
+
+def test_exact_data_lists_one_eigenvalue_per_dimension():
+    # checked where the symbol is made, before any analysis reads the claims
+    half = PolarEigenvalue(Fraction(1, 2), Fraction(0))
+    with pytest.raises(InvalidInputError, match=r"^exact data lists 2 eigenvalues for dimension 1$"):
+        AffineSymbol([[0.5]], [0.0], exact=(half, half))
+    assert AffineSymbol([[0.5]], [0.0], exact=(half,)).exact == (half,)
 
 
 def test_symbol_takes_arrays_in_any_memory_order():
