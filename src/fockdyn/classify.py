@@ -113,39 +113,43 @@ def _placement(exact, spec: SpectralData) -> list:
     for each class of equal entries.  A class lies inside one cluster it matches by
     `_exact_residuals`, no cluster holds more entries than its algebraic multiplicity, and a
     cluster with a Jordan block is one eigenvalue, which one class fills.  A depth-first
-    search places rational moduli and larger classes first, each in the tightest cluster
-    first, drops a (class, rooms left) state it has seen, and tries one cluster of each kind:
-    clusters that the same classes fit, with the same Jordan flag and room left, are
-    interchangeable.  Raises InvalidInputError when no packing holds."""
-    classes = sorted(collections.Counter(exact).items(),
-                     key=lambda c: (isinstance(c[0].modulus, str), -c[1]))
+    search places rational moduli, larger classes and classes that fit fewer clusters first,
+    each in the tightest cluster first, drops a (class, rooms left) state it has seen or that
+    leaves a room no class still to place fits, and tries one cluster of each kind: clusters
+    that the same classes still to place fit, with the same Jordan flag and room left, are
+    interchangeable.  Raises InvalidInputError when no packing holds, also when the search
+    passes its budget and a maximum matching shows that the entries do not fit the
+    eigenvalues even one by one; else BudgetError."""
     infos = spec.eigenvalues
     values = [info.value for info in infos]
     room = [info.algebraic_mult for info in infos]
     jordan = [info.block_sizes[0] > 1 for info in infos]
-    kind = [0] * len(infos)  # bit c set: class c fits the cluster
 
     def holds(j, k):  # a Jordan cluster takes one class, all of it
         return k == room[j] if jordan[j] else k <= room[j]
 
-    fits = []
-    for c, (e, k) in enumerate(classes):
+    classes = []  # (entry, count, the clusters it fits alone)
+    for e, k in collections.Counter(exact).items():
         residual = _exact_residuals(e, values)
         if min(residual) > EXACT_MATCH_TOL:
             raise InvalidInputError(
                 f"exact eigenvalue data mismatches the matrix spectrum (the smallest residual "
                 f"of exact.eigenvalues[{exact.index(e)}] is {min(residual):.3e})")
-        fits.append([j for j, r in enumerate(residual) if r <= EXACT_MATCH_TOL and holds(j, k)])
-        for j in fits[-1]:
+        classes.append((e, k, [j for j, r in enumerate(residual)
+                               if r <= EXACT_MATCH_TOL and holds(j, k)]))
+    classes.sort(key=lambda c: (isinstance(c[0].modulus, str), -c[1], len(c[2])))
+    kind = [0] * len(infos)  # bit c set: class c fits the cluster
+    for c, (_, _, fit) in enumerate(classes):
+        for j in fit:
             kind[j] |= 1 << c
-    if not all(fits):  # a class that fits no cluster even alone
-        raise InvalidInputError(UNPACKED)
 
     def tries(i):  # one cluster of each kind that class i fits now, tightest first
         k = classes[i][1]
-        return sorted({(kind[j], jordan[j], room[j]): j for j in fits[i] if holds(j, k)}.values(),
-                      key=room.__getitem__)
+        kinds = {(kind[j] >> i, jordan[j], room[j]): j for j in classes[i][2] if holds(j, k)}
+        return sorted(kinds.values(), key=room.__getitem__)
 
+    if not all(fit for _, _, fit in classes):  # a class that fits no cluster even alone
+        raise InvalidInputError(UNPACKED)
     placed, untried, seen, work = [], [iter(tries(0))], set(), -len(classes) * len(room)
     while untried:  # untried[i]: the clusters class i has yet to try, placed[i]: its cluster
         i, j = len(placed), next(untried[-1], None)
@@ -155,13 +159,19 @@ def _placement(exact, spec: SpectralData) -> list:
                 room[placed.pop()] += classes[i - 1][1]
             continue
         if i + 1 == len(classes):
-            return [(e, infos[p]) for (e, _), p in zip(classes, placed + [j])]
+            return [(e, infos[p]) for (e, _, _), p in zip(classes, placed + [j])]
         room[j] -= classes[i][1]
         work += len(room)
-        if work > CLASS_SEARCH_BUDGET:
+        if work > CLASS_SEARCH_BUDGET:  # csgraph is loaded here only, not on every run
+            from scipy.sparse import csgraph, csr_matrix
+            slots = [np.isin(range(len(infos)), fit) for _, k, fit in classes for _ in range(k)]
+            slots = np.repeat(slots, [info.algebraic_mult for info in infos], axis=1)
+            if (csgraph.maximum_bipartite_matching(csr_matrix(slots)) < 0).any():
+                raise InvalidInputError(UNPACKED)
             raise BudgetError(f"packing the classes of equal exact entries into the clusters "
                               f"of the spectrum writes over {CLASS_SEARCH_BUDGET:.0e} cluster rooms")
-        if (i, tuple(room)) in seen:
+        # entries equal rooms, so a room that no class still to place fits is a dead end
+        if (i, tuple(room)) in seen or not all(k >> i + 1 or not r for k, r in zip(kind, room)):
             room[j] += classes[i][1]
         else:
             seen.add((i, tuple(room)))

@@ -126,6 +126,37 @@ def test_equal_claims_are_packed_one_choice_at_a_time():
         _placement(tuple(exact[1:] + exact[-1:]), SimpleNamespace(eigenvalues=clusters))
 
 
+def clusters_at(moduli_args_mults):
+    return [SimpleNamespace(value=r * np.exp(1j * np.pi * t), algebraic_mult=m, block_sizes=(1,) * m)
+            for r, t, m in moduli_args_mults]
+
+
+HALF_AT = [PolarEigenvalue(Fraction(1, 2), Fraction(j, 20)) for j in range(1, 15)]
+HALF_GENERIC = [PolarEigenvalue(Fraction(1, 2), f"g{m}") for m in range(15)]
+DOUBLES_AND_TWO_03 = clusters_at([(0.5, j / 20, 2) for j in range(1, 15)]
+                                 + [(0.3, 0, 1), (0.3, 1 / 3, 1)])
+
+
+@pytest.mark.parametrize("clusters, exact", [
+    # no claim fits 0.3, so the first choice is a dead end; without that the pairs alone take
+    # the search past its budget (each odd cluster wants a single)
+    (clusters_at([(0.5, (j + 0.5) / 10, j + 1) for j in range(10)] + [(0.3, 0, 1)]),
+     [PolarEigenvalue(Fraction(1, 2), f"p{c // 2}") for c in range(54)] + HALF_GENERIC[:2]),
+    # 29 claims of modulus 1/2 on 28 eigenvalues of that modulus; each claim at its own argument
+    # fits one double, and the tagged single the rest.  Once those 14 are placed, the doubles are
+    # alike: a kind that kept their bits would try every subset of them
+    (DOUBLES_AND_TWO_03, HALF_AT + HALF_GENERIC + [PolarEigenvalue("r", "t")]),
+    # the same listed generic first: the claims that fit one double are placed first
+    (DOUBLES_AND_TWO_03, HALF_GENERIC + HALF_AT + [PolarEigenvalue("r", "t")]),
+])
+def test_unpackable_claims_are_refused_by_the_search_alone(monkeypatch, clusters, exact):
+    # past its budget the search asks a matching whether the entries fit at all; these inputs
+    # must be refused before that
+    monkeypatch.delattr("scipy.sparse.csgraph.maximum_bipartite_matching")
+    with pytest.raises(InvalidInputError, match="no choice of clusters holds them all"):
+        _placement(tuple(exact), SimpleNamespace(eigenvalues=clusters))
+
+
 def test_one_descent_is_not_charged_to_the_search_budget():
     # 1001 tagged entries on 1001 simple clusters: placing each once writes 1001 tuples of 1001
     # rooms, past the budget, but no more rooms than A has entries

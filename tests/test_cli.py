@@ -1329,9 +1329,22 @@ UNPACKED = ("exact eigenvalue data mismatches the matrix spectrum (each class of
     # the same with a pair 3/10 on a double 0.3: once the pair was collapsed instead, a false
     # cyclic where the numeric path says not_cyclic
     (JORDAN_AND_DOUBLE, [TAGGED, OTHER, TENTH3, TENTH3], UNPACKED),
-    # 17 claims of modulus 1/2 on 16 eigenvalues of that modulus and 0.3: the pigeonhole is
-    # seen at once, one cluster of the 16 tried per claim
+    # 17 claims of modulus 1/2 on 16 eigenvalues of that modulus and 0.3: no claim fits 0.3,
+    # so the first choice is a dead end
     (diagonal(ARC16 + [0.3]), [half_with_arg(j) for j in range(17)], UNPACKED),
+    # the same on 14 double eigenvalues of modulus 1/2, 14 claims at their arguments first: once
+    # exit 3 at the search budget, as the doubles stayed apart by the claims already placed
+    (diagonal([0.5 * np.exp(1j * np.pi * j / 20) for j in range(1, 15) for _ in range(2)] + [0.3]),
+     [{"modulus": {"num": 1, "den": 2}, "arg": {"pi_rational": {"num": j, "den": 20}}}
+      for j in range(1, 15)] + [half_with_arg(j) for j in range(15)], UNPACKED),
+    # 27 pairs and 2 singles of modulus 1/2 on eigenvalues of multiplicities 1 to 10 of that
+    # modulus, and 3/10 on a double 0.3: the search passes its budget, and a matching of the
+    # entries to the eigenvalues finds no place for one of the 56 entries of modulus 1/2
+    (diagonal([0.5 * np.exp(1j * np.pi * (j + 0.5) / 10) for j in range(10) for _ in range(j + 1)]
+              + [0.3, 0.3]),
+     [half_with_arg(f"p{c // 2}") for c in range(54)] + [half_with_arg("s"), half_with_arg("u"),
+                                                         {**TENTH3, "arg": {"generic": "q"}}],
+     UNPACKED),
     # 15 such claims, 3/10 on a double 0.3 and a tagged pair, which fits nowhere (once exit 3
     # at the search budget)
     (diagonal(ARC16 + [0.3, 0.3]),
@@ -1382,7 +1395,7 @@ def test_the_jordan_pair_is_the_class_on_the_block(tmp_path):
 def test_packing_equal_claims_has_a_budget(tmp_path, capsys):
     # clusters of multiplicities 1 to 10 cannot hold 27 tagged pairs and one tagged entry: each
     # of the five clusters of odd multiplicity needs a single entry, which the search sees only
-    # after its budget
+    # after its budget; the entries fit the eigenvalues one by one, so no matching refuses them
     values = [0.5 * np.exp(1j * np.pi * (j + 0.5) / 10) for j in range(10) for _ in range(j + 1)]
     claims = [{"modulus": {"log_generic": f"r{c // 2}"}, "arg": {"generic": "t"}} for c in range(55)]
     doc = {"dimension": 55, "A": diagonal(values), "b": [0] * 55, "exact": {"eigenvalues": claims}}
