@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, suite
+from . import __version__
 from .classify import DEFAULT_SEARCH_HEIGHT, classify_cyclicity, cyclic_vector_test
 from .errors import BudgetError, InvalidInputError, NoFixedPointError, NumericalFailureError
 from .fockmat.basis import check_basis_size, multi_indices
@@ -366,6 +366,7 @@ def _cmd_demo_kronecker(ns: argparse.Namespace):
 
 
 def _cmd_suite(ns: argparse.Namespace):
+    from . import suite  # loaded here only, as its scipy.optimize import costs every command
     results = suite.run_suite(only=ns.only, seed=ns.seed)
     n_pass = sum(1 for r in results if r.passed)
     payload = {

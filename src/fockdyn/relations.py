@@ -40,10 +40,10 @@ RELATION_TOL = 1e-9
 _SCAN_CHUNK = 2**16
 # coefficient rows per numpy step of the exact certificate search
 _CERT_CHUNK = 2**16
-# coefficient rows (2b+1)^m the certificate search may test: 5-30 ns a row on
-# int64 arrays, 70-260 ns on Python ints (63-bit denominators), on one 2.1 GHz
-# Xeon core; the largest box admitted, 3^14 rows, took 0.84 s on Python ints
-CERTIFICATE_ROW_BUDGET = 10**7
+# basis vectors of the tag-free lattice the certificate search combines: the
+# box (2b+1)^m stays near 10^6 rows, at most 1.95e6 (m = 9); 3^13 rows that all
+# close the phase took 0.6-1.1 s on one Xeon core, with 63-bit phases too
+_CERT_VECTORS = 13
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +117,8 @@ def integer_kernel(rows: list, n: int) -> list:
                 break
         if cols[pivot_col][i] != 0:
             pivot_col += 1
-    kernel = []
-    for j in range(pivot_col, n):
-        if all(v == 0 for v in cols[j]):
-            vec = trans[j]
-            if any(vec):
-                kernel.append(tuple(vec))
-    return kernel
+    # the columns from pivot_col on vanish on every row, and U is unimodular
+    return [tuple(vec) for vec in trans[pivot_col:]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,22 +244,21 @@ def _smallest_certificate(eigs: tuple, free: list, bound: int) -> tuple | None:
     Phases are integers in units of pi / D for the common denominator D of
     the rational arguments, taken modulo 2 D.  The coefficient box is cut
     by _grid_pieces, as the numeric scan's box is, into product grids of
-    at most _CERT_CHUNK rows; its integers are int64 when a bound on every
-    sum rules out overflow, and Python ints otherwise.
+    at most _CERT_CHUNK rows.  The phase sums and the exponents are each
+    int64 when a bound on their sums rules out overflow, and Python ints
+    otherwise: a wide phase leaves the exponents in int64.
     """
     args = [e.arg for e in eigs]
     den = math.lcm(*(q.denominator for q in args if not isinstance(q, str)))
     modulus = 2 * den
     weights = [0 if isinstance(q, str) else int(q * den) for q in args]
     phases = [sum(v * w for v, w in zip(vec, weights)) % modulus for vec in free]
-    largest = max(len(free) * modulus, sum(abs(v) for vec in free for v in vec)) * bound
-    dtype = np.int64 if largest < 2**62 else object
-    coef = np.array(free, dtype=dtype)
-    phase = np.array(phases, dtype=dtype)
-    box = [np.arange(-bound, bound + 1).astype(dtype)] * len(free)
+    phase = np.array(phases, dtype=np.int64 if len(free) * modulus * bound < 2**62 else object)
+    largest = sum(abs(v) for vec in free for v in vec) * bound
+    coef = np.array(free, dtype=np.int64 if largest < 2**62 else object)
     best = None
-    for axes in _grid_pieces(box, _CERT_CHUNK):
-        keep = _grid_dot(axes, phase) % modulus == 0
+    for axes in _grid_pieces([np.arange(-bound, bound + 1)] * len(free), _CERT_CHUNK):
+        keep = _grid_dot([a.astype(phase.dtype, copy=False) for a in axes], phase) % modulus == 0
         if not keep.any():
             continue
         alphas = np.stack([a[i] for a, i in zip(axes, np.nonzero(keep))], axis=1) @ coef
@@ -286,37 +280,27 @@ def _smallest_certificate(eigs: tuple, free: list, bound: int) -> tuple | None:
 def exact_relation_decide(eigs: tuple) -> RelationResult:
     """Conclusively decide lambda^alpha = 1 solvability from exact polar data.
 
-    Restrict to the modulus kernel; on it every arg-tag's total coefficient
-    must vanish, leaving a rational-multiple-of-pi phase, some even multiple
-    of which is always reachable.  So a relation exists iff the tag-free
-    sublattice of the modulus kernel is nonzero.
+    On the modulus kernel every arg-tag's total coefficient must vanish,
+    leaving a rational-multiple-of-pi phase, some even multiple of which is
+    always reachable.  So a relation exists iff the tag-free lattice, the
+    integer kernel of the modulus rows stacked on the arg-tag rows, is
+    nonzero.
     """
     lattice = modulus_kernel(eigs)
-    basis = lattice.kernel_basis
-    if not basis:
+    if not lattice.kernel_basis:
         return RelationResult(RelationStatus.PROVEN_NONE, certificate="modulus kernel is trivial")
-    tag_rows = [_row_sums(basis, row) for row in _tag_rows([e.arg for e in eigs])]
-    if tag_rows:
-        sub = integer_kernel(tag_rows, len(basis))
-    else:
-        sub = [tuple(1 if i == j else 0 for i in range(len(basis))) for j in range(len(basis))]
-    if not sub:
+    free = integer_kernel([*lattice.matrix, *_tag_rows([e.arg for e in eigs])], len(eigs))
+    if not free:
         return RelationResult(
             RelationStatus.PROVEN_NONE,
             certificate="every modulus-kernel vector carries a generic argument tag",
         )
-    # search small combinations of the tag-free sublattice for a relation,
-    # scaling the phase to an even integer
-    free = [tuple(sum(x * basis[i][j] for i, x in enumerate(coefs)) for j in range(len(eigs)))
-            for coefs in sub]
-    # near 10^6 candidates up to 12 free vectors (at most 1.95e6, at 9); the bound is 1 from 10
-    # on, so from 13 the box grows as 3^n (4.8e6 at 14) until CERTIFICATE_ROW_BUDGET refuses it
-    bound = max(1, int(round(10 ** (6 / len(free)) - 1)) // 2)
+    # search small combinations of the first basis vectors for a relation,
+    # scaling the phase to an even integer; the bound is 1 from 10 vectors on
+    search = free[:_CERT_VECTORS]
+    bound = max(1, int(round(10 ** (6 / len(search)) - 1)) // 2)
     bound = min(bound, 6)
-    rows = (2 * bound + 1) ** len(free)
-    if rows > CERTIFICATE_ROW_BUDGET:
-        raise BudgetError(f"certificate search over {rows} rows exceeds {CERTIFICATE_ROW_BUDGET}")
-    alpha = _smallest_certificate(eigs, free, bound)
+    alpha = _smallest_certificate(eigs, search, bound)
     if alpha is None:
         base = free[0]
         phase = _phase_sum(eigs, base)

@@ -59,8 +59,9 @@ def _smallest_singular_value(t: np.ndarray, mu: complex) -> float:
     """An estimate from above of sigma_min(M), M = t - mu I, t upper triangular with ||t|| = 1:
     solves alternate between M and M* from a unit x, and each ratio |x_k+1| / |x_k| lies below
     1 / sigma_min and at least at the one before, so the last is kept.  No solve shrinks x below
-    half its size; one that overflows, or meets a zero pivot, gives 0."""
-    m, x = t.copy(), np.full(len(t), len(t) ** -0.5, dtype=complex)
+    half its size; one that overflows, or meets a zero pivot, gives 0.  M is copied once, in the
+    Fortran order ztrtrs reads, so no solve copies it again."""
+    m, x = t.copy(order="F"), np.full(len(t), len(t) ** -0.5, dtype=complex)
     m.flat[:: len(t) + 1] -= mu
     for trans in (0, 2) * INVERSE_STEPS:
         last, (x, info) = x, lapack.ztrtrs(m, x, trans=trans)

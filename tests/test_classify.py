@@ -15,6 +15,7 @@ from fockdyn.classify import (
 )
 from fockdyn.errors import InvalidInputError
 from fockdyn.fockmat.basis import multi_indices
+from fockdyn.fockmat.experiments import orbit_krylov_rank
 from fockdyn.fockmat.projections import from_L_basis
 from fockdyn.polymap import poly_eval
 from fockdyn.relations import PolarEigenvalue
@@ -264,6 +265,34 @@ def test_cyclic_vector_missing_constant_fails():
     report = cyclic_vector_test(sym, f, 2)
     assert not report.verdict
     assert (0, 0) in report.failing_indices
+
+
+def test_cyclic_vector_criterion_on_a_jordan_pair():
+    # natural rows: the chain's eigenvector and top at 0.5, then 0.3; the criterion reads
+    # them in the order (0.3, eigenvector, top) and exempts indices on the eigenvector
+    half = PolarEigenvalue(Fraction(1, 2), Fraction(0))
+    sym = AffineSymbol([[0.5, 0.25, 0], [0, 0.5, 0], [0, 0, 0.3]], [0.1, 0.2, 0],
+                       exact=(half, half, PolarEigenvalue("r", Fraction(0))))
+    assert classify_cyclicity(sym).status is CyclicityStatus.CYCLIC
+    basis = linear_form_basis(sym)
+    assert basis.chain_flags == (False, True, False)
+
+    def report_without(index, degree):
+        lcoef = {a: 1.0 + 0j for a in multi_indices(3, degree) if a != index}
+        f = from_L_basis(lcoef, basis)
+        return cyclic_vector_test(sym, f, degree), f
+
+    report, f = report_without((1, 0, 0), 1)  # the chain eigenvector's coefficient
+    assert report.verdict and report.failing_indices == ()
+    assert report.basis_order_note == (
+        "chain pair moved to the last two positions; row order (2, 0, 1) of the natural "
+        "eigenvalue order")
+    assert orbit_krylov_rank(sym, f, degree=1, steps=6) == 4  # C L_top = 0.5 L_top + L_eig
+    report, f = report_without((0, 0, 0), 1)
+    assert not report.verdict and report.failing_indices == ((0, 0, 0),)
+    assert orbit_krylov_rank(sym, f, degree=1, steps=6) == 3  # no constant: C keeps L-span
+    report, _ = report_without((0, 1, 1), 2)
+    assert not report.verdict and report.failing_indices == ((1, 0, 1),)
 
 
 def test_cyclic_vector_requires_cyclic_operator():

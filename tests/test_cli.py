@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -470,17 +471,44 @@ def unimodular_exact_symbol(denominators):
     }
 
 
-def test_certificate_box_budget_exits_three_at_once(tmp_path, capsys):
-    # 20 unimodular eigenvalues leave a rank-20 relation lattice; its box of
-    # coefficients in {-1, 0, 1} has 3^20 = 3.5e9 rows
+def assert_exact_relation(doc, verdict):
+    """The verdict is one RELATION_FOUND whose alpha gives lambda^alpha = 1 on
+    the document's exact polar data, in Fraction arithmetic."""
+    assert verdict["status"] == "not_cyclic"
+    [reason] = verdict["reasons"]
+    alpha = reason["alpha"]
+    assert reason["code"] == "RELATION_FOUND" and any(alpha)
+    eigs = doc["exact"]["eigenvalues"]
+    modulus = math.prod(Fraction(e["modulus"]["num"], e["modulus"]["den"]) ** a for e, a in zip(eigs, alpha))
+    phase = sum(a * Fraction(e["arg"]["pi_rational"]["num"], e["arg"]["pi_rational"]["den"])
+                for e, a in zip(eigs, alpha))
+    assert modulus == 1 and phase.denominator == 1 and phase.numerator % 2 == 0
+
+
+def test_certificate_search_on_a_rank_20_lattice_ends_at_once(tmp_path):
+    # 20 unimodular eigenvalues leave a rank-20 relation lattice; the search
+    # combines its first 13 basis vectors (3^13 rows), not all 20 (3^20 = 3.5e9)
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
-    path = write_json(tmp_path / "unimodular.json", unimodular_exact_symbol(primes))
+    doc = unimodular_exact_symbol(primes)
     start = time.perf_counter()
-    assert main(["analyze", path]) == 3
+    code, report = run_json(tmp_path, ["analyze", write_json(tmp_path / "unimodular.json", doc)])
     assert time.perf_counter() - start < 2.0
-    err = capsys.readouterr().err
-    assert err.startswith("fockdyn: budget exceeded: certificate search over 3486784401 rows")
-    assert err.count("\n") == 1
+    assert code == 0
+    assert_exact_relation(doc, report["cyclicity"])
+
+
+def test_powers_of_two_at_d16_report_a_relation(tmp_path):
+    # moduli 2^-1, ..., 2^-16 leave a rank-15 lattice, whose certificate box
+    # of 3^15 rows was refused with exit 3
+    doc = {"dimension": 16, "A": diagonal([2.0 ** -j for j in range(1, 17)]), "b": [0] * 16,
+           "exact": {"eigenvalues": [{"modulus": {"num": 1, "den": 2**j}, "arg": ZERO_ARG}
+                                     for j in range(1, 17)]}}
+    start = time.perf_counter()
+    code, report = run_json(tmp_path, ["analyze", write_json(tmp_path / "powers.json", doc)])
+    assert time.perf_counter() - start < 5.0  # every row of the 3^13 box closes the phase
+    assert code == 0
+    assert_exact_relation(doc, report["cyclicity"])
+    assert report["cyclicity"]["reasons"][0]["alpha"] == [-1, -1, 1] + [0] * 13
 
 
 def test_exact_input_bit_cap_exits_two(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Every name a module of fockdyn imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,11 @@ def test_no_unused_import(path):
 def test_detector_sees_an_unused_import():
     source = "import math\nimport os.path\nfrom .relations import A, B as C\nos.path.join(A)\n"
     assert unused_imports(ast.parse(source)) == [(1, "math"), (3, "C")]
+
+
+def test_cli_leaves_the_suite_unloaded():
+    # the suite's scipy.optimize took 0.2 s and 17 MiB of every command's start
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                                    os.environ.get("PYTHONPATH")])))
+    code = "import sys, fockdyn.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, timeout=60).returncode == 0
