@@ -3,12 +3,15 @@
 Multi-indices (tuples, or rows of an int array) are ordered by total degree, then
 lexicographically; graded_positions finds their positions by arithmetic.  Truncations act on
 e_alpha = z^alpha / ||z^alpha|| and need no norms; monomial_norms, from
-||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!), converts the orbit's input vector.
+||z^alpha||^2 = 2^{|alpha|} * prod(alpha_j!), converts the orbit's input vector.  graded_basis keeps
+its last 8 bases, one per (d, N), read-only and with their raise tables once built: at most 24 d m
+bytes a basis of m <= BASIS_SIZE_BUDGET rows, 3.6 MB at d = 3.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -79,6 +82,16 @@ class GradedBasis:
         hi = math.comb(n + self.d, self.d)
         return slice(lo, hi)
 
+    @functools.cached_property
+    def raise_tables(self) -> tuple:
+        """Read-only (up, rise) over the rows gamma = exponents[i] of degree < max_degree: up[v, i]
+        is the position of gamma + e_v, and rise[v, i] = sqrt(2 (gamma_v + 1))."""
+        below = self.exponents[: self.degree_slice(self.max_degree).start]
+        up = np.array([graded_positions(below + e) for e in np.eye(self.d, dtype=below.dtype)])
+        rise = np.sqrt(2.0 * below.T + 2.0)
+        up.flags.writeable = rise.flags.writeable = False
+        return up, rise
+
 
 def check_basis_size(d: int, max_degree: int) -> None:
     """Refuse a basis of degree max_degree over the budget before building any of it."""
@@ -92,8 +105,11 @@ def check_basis_size(d: int, max_degree: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
 def graded_basis(d: int, max_degree: int) -> GradedBasis:
-    return GradedBasis(d, max_degree, _exponents(d, max_degree))
+    exponents = _exponents(d, max_degree)
+    exponents.flags.writeable = False
+    return GradedBasis(d, max_degree, exponents)
 
 
 def monomial_norms(indices) -> np.ndarray:

@@ -93,7 +93,7 @@ def orbit_krylov_rank(
     with np.errstate(over="ignore", invalid="ignore"):  # unbounded symbols reach here
         if projector == degree:  # the last diagonal block, built beside block N-1
             check_dense_bytes(88 * n * n, f"a dense {n} x {n} diagonal block")
-            for block in _degree_columns(sym, basis, shift=False):
+            for block in _degree_columns(sym, basis):
                 pass
         else:
             block = _assemble_matrix(sym, basis)[lo:, lo:]

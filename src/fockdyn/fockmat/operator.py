@@ -7,12 +7,12 @@ on the orthonormal e_alpha = z^alpha / ||z^alpha||; in graded order it is block
 upper triangular: diagonal block k is A acting on the forms of degree k, and b
 only fills blocks above it.
 
-_degree_columns builds the dense matrix, or its diagonal blocks, a degree of columns
-at a time, in orthonormal coordinates, with the rows of z_v e_gamma from
-basis.graded_positions (no per-row lookup); truncated_spectrum runs its recursion on the
-eigenvalues of A alone.  top_singular_values builds one matrix, the truncation of the
-real twin (_real_twin, a unitarily equivalent real symbol; a real A and b give real
-truncations), and takes the cheaper of its dense SVD and Lanczos on it, within one budget.
+_degree_columns builds the dense matrix in place, or its diagonal blocks, a degree of columns
+at a time, in orthonormal coordinates, with the rows of z_v e_gamma from the basis's raise
+tables (no per-row lookup); truncated_spectrum runs its recursion on the eigenvalues of A
+alone.  top_singular_values builds one matrix, the truncation of the real twin (_real_twin, a
+unitarily equivalent real symbol; a real A and b give real truncations), and takes the cheaper
+of Lanczos and its dense SVD, numpy's LAPACK ?gesdd without vectors, within one budget.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 from ..errors import BudgetError, InvalidInputError
 from ..polymap import check_dense_bytes
 from ..symbol import AffineSymbol
-from .basis import GradedBasis, check_basis_size, graded_basis, graded_positions
+from .basis import GradedBasis, check_basis_size, graded_basis
 
 DENSE_SVD_CUTOFF = 1200
 
@@ -34,8 +33,8 @@ DENSE_SVD_CUTOFF = 1200
 # m = 1,770, 29 s at m = 3,003); Lanczos LANCZOS_COST max(k, 10) m^2 on the same matrix, whose
 # build and svds took 2.3-5.1 ns per m^2 and value at d = 1..6, m = 2,556-3,876 and k = 1-100
 # (one BLAS thread, best of two), nearly as long for any k below 10.  The dense route runs on the
-# real twin: svdvals took 21 ms at m = 378, 45 ms at m = 528 and 2.4 s at m = 1,770 against
-# 47 ms, 132 ms and 6.4 s complex (one core), so m^3 overcharges it 2-3x.
+# real twin: numpy's svd took 9.8 ms at m = 378, 27 ms at m = 528 and 1.4 s at m = 1,770 (one
+# thread, best of 5) against 24 ms, 82 ms and 3.2 s complex, so m^3 overcharges it 4-5x.
 LANCZOS_COST = 6
 LANCZOS_MIN_VALUES = 10
 SVD_OPERATIONS_BUDGET = 30_000_000_000
@@ -51,38 +50,36 @@ def _entry_type(sym: AffineSymbol) -> type:
     return complex if sym.a.imag.any() or sym.b.imag.any() else float
 
 
-def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
+def _degree_columns(sym: AffineSymbol, basis: GradedBasis, out: np.ndarray | None = None):
     """Yield, for k = 0..N, the matrix columns of the degree-k basis functions.
 
     Those whose first exponent is on z_f are one graded-lex slice, z_f times the
     first ones of degree k-1: as z_v maps e_gamma to sqrt(2 (gamma_v + 1)) e_{gamma + e_v},
     the column of e_{beta + e_f} is (Az + b)_f times that of e_beta over sqrt(2 (beta_f + 1)),
-    a b_f term and a shifted add per variable.  Rows: those of degree <= k with shift,
-    else the degree-k ones and no b term, which gives the diagonal block of degree k."""
-    d, dtype = basis.d, _entry_type(sym)
+    a b_f term and a shifted add per variable, each skipped if zero.  Into out, the zeroed m x m
+    matrix, rows of degree <= k; else new arrays: diagonal block k, degree-k rows, no b term."""
+    d, dtype, shift = basis.d, _entry_type(sym), out is not None
     a, b = ((x if dtype is complex else x.real).tolist() for x in (sym.a, sym.b))
-    below = basis.exponents[: basis.degree_slice(basis.max_degree).start]
-    # up[v][i] and rise[v][i]: position of gamma + e_v and sqrt(2 (gamma_v + 1)), gamma = below[i]
-    up = [graded_positions(below + e) for e in np.eye(d, dtype=below.dtype)]
-    rise = np.sqrt(2.0 * below.T + 2.0)
-    prev = np.ones((1, 1), dtype=dtype)
+    up, rise = basis.raise_tables
+    prev = out[:1, :1] if shift else np.ones((1, 1), dtype=dtype)
+    prev[0, 0] = 1.0
     yield prev
     for k in range(1, basis.max_degree + 1):
         rows, parents = basis.degree_slice(k), basis.degree_slice(k - 1)
         lo, src = (0, slice(0, parents.stop)) if shift else (rows.start, parents)
         dst, gain = [u[src] - lo for u in up], rise[:, src]
-        cols = np.zeros((rows.stop - lo, rows.stop - rows.start), dtype=dtype)
+        cols = out[: rows.stop, rows] if shift else np.zeros(2 * (rows.stop - rows.start,), dtype)
         start = 0
         for f in reversed(range(d)):
             width = math.comb(k - 2 + d - f, d - 1 - f)
-            out = cols[:, start : start + width]
+            col = cols[:, start : start + width]
             p = prev[:, :width] / rise[f, parents.start : parents.start + width]
             start += width
-            if shift:
-                out[: parents.stop] = b[f] * p
+            if shift and b[f] != 0:
+                col[: parents.stop] = b[f] * p
             for v in range(d):
                 if a[f][v] != 0:
-                    out[dst[v]] += (a[f][v] * gain[v])[:, None] * p
+                    col[dst[v]] += (a[f][v] * gain[v])[:, None] * p
         yield cols
         prev = cols
 
@@ -90,12 +87,12 @@ def _degree_columns(sym: AffineSymbol, basis: GradedBasis, shift: bool):
 def _assemble_matrix(sym: AffineSymbol, basis: GradedBasis) -> np.ndarray:
     """Exact restriction matrix, no boundedness requirement (internal)."""
     m, dtype = basis.size, np.dtype(_entry_type(sym))
-    # the matrix, the column blocks of the recursion and their temporaries: tracemalloc peaks of
-    # 8.0-18.0 m^2 bytes real (m = 200-8,000) and 16-36 complex (m = 200-4,000) at d = 1..6
+    # the matrix and the temporaries of the recursion: tracemalloc peaks of 8.0-13.3 m^2 bytes
+    # real and 16.0-26.5 complex (m = 200-2,000, d = 1..6)
     check_dense_bytes(5 * dtype.itemsize * m * m // 2, f"a dense {m} x {m} truncated matrix")
     mat = np.zeros((m, m), dtype=dtype)
-    for k, cols in enumerate(_degree_columns(sym, basis, shift=True)):
-        mat[: len(cols), basis.degree_slice(k)] = cols
+    for _ in _degree_columns(sym, basis, mat):
+        pass
     return mat
 
 
@@ -131,7 +128,7 @@ def truncated_singular_values(matrix: np.ndarray, k: int) -> np.ndarray:
     """Top-k singular values of a truncated matrix, descending."""
     if k < 1:
         raise InvalidInputError(f"k must be positive, got {k}")
-    s = scipy.linalg.svdvals(matrix)
+    s = np.linalg.svd(matrix, compute_uv=False)
     return s[: min(k, s.size)]
 
 

@@ -244,9 +244,9 @@ def _smallest_certificate(eigs: tuple, free: list, bound: int) -> tuple | None:
     Phases are integers in units of pi / D for the common denominator D of
     the rational arguments, taken modulo 2 D.  The coefficient box is cut
     by _grid_pieces, as the numeric scan's box is, into product grids of
-    at most _CERT_CHUNK rows.  The phase sums and the exponents are each
-    int64 when a bound on their sums rules out overflow, and Python ints
-    otherwise: a wide phase leaves the exponents in int64.
+    at most _CERT_CHUNK rows.  The phase sums and the exponents are each int64
+    when a bound on their sums rules out overflow (exponents below 2^53 are multiplied
+    exactly in float64, by BLAS), else Python ints: a wide phase leaves the exponents in int64.
     """
     args = [e.arg for e in eigs]
     den = math.lcm(*(q.denominator for q in args if not isinstance(q, str)))
@@ -255,13 +255,15 @@ def _smallest_certificate(eigs: tuple, free: list, bound: int) -> tuple | None:
     phases = [sum(v * w for v, w in zip(vec, weights)) % modulus for vec in free]
     phase = np.array(phases, dtype=np.int64 if len(free) * modulus * bound < 2**62 else object)
     largest = sum(abs(v) for vec in free for v in vec) * bound
-    coef = np.array(free, dtype=np.int64 if largest < 2**62 else object)
+    exact = np.int64 if largest < 2**62 else object
+    coef = np.array(free, dtype=float if largest < 2**53 else exact)
     best = None
     for axes in _grid_pieces([np.arange(-bound, bound + 1)] * len(free), _CERT_CHUNK):
         keep = _grid_dot([a.astype(phase.dtype, copy=False) for a in axes], phase) % modulus == 0
         if not keep.any():
             continue
         alphas = np.stack([a[i] for a, i in zip(axes, np.nonzero(keep))], axis=1) @ coef
+        alphas = alphas.astype(exact, copy=False)
         # only c = 0 gives alpha = 0, as the free vectors are independent
         height = np.abs(alphas).max(axis=1)
         alphas, height = alphas[height > 0], height[height > 0]

@@ -55,14 +55,13 @@ class SpectralData:
     clustering_warning: bool
 
 
-def _smallest_singular_value(t: np.ndarray, mu: complex) -> float:
-    """An estimate from above of sigma_min(M), M = t - mu I, t upper triangular with ||t|| = 1:
-    solves alternate between M and M* from a unit x, and each ratio |x_k+1| / |x_k| lies below
-    1 / sigma_min and at least at the one before, so the last is kept.  No solve shrinks x below
-    half its size; one that overflows, or meets a zero pivot, gives 0.  M is copied once, in the
-    Fortran order ztrtrs reads, so no solve copies it again."""
-    m, x = t.copy(order="F"), np.full(len(t), len(t) ** -0.5, dtype=complex)
-    m.flat[:: len(t) + 1] -= mu
+def _smallest_singular_value(m: np.ndarray, diag: np.ndarray, mu: complex) -> float:
+    """An estimate from above of sigma_min(M), M = t - mu I, t upper triangular with ||t|| = 1 and
+    diagonal diag: solves alternate between M and M* from a unit x, and each ratio |x_k+1| / |x_k|
+    lies below 1 / sigma_min and at least at the one before, so the last is kept.  No solve shrinks
+    x below half its size; one that overflows, or meets a zero pivot, gives 0.  m is a copy of t in
+    the Fortran order ztrtrs reads, so no solve copies it; its diagonal is set to diag - mu here."""
+    m.flat[:: len(m) + 1], x = diag - mu, np.full(len(m), len(m) ** -0.5, dtype=complex)
     for trans in (0, 2) * INVERSE_STEPS:
         last, (x, info) = x, lapack.ztrtrs(m, x, trans=trans)
         if info:
@@ -74,9 +73,10 @@ def _smallest_singular_value(t: np.ndarray, mu: complex) -> float:
 def _cluster(t: np.ndarray, norm: float) -> list:
     """Single-linkage clusters of the diagonal of the upper triangular t, norm = ||t||: a pair
     joins within MERGE_DISTANCE norm, or when no third value lies nearer their midpoint mu than
-    they do and t - mu I has a singular value at most SPLIT_TOL n norm (estimated on t / norm)."""
-    t, n = t / norm, t.shape[0]
-    v, labels, limit = t.diagonal(), list(range(n)), SPLIT_TOL * n
+    they do and t - mu I has a singular value at most SPLIT_TOL n norm (estimated on t / norm,
+    one Fortran-order array that every midpoint reuses)."""
+    t, n = np.divide(t, norm, order="F"), t.shape[0]
+    v, labels, limit = t.diagonal().copy(), list(range(n)), SPLIT_TOL * n
     diff = v[:, None] - v
     close, apart = np.abs(diff) <= MERGE_DISTANCE, np.ones((n, n), dtype=bool)
     for w in diff:  # v_k lies nearer the midpoint of v_i, v_j than they do
@@ -85,7 +85,7 @@ def _cluster(t: np.ndarray, norm: float) -> list:
     for i in range(n):
         for j in range(i + 1, n):
             if labels[i] != labels[j] and (
-                    close[i][j] or apart[i][j] and _smallest_singular_value(t, mid[i][j]) <= limit):
+                    close[i][j] or apart[i][j] and _smallest_singular_value(t, v, mid[i][j]) <= limit):
                 labels = [labels[i] if x == labels[j] else x for x in labels]
     return [[i for i in range(n) if labels[i] == x] for x in dict.fromkeys(labels)]
 

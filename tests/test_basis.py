@@ -55,6 +55,16 @@ def test_graded_basis_lookup_roundtrip():
     assert len(block) and (block.sum(axis=1) == 2).all()
 
 
+def test_graded_basis_is_kept_per_size_and_read_only():
+    # every truncate round built the same bases and raise tables again
+    basis = graded_basis(3, 4)
+    assert graded_basis(3, 4) is basis and graded_basis(3, 5) is not basis
+    assert basis.raise_tables is basis.raise_tables
+    for table in (basis.exponents, *basis.raise_tables[0], basis.raise_tables[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
 def test_multi_indices_are_sorted_by_degree_then_lexicographically():
     for d in range(1, 5):
         everything = itertools.product(range(6), repeat=d)

@@ -27,6 +27,11 @@ def profile(a):
     return sorted((e.block_sizes for e in spectrum_of(a).eigenvalues), reverse=True)
 
 
+def midpoint_estimate(t, mu):
+    """_smallest_singular_value on a Fortran-order copy of t, as _cluster passes it."""
+    return _smallest_singular_value(t.copy(order="F"), t.diagonal(), mu)
+
+
 def test_distinct_eigenvalues_diagonalizable():
     spec = spectrum_of(np.diag([0.5, 0.25, -0.1]))
     assert spec.diagonalizable
@@ -130,7 +135,7 @@ def test_midpoint_estimate_lies_above_the_smallest_singular_value():
             t /= np.linalg.norm(t, 2)
             v = t.diagonal()
             for mu in (v[0] + 1e-3, (v[0] + v[1]) / 2, v[0] + 1e-9):
-                estimate = _smallest_singular_value(t, mu)
+                estimate = midpoint_estimate(t, mu)
                 smallest = np.linalg.svd(t - mu * np.eye(d), compute_uv=False)[-1]
                 assert smallest - 1e-14 <= estimate <= 2 * smallest
 
@@ -142,27 +147,30 @@ def test_midpoint_estimate_is_zero_on_overflow_and_zero_pivots():
     singular[1, 1] = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _smallest_singular_value(nilpotent, 0.01) == 0.0
-        assert _smallest_singular_value(singular, 0.0) == 0.0
-        assert _smallest_singular_value(nilpotent, 0.9) == pytest.approx(
+        assert midpoint_estimate(nilpotent, 0.01) == 0.0
+        assert midpoint_estimate(singular, 0.0) == 0.0
+        assert midpoint_estimate(nilpotent, 0.9) == pytest.approx(
             np.linalg.svd(nilpotent - 0.9 * np.eye(40), compute_uv=False)[-1], rel=1e-6)
 
 
 def test_midpoint_solves_get_the_fortran_order_copy(monkeypatch):
     # a C-order copy of T was copied again, to Fortran order, by each of the six solves
-    # (0.58 ms a solve against 0.041 ms at d = 400)
-    orders = []
+    # (0.58 ms a solve against 0.041 ms at d = 400), and a copy per midpoint took 1.5 s of 11.3 s
+    # at d = 800; the spy keeps every matrix alive, so no copy can reuse a freed one's address
+    matrices = []
     solve = spectral.lapack.ztrtrs
 
     def recording_solve(m, x, **kwargs):
-        orders.append(m.flags.f_contiguous)
+        matrices.append(m)
         return solve(m, x, **kwargs)
 
     monkeypatch.setattr(spectral.lapack, "ztrtrs", recording_solve)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     assert len(spectrum_of(a).eigenvalues) == 8
-    assert len(orders) >= 6 and all(orders)
+    # the midpoints of one _cluster call (ten here, six solves each) share one Fortran-order array
+    assert len(matrices) >= 12 and all(m is matrices[0] for m in matrices)
+    assert matrices[0].flags.f_contiguous
 
 
 def test_rank_decision_within_the_margin_raises():
